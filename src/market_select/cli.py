@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--preset", choices=sorted(PRESETS), help="named configuration preset")
     p_select.add_argument("--coverage", action="store_true", help="add embedding-coverage metrics to the report")
     p_select.add_argument("--seed", type=int, help="seed echoed into the report (selection itself is deterministic)")
-    p_select.add_argument("--threads", type=int, help="worker cap for per-topic computation (results identical for any value)")
+    p_select.add_argument("--threads", type=int, help="worker cap for row-chunk work items (results identical for any value)")
 
     p_signals = sub.add_parser("signals", help="compute raw and standardized signal columns")
     _add_signal_args(p_signals)
@@ -472,18 +472,20 @@ def round_weights(weights: Weights) -> dict[str, float]:
 
 
 def _cmd_simulate_recovery(args: argparse.Namespace) -> int:
+    sigmas = _parse_float_grid(args.sigma_grid, "--sigma-grid")
+    ks = _parse_int_grid(args.k_grid, "--k-grid")
+    # the grid supplies sigma and k; the base config takes its first point
+    # so that no unused default is validated against n
     cfg = RecoverySimConfig(
         n=args.n,
         m=args.m,
+        sigma=sigmas[0],
+        k=ks[0],
         monotone_family=args.family,
         trials=args.trials,
         seed=args.seed,
     )
-    results = recovery_grid(
-        cfg,
-        sigmas=_parse_float_grid(args.sigma_grid, "--sigma-grid"),
-        ks=_parse_int_grid(args.k_grid, "--k-grid"),
-    )
+    results = recovery_grid(cfg, sigmas=sigmas, ks=ks)
     rows = [
         {
             "sigma": r.sigma,

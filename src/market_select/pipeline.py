@@ -74,6 +74,18 @@ class RunConfig:
             raise ConfigError("at least one signal must be configured")
         if self.budget_tokens is None and self.retention_rate is None:
             raise ConfigError("either budget_tokens or retention_rate is required")
+        _require_finite("tau", self.tau)
+        _require_finite("gamma", self.gamma)
+        if self.retention_rate is not None:
+            _require_finite("retention_rate", self.retention_rate)
+        if isinstance(self.beta, dict):
+            for topic, b in self.beta.items():
+                _require_finite(f"beta for topic {topic!r}", b)
+        else:
+            _require_finite("beta", self.beta)
+        if isinstance(self.alpha, dict):
+            for topic, a in self.alpha.items():
+                _require_finite(f"alpha for topic {topic!r}", a)
         if self.retention_rate is not None and not 0.0 <= self.retention_rate <= 1.0:
             raise ConfigError(
                 f"retention_rate must be in [0, 1], got {self.retention_rate}"
@@ -101,6 +113,16 @@ class RunConfig:
             if isinstance(kwargs.get(key), dict):
                 kwargs[key] = _float_map(kwargs[key], key)
         return RunConfig(**kwargs)
+
+
+def _require_finite(name: str, value: Any) -> None:
+    """Reject a numeric config value that is not a finite number; NaN or
+    inf would defeat the clipping and ranking downstream and could not be
+    written to the report."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def _float_map(data: dict[str, Any], where: str) -> dict[str, float]:
@@ -368,8 +390,10 @@ def round_floats(obj: Any) -> Any:
 
 
 def dump_json(obj: Any) -> str:
-    return json.dumps(round_floats(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(
+        round_floats(obj), sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False
+    ) + "\n"
 
 
 def dump_json_line(obj: Any) -> str:
-    return json.dumps(round_floats(obj), sort_keys=True, ensure_ascii=False) + "\n"
+    return json.dumps(round_floats(obj), sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"

@@ -26,7 +26,10 @@ from .errors import ConfigError, ValidationError
 from .pool import Pool
 
 DEFAULT_K = 10
-_CHUNK_ROWS = 1024
+_CHUNK_ROWS = 256
+# m: GEMM candidates kept per row beyond the k needed, so the certificate
+# has a margin between the k-th and the nearest non-candidate
+_EXTRA_CANDIDATES = 6
 
 
 @dataclass
@@ -83,31 +86,90 @@ class DiversityParams:
 class ExactNeighborIndex:
     """Exact brute-force nearest neighbors over one point set.
 
-    Distances go through cdist in row chunks, which evaluates each pair
-    directly (no inner-product expansion), so duplicates come out at
-    exactly zero and results match an exhaustive oracle to float64
-    precision. An approximate backend can replace this class behind the
-    same mean_knn_distance signature.
+    Rows are processed in chunks of ``chunk_rows``. For each chunk, one
+    BLAS matrix product over mean-centred points gives approximate squared
+    distances |a|^2 + |b|^2 - 2 a.b (the brute-force formulation of FAISS,
+    Johnson, Douze & Jegou 2017), and the k + _EXTRA_CANDIDATES smallest
+    per row become candidates. Each candidate's distance is then
+    recomputed directly from the original coordinates, summing squared
+    differences in coordinate order as cdist does, so duplicates come out
+    at exactly zero. A row is accepted only when floating-point error
+    bounds prove that no non-candidate can be nearer than its k-th
+    re-ranked neighbor; other rows, and point sets too small to have
+    non-candidates, go through cdist. Either way the k nearest distances
+    are averaged in ascending order, so the result does not depend on
+    which path a row took and matches an exhaustive oracle to float64
+    precision.
     """
 
     def __init__(self, points: np.ndarray, chunk_rows: int = _CHUNK_ROWS):
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         self.chunk_rows = chunk_rows
+        self.centred = self.points - self.points.mean(axis=0)
+        self.sq_norms = np.einsum("ij,ij->i", self.centred, self.centred)
+        self.norms = np.sqrt(self.sq_norms)
 
     def mean_knn_distance(self, k: int) -> np.ndarray:
+        n = self._check_k(k)
+        return np.concatenate([
+            self.chunk_mean_knn_distance(start, min(start + self.chunk_rows, n), k)
+            for start in range(0, n, self.chunk_rows)
+        ])
+
+    def chunk_mean_knn_distance(self, start: int, stop: int, k: int) -> np.ndarray:
+        """mean_knn_distance for rows start:stop (one work item)."""
+        n = self._check_k(k)
+        d = self.points.shape[1]
+        c = k + _EXTRA_CANDIDATES
+        if n <= c + 1:
+            return self._cdist_mean(np.arange(start, stop), k)
+        rows = np.arange(stop - start)
+        # -2 a.b + |b|^2; scaling by -2 is exact, and |a|^2 is constant per
+        # row, so it is added only to the threshold below
+        block = (-2.0 * self.centred[start:stop]) @ self.centred.T
+        block += self.sq_norms
+        block[rows, rows + start] = np.inf
+        order = np.argpartition(block, c, axis=1)
+        candidates = order[:, :c].copy()
+        threshold = block[rows, order[:, c]] + self.sq_norms[start:stop]
+        del block, order
+
+        diff = self.points[candidates] - self.points[start:stop, None, :]
+        diff *= diff
+        sq = diff[:, :, 0].copy()
+        for j in range(1, d):
+            sq += diff[:, :, j]
+        del diff
+        sq.sort(axis=1)
+
+        # Rounding bounds, u = 2^-53. A GEMM value of centred rows a, b is
+        # within (d + 4) u (|a| + |b|)^2 of the true squared distance: d + 2
+        # for the dot products and the two additions, 2 for the centring.
+        # A re-ranked sum of d squares is within a relative (d + 2) u. Both
+        # are doubled to cover second-order terms and the bounds' own
+        # rounding.
+        err = 2.0 * (d + 4) * 2.0**-53
+        gemm_err = err * (self.norms[start:stop] + self.norms.max()) ** 2
+        certified = sq[:, k - 1] * (1.0 + err) < threshold - gemm_err
+        out = np.sqrt(sq[:, :k]).mean(axis=1)
+        failed = np.flatnonzero(~certified)
+        if failed.size:
+            out[failed] = self._cdist_mean(start + failed, k)
+        return out
+
+    def _check_k(self, k: int) -> int:
         n = self.points.shape[0]
         if not 1 <= k < n:
             raise ValidationError(f"need 1 <= k < n, got k={k}, n={n}")
-        out = np.empty(n, dtype=np.float64)
-        for start in range(0, n, self.chunk_rows):
-            stop = min(start + self.chunk_rows, n)
-            dist = cdist(self.points[start:stop], self.points)
-            # exclude self only (the diagonal); duplicates legitimately
-            # contribute zero distances
-            dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
-            nearest = np.partition(dist, k - 1, axis=1)[:, :k]
-            out[start:stop] = nearest.mean(axis=1)
-        return out
+        return n
+
+    def _cdist_mean(self, rows: np.ndarray, k: int) -> np.ndarray:
+        dist = cdist(self.points[rows], self.points)
+        # exclude self only (the diagonal); duplicates legitimately
+        # contribute zero distances
+        dist[np.arange(rows.size), rows] = np.inf
+        nearest = np.sort(np.partition(dist, k - 1, axis=1)[:, :k], axis=1)
+        return nearest.mean(axis=1)
 
 
 def rarity_knn(
@@ -117,34 +179,23 @@ def rarity_knn(
 
     k is clamped to (topic size - 1) for topics too small to supply k
     neighbors, with a warning; a singleton topic gets rarity 0 because it
-    has no neighbors at all. Topics may be processed in parallel; results
-    and warnings are assembled in sorted-topic order, so output is
+    has no neighbors at all. The work is split into row-chunk items across
+    all topics, which up to ``threads`` workers share; results are placed
+    by position and warnings issued in sorted-topic order, so output is
     identical for any thread count.
     """
     params = params or KnnParams()
     emb = _require_embeddings(pool, "rarity")
     out = np.zeros(pool.n, dtype=np.float64)
 
-    def _one_topic(idx: np.ndarray) -> np.ndarray | None:
+    positions: list[np.ndarray] = []
+    work: list[tuple[ExactNeighborIndex, int, int, int]] = []
+    for topic, idx in pool.topics.items():
         if idx.size == 1:
-            return None
-        k_eff = min(params.k, idx.size - 1)
-        return ExactNeighborIndex(emb[idx]).mean_knn_distance(k_eff)
-
-    topics = list(pool.topics.items())
-    if threads > 1 and len(topics) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda item: _one_topic(item[1]), topics))
-    else:
-        results = [_one_topic(idx) for _, idx in topics]
-
-    for (topic, idx), res in zip(topics, results):
-        if res is None:
             warnings.warn(
                 f"topic {topic!r} has a single example; rarity set to 0",
                 stacklevel=2,
             )
-            out[idx] = 0.0
             continue
         if idx.size - 1 < params.k:
             warnings.warn(
@@ -152,7 +203,24 @@ def rarity_knn(
                 f"{params.k} to {idx.size - 1}",
                 stacklevel=2,
             )
-        out[idx] = res
+        index = ExactNeighborIndex(emb[idx])
+        k_eff = min(params.k, idx.size - 1)
+        for start in range(0, idx.size, index.chunk_rows):
+            stop = min(start + index.chunk_rows, idx.size)
+            positions.append(idx[start:stop])
+            work.append((index, start, stop, k_eff))
+
+    def _run(item: tuple[ExactNeighborIndex, int, int, int]) -> np.ndarray:
+        index, start, stop, k_eff = item
+        return index.chunk_mean_knn_distance(start, stop, k_eff)
+
+    if threads > 1 and len(work) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            results = list(ex.map(_run, work))
+    else:
+        results = [_run(item) for item in work]
+    for pos, res in zip(positions, results):
+        out[pos] = res
     return out
 
 

@@ -129,11 +129,9 @@ def recovery_grid(
     derivation so grid points reuse common random draws."""
     if not sigmas or not ks:
         raise ConfigError("sigma and k grids must be nonempty")
-    return [
-        simulate_recovery(replace(cfg, sigma=sigma, k=k))
-        for sigma in sigmas
-        for k in ks
-    ]
+    # every grid point is validated (each k against n) before any runs
+    points = [replace(cfg, sigma=sigma, k=k) for sigma in sigmas for k in ks]
+    return [simulate_recovery(point) for point in points]
 
 
 @dataclass

@@ -668,3 +668,54 @@ def test_unknown_config_key_rejected(tmp_path):
         RunConfig.from_dict(
             {"pool": "p", "signals": ["nll"], "budget_tokens": 1, "mystery": 2}
         )
+
+
+def test_simulate_recovery_grid_k_below_default(tmp_path):
+    # n below the config's default k; only the grid's k counts
+    out = tmp_path / "recovery.csv"
+    code = main(
+        ["simulate", "recovery", "--n", "20", "--k-grid", "5", "--trials", "2", "--out", str(out)]
+    )
+    assert code == 0
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["k"]) for r in rows] == [5]
+
+
+def test_simulate_recovery_names_the_grid_k_out_of_range(tmp_path, capsys):
+    out = tmp_path / "recovery.csv"
+    code = main(
+        ["simulate", "recovery", "--n", "20", "--k-grid", "5,30", "--trials", "2", "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "k=30, n=20" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--gamma", "nan"], None),
+        (["--tau", "inf"], None),
+        (["--beta", "inf"], None),
+        (["--retention-rate", "nan"], None),
+        ([], {"gamma": float("nan")}),
+        ([], {"alpha": {"alpha": float("nan"), "beta": 0.5}}),
+        ([], {"beta": {"alpha": 2.0, "beta": float("inf")}}),
+    ],
+)
+def test_select_rejects_non_finite_config(pool_file, tmp_path, capsys, flags, config):
+    out = tmp_path / "run"
+    argv = ["select", "--pool", str(pool_file), "--signals", "nll", "--out-dir", str(out)]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")  # writes NaN/Infinity tokens
+        argv += ["--config", str(cfg_path)]
+    if "--retention-rate" not in flags:
+        argv += ["--budget-tokens", "50"]
+    code = main(argv + flags)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+    assert list(tmp_path.rglob("*.tmp")) == []

@@ -3,9 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from market_select import signals
 from market_select.errors import ConfigError, ValidationError
 from market_select.signals import (
     DiversityParams,
+    ExactNeighborIndex,
     KnnParams,
     build_signal_table,
     diversity_centroid,
@@ -36,7 +38,8 @@ def embedded_pool(points, topic="t", topics=None):
     records = []
     for i, p in enumerate(points):
         t = topic if topics is None else topics[i]
-        records.append(make_record(f"e{i}", topic=t, embedding=p))
+        # zero-padded ids: the pool's sorted-id order is the input order
+        records.append(make_record(f"e{i:05d}", topic=t, embedding=p))
     return make_pool(*records)
 
 
@@ -97,11 +100,89 @@ def test_rarity_requires_embeddings():
 
 
 def test_rarity_threads_match_serial():
+    # Zipf-skewed topic sizes: the head topic spans several row chunks
     rng = np.random.default_rng(3)
-    pool = random_pool(rng, 60, n_topics=4, dim=3)
-    serial = rarity_knn(pool, KnnParams(k=3), threads=1)
-    threaded = rarity_knn(pool, KnnParams(k=3), threads=4)
-    assert np.array_equal(serial, threaded)
+    weights = 1.0 / np.arange(1, 6)
+    codes = rng.choice(5, size=1200, p=weights / weights.sum())
+    points = rng.normal(size=(1200, 8)) + 3.0 * rng.normal(size=(5, 8))[codes]
+    pool = embedded_pool(points, topics=[f"t{c}" for c in codes])
+    assert max(np.bincount(codes)) > 2 * signals._CHUNK_ROWS
+    serial = rarity_knn(pool, KnnParams(k=5), threads=1)
+    for threads in (2, 8):
+        assert np.array_equal(serial, rarity_knn(pool, KnnParams(k=5), threads=threads))
+
+
+def count_cdist_rows(monkeypatch) -> list[int]:
+    """Replace signals.cdist with a wrapper recording each call's row count."""
+    rows: list[int] = []
+    real = signals.cdist
+
+    def counted(a, b):
+        rows.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(signals, "cdist", counted)
+    return rows
+
+
+def topic_pool(rng, sizes, dim, offsets=None):
+    """Pool with topics of the given sizes; row i of topic t is shifted by offsets[t][i]."""
+    points, topics = [], []
+    for t, size in enumerate(sizes):
+        block = rng.normal(size=(size, dim)) + 2.0 * rng.normal(size=dim)
+        if offsets is not None:
+            block = block + offsets[t][:, None]
+        points.append(block)
+        topics += [f"t{t}"] * size
+    return embedded_pool(np.vstack(points), topics=topics)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
+def test_rarity_certified_gemm_path_matches_oracle(dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    k = 4
+    sizes = [k + signals._EXTRA_CANDIDATES + 2, 25, 40]
+    pool = topic_pool(rng, sizes, dim)
+    cdist_rows = count_cdist_rows(monkeypatch)
+    got = rarity_knn(pool, KnnParams(k=k))
+    assert cdist_rows == []  # every row certified on the GEMM path
+    assert np.max(np.abs(got - brute_force_rarity(pool, k))) <= 1e-9
+
+
+def test_neighbor_index_chunks_match_oracle():
+    rng = np.random.default_rng(8)
+    points = rng.normal(size=(60, 3))
+    pool = embedded_pool(points)
+    want = brute_force_rarity(pool, 3)
+    for chunk_rows in (1, 7, 60):
+        got = ExactNeighborIndex(points, chunk_rows=chunk_rows).mean_knn_distance(3)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_rarity_identical_cluster_is_exactly_zero():
+    rng = np.random.default_rng(9)
+    k = 3
+    size = k + signals._EXTRA_CANDIDATES + 3
+    points = np.vstack([np.tile([1.5, -2.25, 3.0], (size, 1)), rng.normal(size=(15, 3))])
+    rare = rarity_knn(embedded_pool(points), KnnParams(k=k))
+    assert np.all(rare[:size] == 0.0)
+    assert np.all(rare[size:] > 0.0)
+
+
+@pytest.mark.parametrize("shifted_share, falls_back", [(1.0, False), (0.5, True)])
+def test_rarity_far_translation(shifted_share, falls_back, monkeypatch):
+    # A translation of the whole topic cancels in the centring, so the
+    # certificate holds. Translating half of it puts both halves ~5e8 from
+    # the topic mean; the GEMM error bound then dwarfs every gap and all
+    # rows must fall back to cdist.
+    rng = np.random.default_rng(10)
+    sizes = [40, 30]
+    offsets = [np.where(np.arange(n) < shifted_share * n, 1e9, 0.0) for n in sizes]
+    pool = topic_pool(rng, sizes, 4, offsets)
+    cdist_rows = count_cdist_rows(monkeypatch)
+    got = rarity_knn(pool, KnnParams(k=3))
+    assert sum(cdist_rows) == (pool.n if falls_back else 0)
+    assert np.max(np.abs(got - brute_force_rarity(pool, 3))) <= 1e-9
 
 
 def test_centroid_identical_embeddings_zero():
