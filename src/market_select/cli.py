@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -30,8 +31,10 @@ from .pipeline import (
     dump_json_line,
     explain,
     fmt_float,
+    format_price_rows,
     resolve_weights,
     run_pipeline,
+    write_atomic,
 )
 from .pool import load_pool
 from .signals import build_signal_table
@@ -338,27 +341,24 @@ def _threads_of(args: argparse.Namespace) -> int:
 
 
 def _write_csv(path: str, fieldnames: list[str], rows: list[dict[str, Any]]) -> None:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_suffix(out.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            formatted = {}
-            for key in fieldnames:
-                value = row[key]
-                if isinstance(value, float):
-                    formatted[key] = f"{value:.9g}"
-                elif isinstance(value, dict):
-                    formatted[key] = json.dumps(
-                        {k: fmt_float(v) if isinstance(v, float) else v for k, v in value.items()},
-                        sort_keys=True,
-                    )
-                else:
-                    formatted[key] = value
-            writer.writerow(formatted)
-    os.replace(tmp, out)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    for row in rows:
+        formatted = {}
+        for key in fieldnames:
+            value = row[key]
+            if isinstance(value, float):
+                formatted[key] = f"{value:.9g}"
+            elif isinstance(value, dict):
+                formatted[key] = json.dumps(
+                    {k: fmt_float(v) if isinstance(v, float) else v for k, v in value.items()},
+                    sort_keys=True,
+                )
+            else:
+                formatted[key] = value
+        writer.writerow(formatted)
+    write_atomic([(Path(path), buf.getvalue())])
 
 
 def _prepare_tables(args: argparse.Namespace):
@@ -397,21 +397,17 @@ def _cmd_select(args: argparse.Namespace) -> int:
 def _cmd_signals(args: argparse.Namespace) -> int:
     pool, table, std = _prepare_tables(args)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_suffix(out.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        for i, rec in enumerate(pool.records):
-            fh.write(
-                dump_json_line(
-                    {
-                        "id": rec.id,
-                        "topic": rec.topic,
-                        "signals": {name: float(col[i]) for name, col in table.columns.items()},
-                        "standardized": {name: float(col[i]) for name, col in std.columns.items()},
-                    }
-                )
-            )
-    os.replace(tmp, out)
+    write_atomic([(out, "".join(
+        dump_json_line(
+            {
+                "id": rid,
+                "topic": pool.topic_names[pool.topic_codes[i]],
+                "signals": {name: float(col[i]) for name, col in table.columns.items()},
+                "standardized": {name: float(col[i]) for name, col in std.columns.items()},
+            }
+        )
+        for i, rid in enumerate(pool.ids)
+    ))])
     print(f"wrote {pool.n} rows to {out}")
     return 0
 
@@ -427,21 +423,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
     alpha = _parse_alpha_arg(args.alpha) if args.alpha else "proportional"
     state = price_pool(pool, std, weights, MarketConfig(beta=beta, topic_budgets=alpha))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_suffix(out.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        for i, rec in enumerate(pool.records):
-            fh.write(
-                dump_json_line(
-                    {
-                        "id": rec.id,
-                        "topic": rec.topic,
-                        "q": float(state.shares[i]),
-                        "p": float(state.prices[i]),
-                    }
-                )
-            )
-    os.replace(tmp, out)
+    write_atomic([(out, format_price_rows(pool, state))])
     print(f"wrote prices for {pool.n} examples to {out}")
     return 0
 
@@ -451,7 +433,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     feedback = load_dev_feedback(args.dev_feedback)
     result = tune_weights(std, feedback, pool, TuneConfig(eta=args.eta, rounds=args.rounds))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "weights": result.weights.w,
         "eta": args.eta,
@@ -459,9 +440,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "trajectory": result.trajectory,
     }
-    tmp = out.with_suffix(out.suffix + ".tmp")
-    tmp.write_text(dump_json(payload), encoding="utf-8")
-    os.replace(tmp, out)
+    write_atomic([(out, dump_json(payload))])
     print(f"tuned weights over {args.rounds} rounds: {json.dumps(round_weights(result.weights))}")
     print(f"wrote {out}")
     return 0

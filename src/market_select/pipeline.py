@@ -9,20 +9,29 @@ renamed into place only on success.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .market import MarketConfig, MarketState, Weights, price_pool
 from .pool import Pool, load_pool
-from .selection import SelectionConfig, SelectionReport, balanced_select, coverage_report, greedy_select, score_rho
+from .selection import (
+    SelectionConfig,
+    SelectionReport,
+    balanced_select,
+    coverage_report,
+    example_events,
+    greedy_select,
+)
 from .signals import SignalTable, build_signal_table
 from .standardize import StandardizeConfig, StandardizedTable, standardize_table
 
@@ -74,6 +83,11 @@ class RunConfig:
             raise ConfigError("at least one signal must be configured")
         if self.budget_tokens is None and self.retention_rate is None:
             raise ConfigError("either budget_tokens or retention_rate is required")
+        if self.budget_tokens is not None:
+            _require_int("budget_tokens", self.budget_tokens)
+        if self.label_floor not in (None, "auto"):
+            _require_int("label_floor", self.label_floor, "an integer or 'auto'")
+        _require_int("seed", self.seed)
         _require_finite("tau", self.tau)
         _require_finite("gamma", self.gamma)
         if self.retention_rate is not None:
@@ -89,10 +103,6 @@ class RunConfig:
         if self.retention_rate is not None and not 0.0 <= self.retention_rate <= 1.0:
             raise ConfigError(
                 f"retention_rate must be in [0, 1], got {self.retention_rate}"
-            )
-        if isinstance(self.label_floor, str) and self.label_floor != "auto":
-            raise ConfigError(
-                f"label_floor must be an integer or 'auto', got {self.label_floor!r}"
             )
 
     @staticmethod
@@ -123,6 +133,13 @@ def _require_finite(name: str, value: Any) -> None:
         raise ConfigError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def _require_int(name: str, value: Any, expected: str = "an integer") -> None:
+    """Reject a non-integer count (bool included) before it reaches a
+    comparison that would raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
 def _float_map(data: dict[str, Any], where: str) -> dict[str, float]:
@@ -190,11 +207,8 @@ def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
             label_floor=floor,
             max_examples=max_examples,
         )
-        if cfg.mode == "balanced":
-            selection = balanced_select(state, pool, sel_cfg)
-        else:
-            selection = greedy_select(state, pool, sel_cfg)
-        rho = score_rho(state, pool, cfg.gamma)
+        select = balanced_select if cfg.mode == "balanced" else greedy_select
+        selection = select(state, pool, sel_cfg)
         captured = [str(w.message) for w in caught]
 
     fallbacks = [
@@ -243,7 +257,7 @@ def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
         std=std,
         weights=weights,
         state=state,
-        rho=rho,
+        rho=selection.rho,
         selection=selection,
         report=report,
     )
@@ -270,34 +284,53 @@ def run_pipeline(
         }
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    price_lines = []
-    for i, rec in enumerate(result.pool.records):
-        row = {
-            "id": rec.id,
-            "topic": rec.topic,
-            "q": float(result.state.shares[i]),
-            "p": float(result.state.prices[i]),
-        }
-        price_lines.append(dump_json_line(row))
-    writes = [
+    write_atomic([
         (out_dir / REPORT_FILE, dump_json(result.report)),
-        (out_dir / PRICES_FILE, "".join(price_lines)),
+        (out_dir / PRICES_FILE, format_price_rows(result.pool, result.state)),
         (out_dir / SELECTED_FILE, "".join(rid + "\n" for rid in result.selection.selected)),
-    ]
+    ])
+    return result
+
+
+def write_atomic(files: list[tuple[Path, str]]) -> None:
+    """Write each (path, text) pair, creating parent directories.
+
+    Every text goes to ``<path>.tmp`` first; the temporaries are renamed
+    into place only once all of them are written, and on any failure
+    every temporary is removed. A target that is a directory is refused
+    before anything is written.
+    """
+    for path, _ in files:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(path))
     staged: list[tuple[Path, Path]] = []
     try:
-        for path, text in writes:
+        for path, text in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(path.suffix + ".tmp")
-            tmp.write_text(text, encoding="utf-8")
             staged.append((tmp, path))
+            tmp.write_text(text, encoding="utf-8", newline="")
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         raise
-    return result
+
+
+def format_price_rows(pool: Pool, state: MarketState) -> str:
+    """prices.jsonl text: one {"id", "p", "q", "topic"} object per example,
+    in id order, byte-identical to dump_json_line of each row."""
+    shares, prices = state.shares, state.prices
+    if not (np.isfinite(shares).all() and np.isfinite(prices).all()):
+        raise ValidationError("shares and prices must be finite")
+    topics = [encode_basestring(t) for t in pool.topic_names]
+    return "".join([
+        f'{{"id": {encode_basestring(rid)}, "p": {float("%.9g" % p)!r}, '
+        f'"q": {float("%.9g" % q)!r}, "topic": {topics[t]}}}\n'
+        for rid, t, q, p in zip(pool.ids, pool.topic_codes.tolist(), shares.tolist(),
+                                prices.tolist())
+    ])
 
 
 def explain(
@@ -325,7 +358,7 @@ def explain(
     result = execute(cfg, threads=1)
     pool = result.pool
     idx = pool.index_of(example_id)
-    rec = pool.records[idx]
+    rec = pool.record(example_id)
 
     dumped = None
     with prices_path.open("r", encoding="utf-8") as fh:
@@ -341,11 +374,8 @@ def explain(
         and math.isclose(dumped["p"], result.state.prices[idx], rel_tol=1e-6, abs_tol=1e-9)
     )
 
-    events = [
-        dict(ev) for ev in result.selection.scan_events if ev["index"] == idx
-    ]
+    events = example_events(result.selection, pool, idx)
     for ev in events:
-        ev.pop("index")
         ev["budget_remaining"] = result.report["config"]["budget_tokens"] - ev.pop("tokens_before")
     selected_ids = result.selection.selected
     rank = selected_ids.index(example_id) + 1 if example_id in selected_ids else None

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, ValidationError
 from .market import MarketState
@@ -55,12 +54,30 @@ class SelectionConfig:
 
 
 @dataclass
+class ScanPhase:
+    """One pass of a selection scan.
+
+    ``visited`` holds the pool indices the pass looked at, in visit order,
+    and ``admitted`` flags the ones it took; ``tokens_before`` is the
+    token count when the pass began. Positions and running token counts
+    for explain are derived from these arrays (see example_events).
+    """
+
+    name: str  # "scan", "floor:<label>" or "fill"
+    visited: np.ndarray
+    admitted: np.ndarray
+    tokens_before: int
+
+
+@dataclass
 class SelectionReport:
     """Outcome of one selection run.
 
     selected is ordered by descending score (ties by ascending id);
     per_topic maps topic -> {count, tokens, price_mass}; balance_score
-    is None when the pool is unlabeled or nothing was selected.
+    is None when the pool is unlabeled or nothing was selected. rho is
+    the score per pool index that ordered the scan, and phases records
+    the scan passes in the order they ran.
     """
 
     selected: list[str]
@@ -70,12 +87,12 @@ class SelectionReport:
     balance_score: float | None
     skipped_for_budget: int
     diagnostics: dict[str, object] = field(default_factory=dict)
-    # per-index trace of the selection scan, for explain-style replay;
     # not part of the serialized report
-    scan_events: list[dict[str, object]] = field(default_factory=list, repr=False)
+    rho: np.ndarray | None = field(default=None, repr=False)
+    phases: list[ScanPhase] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict[str, object]:
-        """Serializable outcome; excludes diagnostics and the scan trace,
+        """Serializable outcome; excludes diagnostics, rho and the scan phases,
         so a balanced run with floor 0 serializes identically to greedy."""
         return {
             "selected": list(self.selected),
@@ -96,19 +113,20 @@ def score_rho(state: MarketState, pool: Pool, gamma: float) -> np.ndarray:
     return state.prices / np.exp(gamma * np.log(lengths))
 
 
-def _scan_order(rho: np.ndarray, pool: Pool) -> list[int]:
-    """Indices in descending rho, ties broken by ascending id."""
-    return sorted(range(pool.n), key=lambda i: (-rho[i], pool.ids[i]))
+def _scan_order(rho: np.ndarray) -> np.ndarray:
+    """Indices in descending rho, ties broken by ascending index (= id)."""
+    return np.argsort(-rho, kind="stable")
 
 
 def greedy_select(state: MarketState, pool: Pool, cfg: SelectionConfig) -> SelectionReport:
     """One pass over the descending-score order, admitting what fits."""
     rho = score_rho(state, pool, cfg.gamma)
-    order = _scan_order(rho, pool)
-    selected, tokens, skipped, events = _scan(
-        order, pool.token_lengths, cfg.budget_tokens, cfg.max_examples, phase="scan"
+    order = _scan_order(rho)
+    scan = _Scanner(pool, cfg.budget_tokens)
+    picked, visited = scan.run("scan", order, cfg.max_examples)
+    return _build_report(
+        picked, scan.tokens, visited - len(picked), state, pool, rho, order, scan.phases
     )
-    return _build_report(selected, tokens, skipped, state, pool, rho, events)
 
 
 def balanced_select(state: MarketState, pool: Pool, cfg: SelectionConfig) -> SelectionReport:
@@ -117,115 +135,112 @@ def balanced_select(state: MarketState, pool: Pool, cfg: SelectionConfig) -> Sel
     With floor 0 this degenerates to exactly greedy_select.
     """
     if not pool.has_labels:
-        missing = next(r.id for r in pool.records if r.label is None)
         raise ValidationError(
-            f"balanced selection requires labels on every record; {missing!r} has none"
+            "balanced selection requires labels on every record; "
+            f"{pool.first_unlabelled!r} has none"
         )
     rho = score_rho(state, pool, cfg.gamma)
-    order = _scan_order(rho, pool)
+    order = _scan_order(rho)
     floor = cfg.label_floor
     labels = pool.labels()
     if floor is None:
         # auto: half the per-label share of an unconstrained greedy pick
-        greedy_sel, _, _, _ = _scan(
-            order, pool.token_lengths, cfg.budget_tokens, cfg.max_examples
-        )
-        floor = math.ceil(0.5 * len(greedy_sel) / len(labels))
+        greedy_picked, _ = _Scanner(pool, cfg.budget_tokens).run("auto", order, cfg.max_examples)
+        floor = math.ceil(0.5 * len(greedy_picked) / len(labels))
 
-    lengths = pool.token_lengths
+    cap = cfg.max_examples
+    scan = _Scanner(pool, cfg.budget_tokens)
     chosen: list[int] = []
-    in_set = np.zeros(pool.n, dtype=bool)
-    considered = np.zeros(pool.n, dtype=bool)
-    tokens = 0
-    events: list[dict[str, object]] = []
-
     # phase 1: top-scored examples per label until each floor is met
-    for label in labels:
-        taken = 0
-        position = 0
-        for i in order:
-            if taken >= floor:
-                break
-            if cfg.max_examples is not None and len(chosen) >= cfg.max_examples:
-                break
-            if in_set[i] or pool.records[i].label != label:
-                continue
-            position += 1
-            considered[i] = True
-            if tokens + int(lengths[i]) <= cfg.budget_tokens:
-                events.append(_event(i, "admit", position, tokens, f"floor:{label}", int(lengths[i])))
-                in_set[i] = True
-                chosen.append(i)
-                tokens += int(lengths[i])
-                taken += 1
-            else:
-                events.append(_event(i, "reject", position, tokens, f"floor:{label}"))
+    order_labels = pool.label_codes[order]
+    for code, label in enumerate(labels):
+        limit = floor if cap is None else min(floor, cap - len(chosen))
+        chosen += scan.run(f"floor:{label}", order[order_labels == code], limit)[0]
 
     # phase 2: fill remaining capacity by global score
-    position = 0
-    for i in order:
-        if cfg.max_examples is not None and len(chosen) >= cfg.max_examples:
-            break
-        if in_set[i]:
-            continue
-        position += 1
-        considered[i] = True
-        if tokens + int(lengths[i]) <= cfg.budget_tokens:
-            events.append(_event(i, "admit", position, tokens, "fill", int(lengths[i])))
-            in_set[i] = True
-            chosen.append(i)
-            tokens += int(lengths[i])
-        else:
-            events.append(_event(i, "reject", position, tokens, "fill"))
+    in_set = np.zeros(pool.n, dtype=bool)
+    in_set[chosen] = True
+    limit = None if cap is None else cap - len(chosen)
+    chosen += scan.run("fill", order[~in_set[order]], limit)[0]
 
-    skipped = int(np.sum(considered & ~in_set))
-    report = _build_report(chosen, tokens, skipped, state, pool, rho, events)
+    in_set[chosen] = True
+    considered = np.zeros(pool.n, dtype=bool)
+    for phase in scan.phases:
+        considered[phase.visited] = True
+    skipped = int(np.count_nonzero(considered & ~in_set))
+    report = _build_report(chosen, scan.tokens, skipped, state, pool, rho, order, scan.phases)
     report.diagnostics["resolved_label_floor"] = floor
     return report
 
 
-def _event(
-    index: int,
-    action: str,
-    position: int,
-    tokens_before: int,
-    phase: str,
-    length: int | None = None,
-) -> dict[str, object]:
-    ev: dict[str, object] = {
-        "index": index,
-        "action": action,
-        "position": position,
-        "tokens_before": tokens_before,
-        "phase": phase,
-    }
-    if length is not None:
-        ev["tokens_after"] = tokens_before + length
-    return ev
+class _Scanner:
+    """Runs scan passes against one token budget, keeping the running
+    token count and a ScanPhase per pass."""
+
+    def __init__(self, pool: Pool, budget: int):
+        self.lengths = pool.token_lengths.tolist()
+        self.budget = budget
+        # once less than the shortest example's length is left, nothing fits
+        self.shortest = min(self.lengths, default=1)
+        self.tokens = 0
+        self.phases: list[ScanPhase] = []
+        self.n = pool.n
+
+    def run(self, name: str, candidates: np.ndarray, limit: int | None) -> tuple[list[int], int]:
+        """Visit candidates in order, admitting each that still fits.
+
+        The pass stops before its next visit once it has admitted
+        ``limit`` examples. Returns the admitted indices and the number
+        of candidates visited.
+        """
+        lengths, budget, shortest = self.lengths, self.budget, self.shortest
+        tokens = start = self.tokens
+        cap = len(candidates) if limit is None else limit
+        picked: list[int] = []
+        visited = len(candidates)
+        for position, i in enumerate(candidates.tolist()):
+            if len(picked) >= cap:
+                visited = position
+                break
+            length = lengths[i]
+            if tokens + length <= budget:
+                picked.append(i)
+                tokens += length
+                if budget - tokens < shortest and len(picked) < cap:
+                    break  # every later candidate is visited and rejected
+        self.tokens = tokens
+        taken = np.zeros(self.n, dtype=bool)
+        taken[picked] = True
+        seen = candidates[:visited]
+        self.phases.append(ScanPhase(name, seen, taken[seen], start))
+        return picked, visited
 
 
-def _scan(
-    order: list[int],
-    lengths: np.ndarray,
-    budget: int,
-    max_examples: int | None,
-    phase: str = "scan",
-) -> tuple[list[int], int, int, list[dict[str, object]]]:
-    selected: list[int] = []
-    tokens = 0
-    skipped = 0
+def example_events(report: SelectionReport, pool: Pool, index: int) -> list[dict[str, object]]:
+    """What the scan passes did with one example, in the order they ran.
+
+    Each event gives the action, the 1-based position among the pass's
+    visits, the tokens used before the visit, the pass name and, for an
+    admission, the tokens used after it.
+    """
     events: list[dict[str, object]] = []
-    for position, i in enumerate(order, start=1):
-        if max_examples is not None and len(selected) >= max_examples:
-            break
-        if tokens + int(lengths[i]) <= budget:
-            events.append(_event(i, "admit", position, tokens, phase, int(lengths[i])))
-            selected.append(i)
-            tokens += int(lengths[i])
-        else:
-            events.append(_event(i, "reject", position, tokens, phase))
-            skipped += 1
-    return selected, tokens, skipped, events
+    for phase in report.phases:
+        hits = np.flatnonzero(phase.visited == index)
+        if not hits.size:
+            continue
+        position = int(hits[0])
+        earlier = phase.visited[:position][phase.admitted[:position]]
+        before = phase.tokens_before + int(pool.token_lengths[earlier].sum())
+        event: dict[str, object] = {
+            "action": "admit" if phase.admitted[position] else "reject",
+            "position": position + 1,
+            "tokens_before": before,
+            "phase": phase.name,
+        }
+        if phase.admitted[position]:
+            event["tokens_after"] = before + int(pool.token_lengths[index])
+        events.append(event)
+    return events
 
 
 def _build_report(
@@ -235,11 +250,12 @@ def _build_report(
     state: MarketState,
     pool: Pool,
     rho: np.ndarray,
-    events: list[dict[str, object]] | None = None,
+    order: np.ndarray,
+    phases: list[ScanPhase],
 ) -> SelectionReport:
-    ordered = sorted(selected_idx, key=lambda i: (-rho[i], pool.ids[i]))
     in_set = np.zeros(pool.n, dtype=bool)
     in_set[selected_idx] = True
+    ordered = order[in_set[order]]
 
     per_topic: dict[str, dict[str, float]] = {}
     for topic, idx in pool.topics.items():
@@ -253,21 +269,26 @@ def _build_report(
     per_label: dict[str, int] | None = None
     score: float | None = None
     if pool.has_labels:
-        per_label = {label: 0 for label in pool.labels()}
-        for i in selected_idx:
-            per_label[pool.records[i].label] += 1
+        per_label = _label_counts(pool, selected_idx)
         if selected_idx:
             score = _balance_from_counts(per_label, len(selected_idx))
 
     return SelectionReport(
-        selected=[pool.ids[i] for i in ordered],
+        selected=[pool.ids[i] for i in ordered.tolist()],
         tokens_used=tokens,
         per_topic=per_topic,
         per_label=per_label,
         balance_score=score,
         skipped_for_budget=skipped,
-        scan_events=events or [],
+        rho=rho,
+        phases=phases,
     )
+
+
+def _label_counts(pool: Pool, indices: list[int]) -> dict[str, int]:
+    labels = pool.labels()
+    counts = np.bincount(pool.label_codes[indices], minlength=len(labels))
+    return {label: int(c) for label, c in zip(labels, counts)}
 
 
 def _balance_from_counts(counts: dict[str, int], total: int) -> float:
@@ -281,13 +302,11 @@ def balance_score(report: SelectionReport, pool: Pool) -> float:
     0 means perfectly balanced; 1 - 1/L means everything came from one of
     L labels.
     """
-    labels = pool.labels()
+    pool.labels()  # fails on an unlabeled pool
     if not report.selected:
         raise ValidationError("balance score is undefined for an empty selection")
-    counts = {label: 0 for label in labels}
-    for rid in report.selected:
-        counts[pool.record(rid).label] += 1
-    return _balance_from_counts(counts, len(report.selected))
+    indices = [pool.index_of(rid) for rid in report.selected]
+    return _balance_from_counts(_label_counts(pool, indices), len(report.selected))
 
 
 @dataclass
@@ -301,6 +320,8 @@ class CoverageMetrics:
 def coverage_report(selected_ids: list[str], pool: Pool) -> CoverageMetrics:
     """Trace-of-covariance ratio selected/pool, and the covering radius
     (largest distance from any pool point to its nearest selected point)."""
+    from scipy.spatial.distance import cdist  # on first use, as only --coverage needs it
+
     if not selected_ids:
         raise ValidationError("coverage is undefined for an empty selection")
     emb = pool.embedding_matrix()

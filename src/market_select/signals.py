@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, ValidationError
 from .pool import Pool
@@ -170,6 +169,14 @@ class ExactNeighborIndex:
         dist[np.arange(rows.size), rows] = np.inf
         nearest = np.sort(np.partition(dist, k - 1, axis=1)[:, :k], axis=1)
         return nearest.mean(axis=1)
+
+
+def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """scipy's Euclidean cdist, imported on first use so that importing
+    this module does not load scipy."""
+    from scipy.spatial.distance import cdist as scipy_cdist
+
+    return scipy_cdist(xa, xb)
 
 
 def rarity_knn(
@@ -354,14 +361,13 @@ def build_signal_table(
     provenance: dict[str, str] = {}
     for spec in specs:
         if spec.kind == "ingested":
-            values = np.empty(pool.n, dtype=np.float64)
-            for i, rec in enumerate(pool.records):
-                if spec.name not in rec.raw_signals:
-                    raise ValidationError(
-                        f"ingested signal {spec.name!r} missing on record {rec.id!r}"
-                    )
-                values[i] = rec.raw_signals[spec.name]
-            columns[spec.name] = values
+            values = pool.signals.get(spec.name, np.full(pool.n, np.nan))
+            missing = np.flatnonzero(np.isnan(values))
+            if missing.size:
+                raise ValidationError(
+                    f"ingested signal {spec.name!r} missing on record {pool.ids[missing[0]]!r}"
+                )
+            columns[spec.name] = values.copy()
             provenance[spec.name] = "ingested"
         elif spec.kind == "rarity":
             columns[spec.name] = _rarity(spec.k)

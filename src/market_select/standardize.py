@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, ValidationError
 from .pool import Pool
@@ -103,6 +102,8 @@ def rank_normalize_values(values: np.ndarray) -> np.ndarray:
     n = values.size
     if n == 1:
         return np.full(1, 0.5)
+    from scipy.stats import rankdata  # on first use: importing scipy.stats dominates CLI start-up
+
     ranks = rankdata(values, method="average")
     return (ranks - 1.0) / (n - 1.0)
 

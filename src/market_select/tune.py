@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .errors import ConfigError, ValidationError
 from .market import Weights
@@ -73,7 +72,15 @@ def load_dev_feedback(path: str | Path) -> DevFeedback:
                 raise ConfigError(f"line {lineno}: invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict) or "id" not in obj or "utility" not in obj:
                 raise ConfigError(f"line {lineno}: expected keys 'id' and 'utility'")
-            utilities[str(obj["id"])] = float(obj["utility"])
+            utility = obj["utility"]
+            if type(utility) is not float and type(utility) is not int:
+                raise ConfigError(
+                    f"line {lineno}: 'utility' must be a number, got {utility!r}"
+                )
+            try:
+                utilities[str(obj["id"])] = float(utility)
+            except OverflowError:  # an integer beyond the float range
+                raise ValidationError(f"line {lineno}: utility is not finite") from None
     return DevFeedback(utilities=utilities)
 
 
@@ -108,6 +115,8 @@ def signal_reward(
 
     A degenerate (constant) column gets the neutral reward 0.5.
     """
+    from scipy.stats import spearmanr  # on first use: importing scipy.stats dominates CLI start-up
+
     covered = sorted(set(feedback.utilities) & set(pool.ids))
     if len(covered) < MIN_COVERED_IDS:
         raise ValidationError(

@@ -237,21 +237,22 @@ def sweep_hyperparams(
         chosen, state, ordered = _select(beta, gamma)
         union = default_set | chosen
         jaccard = 1.0 if not union else len(default_set & chosen) / len(union)
-        lengths = [pool.record(rid).token_length for rid in ordered]
-        topic_mass = {
-            topic: float(
-                sum(state.prices[pool.index_of(rid)] for rid in ordered if pool.record(rid).topic == topic)
-            )
-            for topic in pool.topics
-        }
+        idx = [pool.index_of(rid) for rid in ordered]
+        lengths = pool.token_lengths[idx]
+        # summed one at a time in score order: np.sum would pair the terms
+        # differently and change the last bits of the written masses
+        mass = [0.0] * len(pool.topic_names)
+        for code, price in zip(pool.topic_codes[idx].tolist(), state.prices[idx].tolist()):
+            mass[code] += price
+        topic_mass = dict(zip(pool.topic_names, mass))
         rows.append(
             {
                 "beta": float(beta),
                 "gamma": float(gamma),
                 "jaccard_vs_default": float(jaccard),
                 "n_selected": len(ordered),
-                "tokens_used": int(sum(lengths)),
-                "median_tokens": float(np.median(lengths)) if lengths else 0.0,
+                "tokens_used": int(lengths.sum()),
+                "median_tokens": float(np.median(lengths)) if lengths.size else 0.0,
                 "topic_price_mass": topic_mass,
             }
         )

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import market_select
 from market_select.cli import main
 from market_select.errors import ConfigError
 from market_select.pipeline import RunConfig, execute, explain, run_pipeline
@@ -719,3 +724,93 @@ def test_select_rejects_non_finite_config(pool_file, tmp_path, capsys, flags, co
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = str(Path(market_select.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, market_select.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["price", "--signals", "nll"],
+        ["signals", "--signals", "nll"],
+        ["tune", "--signals", "nll", "--dev-feedback", "DEV"],
+        ["sweep", "--signals", "nll", "--budget-tokens", "60"],
+        ["simulate", "corruption", "--signals", "nll", "--target-signal", "nll"],
+    ],
+)
+def test_output_path_that_is_a_directory_is_exit_2(pool_file, tmp_path, capsys, argv):
+    dev = tmp_path / "dev.jsonl"
+    dev.write_text("".join(
+        json.dumps({"id": f"ex{i:03d}", "utility": float(i % 5)}) + "\n" for i in range(24)
+    ))
+    target = tmp_path / "taken"
+    target.mkdir()
+    argv = [str(dev) if a == "DEV" else a for a in argv]
+    code = main(argv + ["--pool", str(pool_file), "--out", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert target.is_dir() and not any(target.iterdir())
+
+
+def test_select_with_an_artifact_path_taken_by_a_directory_writes_nothing(
+    pool_file, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    (out / "prices.jsonl").mkdir(parents=True)
+    code = main(["select", "--pool", str(pool_file), "--signals", "nll",
+                 "--budget-tokens", "60", "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(p.name for p in out.iterdir()) == ["prices.jsonl"]
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize(
+    "utility, expected",
+    [('"abc"', 2), ('"1.5"', 2), ('"nan"', 2), ("true", 2), ("null", 2), ("[1.0]", 2),
+     ("NaN", 1), ("1e999", 1), pytest.param("1" + "0" * 400, 1, id="int-beyond-float")],
+)
+def test_tune_rejects_a_bad_utility(pool_file, tmp_path, capsys, utility, expected):
+    dev = tmp_path / "dev.jsonl"
+    dev.write_text(
+        '{"id": "ex000", "utility": 0.5}\n' + '{"id": "ex001", "utility": %s}\n' % utility
+    )
+    out = tmp_path / "weights.json"
+    code = main(["tune", "--pool", str(pool_file), "--signals", "nll",
+                 "--dev-feedback", str(dev), "--out", str(out)])
+    assert code == expected
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if expected == 2:
+        assert "line 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"budget_tokens": "50"},
+        {"budget_tokens": True},
+        {"budget_tokens": 50, "label_floor": [1]},
+        {"budget_tokens": 50, "label_floor": 2.5},
+        {"budget_tokens": 50, "seed": "x"},
+    ],
+)
+def test_select_rejects_non_integer_counts(pool_file, tmp_path, capsys, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    code = main(["select", "--pool", str(pool_file), "--signals", "nll",
+                 "--config", str(cfg_path), "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "integer" in err
+    assert not out.exists()

@@ -1,0 +1,120 @@
+"""Byte-for-byte regression test of the CLI outputs on a fixed pool.
+
+``tests/golden/pool.jsonl`` holds 40 labelled rows with 3-d embeddings and
+two ingested signals. It is written out of id order and has a blank line,
+an unknown key, an integer signal value, an id with a quote, a non-ASCII
+topic, a three-row topic (k clamp), a one-row topic (singleton fallback),
+a topic whose ``s1`` is constant, and ties in tokens, signals and
+embeddings. Every command in COMMANDS and EXPLAINS runs on it, and each
+output file and each ``explain`` stdout must equal the file of the same
+name under ``tests/golden/expected/``.
+
+The expected files are a record of the program's output, not a
+specification; rewrite them only for a change that is meant to alter the
+output: ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import shutil
+import sys
+from pathlib import Path
+
+from market_select.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXPECTED = GOLDEN / "expected"
+SIGNALS_ALL = ["--pool", "pool.jsonl", "--signals", "nll,s1,rarity:k=3,div_cent"]
+SIGNALS_INGESTED = ["--pool", "pool.jsonl", "--signals", "nll,s1"]
+
+# (name, argv, files written); a file is stored as "<name>.<basename>"
+COMMANDS: list[tuple[str, list[str], list[str]]] = [
+    ("greedy",
+     ["select", *SIGNALS_ALL, "--budget-tokens", "400", "--out-dir", "greedy"],
+     ["greedy/report.json", "greedy/prices.jsonl", "greedy/selected.txt"]),
+    ("balanced",
+     ["select", *SIGNALS_INGESTED, "--mode", "balanced", "--budget-tokens", "400",
+      "--out-dir", "balanced"],
+     ["balanced/report.json", "balanced/prices.jsonl", "balanced/selected.txt"]),
+    ("capped",
+     ["select", "--pool", "pool.jsonl", "--signals", "nll,div:k=2", "--mode", "balanced",
+      "--label-floor", "3", "--retention-rate", "0.25", "--budget-tokens", "200",
+      "--gamma", "0.8", "--out-dir", "capped"],
+     ["capped/report.json", "capped/prices.jsonl", "capped/selected.txt"]),
+    ("tight",
+     ["select", "--pool", "pool.jsonl", "--signals", "nll,div:k=2", "--mode", "balanced",
+      "--label-floor", "4", "--retention-rate", "0.3", "--budget-tokens", "150",
+      "--gamma", "0.8", "--out-dir", "tight"],
+     ["tight/report.json", "tight/prices.jsonl", "tight/selected.txt"]),
+    ("price", ["price", *SIGNALS_INGESTED, "--beta", "0.7", "--out", "price.jsonl"],
+     ["price.jsonl"]),
+    ("signals", ["signals", *SIGNALS_ALL, "--standardize", "rank+robust",
+                 "--out", "signals.jsonl"], ["signals.jsonl"]),
+    ("tune", ["tune", *SIGNALS_ALL, "--dev-feedback", "dev.jsonl", "--rounds", "5",
+              "--out", "weights.json"], ["weights.json"]),
+    ("sweep", ["sweep", *SIGNALS_INGESTED, "--budget-tokens", "300",
+               "--beta-grid", "0.5,2", "--gamma-grid", "0,1.6", "--out", "sweep.csv"],
+     ["sweep.csv"]),
+    ("corruption", ["simulate", "corruption", *SIGNALS_INGESTED, "--target-signal", "nll",
+                    "--eps-grid", "0,0.5", "--beta-grid", "0.5,2",
+                    "--out", "corruption.csv"], ["corruption.csv"]),
+]
+
+# (run directory, example id): ids selected, passed over and never reached
+EXPLAINS: list[tuple[str, str]] = [
+    ("greedy", "g029"), ("greedy", 'g0"33'),
+    ("balanced", "g014"), ("balanced", "g002"), ("balanced", "g000"),
+    ("capped", "g020"), ("capped", "g027"),
+    ("tight", "g029"), ("tight", "g022"),
+]
+
+
+def _explain_name(run: str, rid: str) -> str:
+    safe = rid.replace('"', "q")
+    return f"explain.{run}.{safe}.txt"
+
+
+def run_golden(workdir: Path) -> dict[str, bytes]:
+    """Run every golden command in ``workdir``; output name -> bytes."""
+    for name in ("pool.jsonl", "dev.jsonl"):
+        shutil.copyfile(GOLDEN / name, workdir / name)
+    outputs: dict[str, bytes] = {}
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for name, argv, files in COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, name
+            for rel in files:
+                outputs[f"{name}.{Path(rel).name}"] = (workdir / rel).read_bytes()
+        for run, rid in EXPLAINS:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(["explain", "--run-dir", run, rid]) == 0, (run, rid)
+            outputs[_explain_name(run, rid)] = buf.getvalue().encode("utf-8")
+    finally:
+        os.chdir(cwd)
+    return outputs
+
+
+def test_outputs_match_golden_bytes(tmp_path):
+    outputs = run_golden(tmp_path)
+    assert sorted(outputs) == sorted(p.name for p in EXPECTED.iterdir())
+    for name, data in outputs.items():
+        assert data == (EXPECTED / name).read_bytes(), name
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        produced = run_golden(Path(tmp))
+    if EXPECTED.exists():
+        shutil.rmtree(EXPECTED)
+    EXPECTED.mkdir()
+    for out_name, out_bytes in produced.items():
+        (EXPECTED / out_name).write_bytes(out_bytes)
+    print(f"wrote {len(produced)} files to {EXPECTED}", file=sys.stderr)

@@ -104,6 +104,34 @@ def test_records_sorted_by_id_and_topic_partition(tmp_path):
         assert all(pool.records[i].topic == topic for i in idx)
 
 
+def test_partial_signals_and_embeddings_land_on_their_rows(tmp_path):
+    # fields that first appear on a later line, and lines out of id order
+    rows = [
+        {"id": "d", "topic": "t", "tokens": 1},
+        {"id": "b", "topic": "t", "tokens": 2, "signals": {"y": 2.0}},
+        {"id": "c", "topic": "u", "tokens": 3, "embedding": [1.0, 2.0], "signals": {"x": 3.0}},
+        {"id": "a", "topic": "u", "tokens": 4, "signals": {"x": 4.0, "y": 5}},
+    ]
+    path = tmp_path / "pool.jsonl"
+    write_pool_jsonl(path, rows)
+    records = [
+        make_record(r["id"], topic=r["topic"], tokens=r["tokens"],
+                    embedding=r.get("embedding"), signals=r.get("signals", {}))
+        for r in rows
+    ]
+    for pool in (load_pool(path), Pool(records)):
+        assert pool.ids == ["a", "b", "c", "d"]
+        by_id = {r["id"]: r for r in rows}
+        for rec in pool.records:
+            row = by_id[rec.id]
+            assert rec.token_length == row["tokens"]
+            assert rec.raw_signals == row.get("signals", {})
+            if "embedding" in row:
+                assert rec.embedding.tolist() == row["embedding"]
+            else:
+                assert rec.embedding is None
+
+
 def test_round_trip(tmp_path):
     pool = make_pool(
         make_record("a", topic="x", tokens=3, label="pos", embedding=[0.1, -0.2], signals={"nll": 1.5}),

@@ -10,6 +10,7 @@ from market_select.selection import (
     balance_score,
     balanced_select,
     coverage_report,
+    example_events,
     greedy_select,
     score_rho,
 )
@@ -333,3 +334,87 @@ def test_selection_through_real_pricing(tiny_pool):
     assert report.per_topic.keys() == {"x", "y"}
     mass = sum(t["price_mass"] for t in report.per_topic.values())
     assert 0.0 <= mass <= 1.0 + 1e-12
+
+
+def reference_selection(state, pool, cfg):
+    """The selection rule written out one visit at a time, as a check on
+    the array-based scan: returns the admitted indices, the tokens used,
+    the budget skips and, per index, the (phase, action, position,
+    tokens before) of every visit."""
+    rho = score_rho(state, pool, cfg.gamma)
+    order = sorted(range(pool.n), key=lambda i: (-rho[i], pool.ids[i]))
+    lengths = [int(x) for x in pool.token_lengths]
+    cap = cfg.max_examples if cfg.max_examples is not None else pool.n + 1
+    chosen: list[int] = []
+    events: dict[int, list[tuple]] = {}
+    tokens = 0
+
+    def visit(phase, candidates, enough, record=True):
+        nonlocal tokens
+        for position, i in enumerate(candidates, start=1):
+            if enough():
+                return
+            fits = tokens + lengths[i] <= cfg.budget_tokens
+            if record:
+                events.setdefault(i, []).append(
+                    (phase, "admit" if fits else "reject", position, tokens))
+            if fits:
+                chosen.append(i)
+                tokens += lengths[i]
+
+    if cfg.mode == "greedy":
+        visit("scan", order, lambda: len(chosen) >= cap)
+        rejected = {i for i, evs in events.items() if evs[-1][1] == "reject"}
+        return chosen, tokens, len(rejected), events
+    labels = pool.labels()
+    floor = cfg.label_floor
+    if floor is None:
+        visit("auto", order, lambda: len(chosen) >= cap, record=False)
+        floor = -(-len(chosen) // (2 * len(labels)))
+        chosen.clear()
+        tokens = 0
+    for label in labels:
+        start = len(chosen)
+        members = [i for i in order if pool.record(pool.ids[i]).label == label]
+        visit(f"floor:{label}", members,
+              lambda: len(chosen) - start >= floor or len(chosen) >= cap)
+    taken = set(chosen)
+    visit("fill", [i for i in order if i not in taken], lambda: len(chosen) >= cap)
+    skipped = {i for i in events if i not in set(chosen)}
+    return chosen, tokens, len(skipped), events
+
+
+def test_scan_matches_visit_by_visit_reference():
+    rng = np.random.default_rng(2718)
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        pool = random_pool(rng, n, n_topics=3, with_labels=True, n_labels=3,
+                           max_tokens=int(rng.integers(1, 30)))
+        prices = rng.dirichlet(np.ones(n))
+        if trial % 3 == 0:  # exact ties in rho
+            prices = np.round(prices, 1)
+        total = int(pool.token_lengths.sum())
+        cfg = SelectionConfig(
+            budget_tokens=int(rng.integers(1, total + 2)),
+            gamma=float(rng.choice([0.0, 1.6])),
+            mode=str(rng.choice(["greedy", "balanced"])),
+            label_floor=None if trial % 2 else int(rng.integers(0, 6)),
+            max_examples=None if trial % 4 < 2 else int(rng.integers(0, n + 1)),
+        )
+        state = state_with_prices(prices)
+        select = balanced_select if cfg.mode == "balanced" else greedy_select
+        report = select(state, pool, cfg)
+        chosen, tokens, skipped, events = reference_selection(state, pool, cfg)
+        rho = score_rho(state, pool, cfg.gamma)
+        assert report.selected == [
+            pool.ids[i] for i in sorted(chosen, key=lambda i: (-rho[i], pool.ids[i]))
+        ]
+        assert report.tokens_used == tokens <= cfg.budget_tokens
+        assert report.skipped_for_budget == skipped
+        for i in range(n):
+            got = [(e["phase"], e["action"], e["position"], e["tokens_before"])
+                   for e in example_events(report, pool, i)]
+            assert got == events.get(i, []), (trial, i)
+            for e in example_events(report, pool, i):
+                if e["action"] == "admit":
+                    assert e["tokens_after"] == e["tokens_before"] + pool.token_lengths[i]

@@ -292,6 +292,11 @@ def test_build_table_ingested_only(tiny_pool):
 def test_build_table_missing_ingested_signal(tiny_pool):
     with pytest.raises(ValidationError, match="'missing'"):
         build_signal_table(tiny_pool, ["missing"])
+    partial = make_pool(
+        make_record("a", signals={"nll": 1.0}), make_record("b"), make_record("c")
+    )
+    with pytest.raises(ValidationError, match="'nll' missing on record 'b'"):
+        build_signal_table(partial, ["nll"])
 
 
 def test_build_table_geometric_without_embeddings(tiny_pool):
