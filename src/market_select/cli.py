@@ -30,6 +30,7 @@ from .pipeline import (
     dump_json,
     dump_json_line,
     explain,
+    float_map,
     fmt_float,
     format_price_rows,
     resolve_weights,
@@ -97,7 +98,7 @@ def _parse_weights_arg(text: str) -> str | dict[str, float]:
         data = json.loads(path.read_text(encoding="utf-8"))
         if isinstance(data, dict) and isinstance(data.get("weights"), dict):
             data = data["weights"]
-        return _coerce_float_map(data, f"weights file {path}")
+        return float_map(data, f"weights file {path}")
     out: dict[str, float] = {}
     for part in text.split(","):
         if "=" not in part:
@@ -112,25 +113,13 @@ def _parse_weights_arg(text: str) -> str | dict[str, float]:
     return out
 
 
-def _coerce_float_map(data: object, where: str) -> dict[str, float]:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where} must hold a JSON object of name -> number")
-    out: dict[str, float] = {}
-    for key, value in data.items():
-        try:
-            out[str(key)] = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: value for {key!r} must be a number") from None
-    return out
-
-
 def _parse_alpha_arg(text: str) -> str | dict[str, float]:
     if text == "proportional":
         return "proportional"
     path = Path(text)
     if not path.exists():
         raise ConfigError(f"topic budget file not found: {path}")
-    return _coerce_float_map(
+    return float_map(
         json.loads(path.read_text(encoding="utf-8")), f"topic budget file {path}"
     )
 
@@ -139,7 +128,7 @@ def _load_json_map(path_text: str, what: str) -> dict[str, float]:
     path = Path(path_text)
     if not path.exists():
         raise ConfigError(f"{what} file not found: {path}")
-    return _coerce_float_map(
+    return float_map(
         json.loads(path.read_text(encoding="utf-8")), f"{what} file {path}"
     )
 

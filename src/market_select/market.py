@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, require_finite
 from .pool import Pool
 from .standardize import StandardizedTable
 
@@ -72,10 +72,12 @@ class MarketConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.beta, (int, float)):
+            require_finite("beta", self.beta)
             if not self.beta > 0:
                 raise ConfigError(f"beta must be positive, got {self.beta}")
         else:
             for topic, b in self.beta.items():
+                require_finite(f"beta for topic {topic!r}", b)
                 if not b > 0:
                     raise ConfigError(f"beta for topic {topic!r} must be positive, got {b}")
         if isinstance(self.topic_budgets, str):
@@ -85,6 +87,7 @@ class MarketConfig:
                 )
         else:
             for topic, a in self.topic_budgets.items():
+                require_finite(f"alpha for topic {topic!r}", a)
                 if a < 0:
                     raise ConfigError(f"alpha for topic {topic!r} must be >= 0, got {a}")
 

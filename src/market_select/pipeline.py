@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, require_finite
 from .market import MarketConfig, MarketState, Weights, price_pool
 from .pool import Pool, load_pool
 from .selection import (
@@ -88,18 +88,18 @@ class RunConfig:
         if self.label_floor not in (None, "auto"):
             _require_int("label_floor", self.label_floor, "an integer or 'auto'")
         _require_int("seed", self.seed)
-        _require_finite("tau", self.tau)
-        _require_finite("gamma", self.gamma)
+        require_finite("tau", self.tau)
+        require_finite("gamma", self.gamma)
         if self.retention_rate is not None:
-            _require_finite("retention_rate", self.retention_rate)
+            require_finite("retention_rate", self.retention_rate)
         if isinstance(self.beta, dict):
             for topic, b in self.beta.items():
-                _require_finite(f"beta for topic {topic!r}", b)
+                require_finite(f"beta for topic {topic!r}", b)
         else:
-            _require_finite("beta", self.beta)
+            require_finite("beta", self.beta)
         if isinstance(self.alpha, dict):
             for topic, a in self.alpha.items():
-                _require_finite(f"alpha for topic {topic!r}", a)
+                require_finite(f"alpha for topic {topic!r}", a)
         if self.retention_rate is not None and not 0.0 <= self.retention_rate <= 1.0:
             raise ConfigError(
                 f"retention_rate must be in [0, 1], got {self.retention_rate}"
@@ -121,18 +121,8 @@ class RunConfig:
         kwargs["signals"] = signals
         for key in ("weights", "alpha", "beta"):
             if isinstance(kwargs.get(key), dict):
-                kwargs[key] = _float_map(kwargs[key], key)
+                kwargs[key] = float_map(kwargs[key], f"config {key}")
         return RunConfig(**kwargs)
-
-
-def _require_finite(name: str, value: Any) -> None:
-    """Reject a numeric config value that is not a finite number; NaN or
-    inf would defeat the clipping and ranking downstream and could not be
-    written to the report."""
-    if not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def _require_int(name: str, value: Any, expected: str = "an integer") -> None:
@@ -142,13 +132,17 @@ def _require_int(name: str, value: Any, expected: str = "an integer") -> None:
         raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
-def _float_map(data: dict[str, Any], where: str) -> dict[str, float]:
+def float_map(data: object, where: str) -> dict[str, float]:
+    """A JSON object of name -> number as a dict of floats; ``where``
+    names the source in the error message."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must hold a JSON object of name -> number")
     out: dict[str, float] = {}
     for key, value in data.items():
         try:
             out[str(key)] = float(value)
         except (TypeError, ValueError):
-            raise ConfigError(f"config {where}: value for {key!r} must be a number") from None
+            raise ConfigError(f"{where}: value for {key!r} must be a number") from None
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, require_finite
 from .market import MarketState
 from .pool import Pool
 
@@ -41,6 +41,7 @@ class SelectionConfig:
     def __post_init__(self) -> None:
         if self.budget_tokens < 1:
             raise ConfigError(f"budget_tokens must be >= 1, got {self.budget_tokens}")
+        require_finite("gamma", self.gamma)
         if self.gamma < 0:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
         if self.mode == "price_per_token":  # accepted alias

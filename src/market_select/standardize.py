@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, require_finite
 from .pool import Pool
 from .signals import SignalTable
 
@@ -35,6 +35,7 @@ class StandardizeConfig:
             raise ConfigError(
                 f"unknown standardization method {self.method!r}; choose from {METHODS}"
             )
+        require_finite("tau", self.tau)
         if not self.tau > 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
 
@@ -96,16 +97,34 @@ def standardize_values(
     return np.zeros(n), TopicStats(location, 0.0, "zeros")
 
 
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array of finite values; tied values share the
+    mean of their ranks.
+
+    Each rank is an exact half-integer, so the result equals
+    scipy's ``rankdata(values, method="average")`` bit for bit.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(np.append(starts, values.size))
+    ranks = np.empty(values.size, dtype=np.float64)
+    # a run of ties covering 0-based sorted positions s .. s+c-1 gets
+    # the mean of the ranks s+1 .. s+c
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks
+
+
 def rank_normalize_values(values: np.ndarray) -> np.ndarray:
-    """Map one group to [0, 1] by rank; ties share their average rank."""
+    """Map one group to [0, 1] by rank: (rank - 1) / (n - 1) with
+    average_ranks, so ties share their average rank; a one-element group
+    maps to 0.5."""
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     if n == 1:
         return np.full(1, 0.5)
-    from scipy.stats import rankdata  # on first use: importing scipy.stats dominates CLI start-up
-
-    ranks = rankdata(values, method="average")
-    return (ranks - 1.0) / (n - 1.0)
+    return (average_ranks(values) - 1.0) / (n - 1.0)
 
 
 def rank_normalize(raw: np.ndarray, pool: Pool) -> np.ndarray:

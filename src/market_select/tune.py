@@ -11,37 +11,31 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, require_finite
 from .market import Weights
 from .pool import Pool
-from .standardize import StandardizedTable
+from .standardize import StandardizedTable, average_ranks
 
 MIN_COVERED_IDS = 3
-REWARD_KINDS = ("rank_correlation", "custom")
 
 
 @dataclass
 class TuneConfig:
     eta: float = 0.1
     rounds: int = 50
-    reward_kind: str = "rank_correlation"
 
     def __post_init__(self) -> None:
+        require_finite("eta", self.eta)
         if not self.eta > 0:
             raise ConfigError(f"eta must be positive, got {self.eta}")
         if self.rounds < 0:
             raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
-        if self.reward_kind not in REWARD_KINDS:
-            raise ConfigError(
-                f"reward_kind must be one of {REWARD_KINDS}, got {self.reward_kind!r}"
-            )
 
 
 @dataclass
@@ -110,13 +104,16 @@ def eg_update(weights: Weights, rewards: Mapping[str, float], eta: float) -> Wei
 def signal_reward(
     table: StandardizedTable, feedback: DevFeedback, pool: Pool
 ) -> dict[str, float]:
-    """Per-signal reward in [0, 1]: rescaled Spearman correlation between
-    the standardized column and dev utility over the covered ids.
+    """Per-signal reward in [0, 1]: (rho + 1) / 2, with rho the Spearman
+    correlation between the standardized column and dev utility over the
+    covered ids.
 
-    A degenerate (constant) column gets the neutral reward 0.5.
+    A constant column, or constant utilities, has no defined correlation
+    and gets the neutral reward 0.5. Otherwise rho is the Pearson
+    correlation of the two average_ranks vectors, computed by the same
+    np.corrcoef call that scipy's spearmanr makes, so rewards equal
+    spearmanr's bit for bit.
     """
-    from scipy.stats import spearmanr  # on first use: importing scipy.stats dominates CLI start-up
-
     covered = sorted(set(feedback.utilities) & set(pool.ids))
     if len(covered) < MIN_COVERED_IDS:
         raise ValidationError(
@@ -124,15 +121,18 @@ def signal_reward(
         )
     idx = np.array([pool.index_of(rid) for rid in covered], dtype=np.intp)
     utils = np.array([feedback.utilities[rid] for rid in covered], dtype=np.float64)
+    constant_utils = bool((utils[0] == utils).all())
+    util_ranks = average_ranks(utils)
     rewards: dict[str, float] = {}
     for name, col in table.columns.items():
-        with warnings.catch_warnings():
-            # a constant column has no defined correlation; treat it as
-            # uninformative rather than let scipy warn
-            warnings.simplefilter("ignore")
-            corr = spearmanr(col[idx], utils).statistic
-        if not np.isfinite(corr):
-            corr = 0.0
+        values = col[idx]
+        if constant_utils or (values[0] == values).all():
+            rewards[name] = 0.5
+            continue
+        # spearmanr passes corrcoef its ranks as a Fortran-ordered (n, 2)
+        # array, which corrcoef transposes to these two contiguous rows;
+        # the same layout keeps every sum in the same order
+        corr = np.corrcoef(np.vstack((average_ranks(values), util_ranks)))[1, 0]
         rewards[name] = (float(corr) + 1.0) / 2.0
     return rewards
 
@@ -150,27 +150,30 @@ def tune_weights(
     cfg: TuneConfig | None = None,
     reward_fn: Callable[[StandardizedTable, DevFeedback, Pool], Mapping[str, float]] | None = None,
 ) -> TuneResult:
-    """Run cfg.rounds reward / update iterations from equal weights.
+    """Run cfg.rounds exponentiated-gradient updates from equal weights.
 
-    Returns the final weights and the per-round trajectory (weights and
-    rewards after each update). rounds=0 returns the equal start.
+    The rewards come from reward_fn when one is given and from
+    signal_reward otherwise. They depend only on the table, the feedback
+    and the pool, none of which a round changes, so they are computed
+    once per run, before the first round, and every round reuses them.
+
+    Returns the final weights and the per-round trajectory (weights after
+    each update and the rewards it used). rounds=0 returns the equal
+    start without computing rewards.
     """
     cfg = cfg or TuneConfig()
-    if cfg.reward_kind == "custom":
-        if reward_fn is None:
-            raise ConfigError("reward_kind 'custom' requires a reward_fn")
-    else:
-        reward_fn = signal_reward
     weights = Weights.equal(list(table.columns))
     trajectory: list[dict[str, object]] = []
+    if cfg.rounds == 0:
+        return TuneResult(weights=weights, trajectory=trajectory)
+    rewards = dict((reward_fn or signal_reward)(table, feedback, pool))
     for round_idx in range(cfg.rounds):
-        rewards = dict(reward_fn(table, feedback, pool))
         weights = eg_update(weights, rewards, cfg.eta)
         trajectory.append(
             {
                 "round": round_idx + 1,
                 "weights": dict(weights.w),
-                "rewards": rewards,
+                "rewards": dict(rewards),
             }
         )
     return TuneResult(weights=weights, trajectory=trajectory)

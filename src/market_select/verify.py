@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, require_finite
 from .market import MarketConfig, MarketState, Weights, aggregate_shares, lmsr_prices, topic_cost, topic_prices
 from .pool import Pool
 from .selection import SelectionConfig, greedy_select
@@ -48,6 +48,7 @@ class RecoverySimConfig:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.k <= self.n:
             raise ConfigError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        require_finite("sigma", self.sigma)
         if self.sigma < 0:
             raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
         if self.m < 1:
@@ -149,6 +150,9 @@ class CorruptionSweepConfig:
                 raise ConfigError(f"epsilon must be in [0, 1], got {eps}")
         if not self.betas:
             raise ConfigError("beta grid must be nonempty")
+        for beta in self.betas:
+            require_finite("beta", beta)
+        require_finite("tau", self.tau)
         if not self.tau > 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
 

@@ -726,13 +726,84 @@ def test_select_rejects_non_finite_config(pool_file, tmp_path, capsys, flags, co
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
-def test_importing_the_cli_does_not_load_scipy():
+def _python_last_line(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this package and
+    return the last line it prints."""
     src = str(Path(market_select.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, market_select.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    code = "import sys, market_select.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _python_last_line(code) == "[]"
+
+
+def test_tune_and_rank_standardization_do_not_load_scipy_stats(tmp_path):
+    golden = Path(__file__).resolve().parent / "golden"
+    signals = ["--pool", str(golden / "pool.jsonl"), "--signals", "nll,s1,rarity:k=3,div_cent"]
+    runs = [
+        ["tune", *signals, "--dev-feedback", str(golden / "dev.jsonl"), "--rounds", "5",
+         "--out", str(tmp_path / "weights.json")],
+        ["signals", *signals, "--standardize", "rank+robust",
+         "--out", str(tmp_path / "signals.jsonl")],
+    ]
+    code = (
+        "import json, sys, warnings\n"
+        "from market_select.cli import main\n"
+        "warnings.simplefilter('ignore')\n"
+        f"assert [main(argv) for argv in json.loads({json.dumps(runs)!r})] == [0, 0]\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    assert _python_last_line(code) == "[]"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sweep", "--pool", "POOL", "--signals", "nll", "--budget-tokens", "60",
+                      "--gamma-grid", "nan"], id="sweep-gamma-nan"),
+        pytest.param(["sweep", "--pool", "POOL", "--signals", "nll", "--budget-tokens", "60",
+                      "--gamma-grid", "inf"], id="sweep-gamma-inf"),
+        pytest.param(["simulate", "corruption", "--pool", "POOL", "--signals", "nll",
+                      "--target-signal", "nll", "--beta-grid", "inf"], id="corruption-beta-inf"),
+        pytest.param(["simulate", "corruption", "--pool", "POOL", "--signals", "nll",
+                      "--target-signal", "nll", "--tau", "inf"], id="corruption-tau-inf"),
+        pytest.param(["simulate", "recovery", "--n", "20", "--k-grid", "5", "--trials", "2",
+                      "--sigma-grid", "inf"], id="recovery-sigma-inf"),
+        pytest.param(["simulate", "recovery", "--n", "20", "--k-grid", "5", "--trials", "2",
+                      "--sigma-grid", "0.5,nan"], id="recovery-sigma-nan"),
+        pytest.param(["tune", "--pool", "POOL", "--signals", "nll", "--dev-feedback", "DEV",
+                      "--eta", "inf"], id="tune-eta-inf"),
+        pytest.param(["price", "--pool", "POOL", "--signals", "nll", "--beta", "inf"],
+                     id="price-beta-inf"),
+        pytest.param(["price", "--pool", "POOL", "--signals", "nll", "--beta-per-topic",
+                      "INF_MAP"], id="price-topic-beta-inf"),
+        pytest.param(["price", "--pool", "POOL", "--signals", "nll", "--alpha", "NAN_MAP"],
+                     id="price-topic-alpha-nan"),
+    ],
+)
+def test_non_finite_flags_are_exit_2(pool_file, tmp_path, capsys, argv):
+    dev = tmp_path / "dev.jsonl"
+    dev.write_text("".join(
+        json.dumps({"id": f"ex{i:03d}", "utility": float(i % 5)}) + "\n" for i in range(24)
+    ))
+    subs = {"POOL": str(pool_file), "DEV": str(dev)}
+    for name, bad in (("INF_MAP", float("inf")), ("NAN_MAP", float("nan"))):
+        path = tmp_path / f"{name.lower()}.json"
+        # writes an Infinity or NaN token, which the JSON reader accepts
+        path.write_text(json.dumps({"alpha": 0.5, "beta": bad}), encoding="utf-8")
+        subs[name] = str(path)
+    out = tmp_path / "out"
+    code = main([subs.get(a, a) for a in argv] + ["--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be finite" in err
+    assert not out.exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from market_select.errors import ConfigError
 from market_select.standardize import (
     StandardizeConfig,
+    average_ranks,
     rank_normalize,
     standardize_column,
     standardize_table,
@@ -83,6 +84,22 @@ def test_rank_normalize_idempotent_on_uniform_ranks():
     once = rank_normalize(raw, pool)
     twice = rank_normalize(once, pool)
     assert np.allclose(once, twice)
+
+
+def test_average_ranks_equal_scipy_rankdata():
+    from scipy.stats import rankdata  # the reference implementation
+
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 5, 17, 100, 1000, 5000):
+        cases = [
+            rng.normal(size=n),
+            rng.integers(0, 4, size=n).astype(float),  # heavy ties
+            np.round(rng.normal(size=n), 1),
+            rng.choice([-0.0, 0.0, 1.5], size=n),  # signed zeros tie
+            np.full(n, 2.0),
+        ]
+        for values in cases:
+            assert np.array_equal(average_ranks(values), rankdata(values, method="average"))
 
 
 def test_rank_normalize_singleton_topic():
@@ -173,3 +190,5 @@ def test_config_validation():
         StandardizeConfig(method="mystery")
     with pytest.raises(ConfigError):
         StandardizeConfig(tau=0.0)
+    with pytest.raises(ConfigError, match="finite"):
+        StandardizeConfig(tau=float("inf"))

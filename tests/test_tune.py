@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,38 @@ def test_signal_reward_constant_column_neutral():
     assert rewards["flat"] == 0.5
 
 
+def test_signal_reward_equals_scipy_spearman():
+    from scipy.stats import spearmanr  # the reference implementation
+
+    rng = np.random.default_rng(11)
+    for n in (3, 4, 7, 50, 500, 5000):
+        pool = pool_with_ids(n)
+        utility = np.round(rng.normal(size=n), 1)  # tied utilities
+        feedback = DevFeedback({pool.ids[i]: float(utility[i]) for i in range(n)})
+        columns = {
+            "continuous": rng.normal(size=n),
+            "heavy_ties": rng.integers(0, 3, size=n).astype(float),
+            "aligned": utility + rng.integers(0, 2, size=n),
+            "signed_zeros": rng.choice([-0.0, 0.0, 1.0], size=n),
+            "constant": np.full(n, 1.5),
+        }
+        rewards = signal_reward(std_table(pool, **columns), feedback, pool)
+        for name, col in columns.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # scipy warns on a constant input
+                rho = spearmanr(col, utility).statistic
+            expected = (float(rho) + 1.0) / 2.0 if np.isfinite(rho) else 0.5
+            assert rewards[name] == expected, (n, name)
+        assert rewards["constant"] == 0.5
+
+
+def test_signal_reward_constant_utilities_neutral():
+    pool = pool_with_ids(10)
+    feedback = DevFeedback({rid: 3.0 for rid in pool.ids})
+    rewards = signal_reward(std_table(pool, ramp=np.arange(10.0)), feedback, pool)
+    assert rewards == {"ramp": 0.5}
+
+
 def test_tune_zero_rounds_returns_equal():
     pool = pool_with_ids(10)
     feedback = DevFeedback({rid: float(i) for i, rid in enumerate(pool.ids)})
@@ -171,27 +204,23 @@ def test_tune_permutation_equivariance():
     assert forward.weights.w["b"] == pytest.approx(swapped.weights.w["b"], abs=1e-12)
 
 
-def test_tune_custom_reward_requires_fn():
-    pool = pool_with_ids(5)
-    feedback = DevFeedback({rid: 0.0 for rid in pool.ids})
-    with pytest.raises(ConfigError, match="custom"):
-        tune_weights(
-            std_table(pool, s=np.zeros(5)), feedback, pool, TuneConfig(reward_kind="custom")
-        )
-
-
 def test_tune_custom_reward_fn_used():
     pool = pool_with_ids(5)
     feedback = DevFeedback({rid: 0.0 for rid in pool.ids})
     table = std_table(pool, a=np.zeros(5), b=np.zeros(5))
+    calls = []
+
+    def reward_fn(t, f, p):
+        calls.append((t, f, p))
+        return {"a": 1.0, "b": 0.0}
+
     result = tune_weights(
-        table,
-        feedback,
-        pool,
-        TuneConfig(eta=1.0, rounds=5, reward_kind="custom"),
-        reward_fn=lambda t, f, p: {"a": 1.0, "b": 0.0},
+        table, feedback, pool, TuneConfig(eta=1.0, rounds=5), reward_fn=reward_fn
     )
     assert result.weights.w["a"] > result.weights.w["b"]
+    # the rewards depend only on unchanging inputs: one call serves every round
+    assert calls == [(table, feedback, pool)]
+    assert [entry["rewards"] for entry in result.trajectory] == [{"a": 1.0, "b": 0.0}] * 5
 
 
 def test_load_dev_feedback(tmp_path):
@@ -212,7 +241,7 @@ def test_config_validation():
         TuneConfig(eta=0.0)
     with pytest.raises(ConfigError):
         TuneConfig(rounds=-1)
-    with pytest.raises(ConfigError):
-        TuneConfig(reward_kind="mystery")
+    with pytest.raises(ConfigError, match="finite"):
+        TuneConfig(eta=float("inf"))
     with pytest.raises(ValidationError):
         DevFeedback({"x": float("inf")})
