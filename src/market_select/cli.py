@@ -184,7 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--preset", choices=sorted(PRESETS), help="named configuration preset")
     p_select.add_argument("--coverage", action="store_true", help="add embedding-coverage metrics to the report")
     p_select.add_argument("--seed", type=int, help="seed echoed into the report (selection itself is deterministic)")
-    p_select.add_argument("--threads", type=int, help="worker cap for row-chunk work items (results identical for any value)")
+    p_select.add_argument(
+        "--threads", type=int,
+        help="worker cap for the kNN's row-chunk work items; with more than one worker, "
+             "OpenBLAS runs one thread per worker (results identical for any value)",
+    )
 
     p_signals = sub.add_parser("signals", help="compute raw and standardized signal columns")
     _add_signal_args(p_signals)

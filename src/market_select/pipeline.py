@@ -320,8 +320,8 @@ def format_price_rows(pool: Pool, state: MarketState) -> str:
         raise ValidationError("shares and prices must be finite")
     topics = [encode_basestring(t) for t in pool.topic_names]
     return "".join([
-        f'{{"id": {encode_basestring(rid)}, "p": {float("%.9g" % p)!r}, '
-        f'"q": {float("%.9g" % q)!r}, "topic": {topics[t]}}}\n'
+        f'{{"id": {encode_basestring(rid)}, "p": {format_float(p)}, '
+        f'"q": {format_float(q)}, "topic": {topics[t]}}}\n'
         for rid, t, q, p in zip(pool.ids, pool.topic_codes.tolist(), shares.tolist(),
                                 prices.tolist())
     ])
@@ -394,6 +394,18 @@ def explain(
 def fmt_float(x: float) -> float:
     """Round to 9 significant digits (the serialization contract)."""
     return float(f"{x:.9g}")
+
+
+def format_float(x: float) -> str:
+    """The JSON text of fmt_float(x), repr(float("%.9g" % x)), without the
+    round trip where the "%.9g" string is already that text."""
+    s = "%.9g" % x
+    if "e" in s:
+        # %g takes an exponent from 1e9 on, repr only from 1e16; and a
+        # three-digit exponent marks the range of the subnormals, whose
+        # shortest repr can have fewer than 9 digits
+        return repr(float(s)) if "e+" in s or len(s) - s.index("e") > 4 else s
+    return s if "." in s else s + ".0"
 
 
 def round_floats(obj: Any) -> Any:

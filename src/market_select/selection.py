@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError, ValidationError, require_finite
 from .market import MarketState
 from .pool import Pool
+from .signals import cdist
 
 DEFAULT_GAMMA = 1.6
 MODES = ("greedy", "balanced")
@@ -321,8 +322,6 @@ class CoverageMetrics:
 def coverage_report(selected_ids: list[str], pool: Pool) -> CoverageMetrics:
     """Trace-of-covariance ratio selected/pool, and the covering radius
     (largest distance from any pool point to its nearest selected point)."""
-    from scipy.spatial.distance import cdist  # on first use, as only --coverage needs it
-
     if not selected_ids:
         raise ValidationError("coverage is undefined for an empty selection")
     emb = pool.embedding_matrix()
@@ -335,10 +334,39 @@ def coverage_report(selected_ids: list[str], pool: Pool) -> CoverageMetrics:
     sel_var = _trace_var(emb[sel_idx])
     ratio = 1.0 if pool_var == 0.0 else sel_var / pool_var
 
-    sel_points = emb[sel_idx]
-    radius = 0.0
-    chunk = 1024
-    for start in range(0, pool.n, chunk):
-        dists = cdist(emb[start : start + chunk], sel_points)
-        radius = max(radius, float(dists.min(axis=1).max()))
+    radius = covering_radius(emb, emb[sel_idx])
     return CoverageMetrics(variance_ratio=ratio, covering_radius=radius)
+
+
+def covering_radius(points: np.ndarray, centres: np.ndarray, chunk: int = 256) -> float:
+    """Largest distance from a row of points to its nearest centre, equal
+    to the maximum of cdist(points, centres).min(axis=1).
+
+    A float64 matrix product over rows centred on the mean of points gives
+    each row's nearest squared distance m to within e = 2 (d + 4) 2^-53
+    (|a| + max|b|)^2, the kNN's bound. A row whose upper bound m + e
+    (widened by the exact re-computation's own error) is below some row's
+    lower bound m - e cannot be the farthest one, so only the remaining
+    rows go through cdist. NaN bounds, from overflow, keep a row.
+    """
+    d = points.shape[1]
+    mean = points.mean(axis=0)
+    a, b = points - mean, centres - mean
+    a_sq, b_sq = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
+    nearest = np.empty(len(points))
+    for start in range(0, len(points), chunk):
+        block = (-2.0 * a[start : start + chunk]) @ b.T
+        block += b_sq
+        nearest[start : start + chunk] = block.min(axis=1)
+    nearest += a_sq
+    err = 2.0 * (d + 4) * 2.0**-53 * (np.sqrt(a_sq) + np.sqrt(b_sq.max())) ** 2
+    rel = 2.0 * (d + 2) * 2.0**-53
+    floor = 2.0 * d * 2.0**-1074
+    upper = (nearest + err) * (1.0 + rel) + floor
+    lower = (nearest - err) * (1.0 - rel) - floor
+    rows = np.flatnonzero(~(upper < lower.max()))
+    radius = 0.0
+    for start in range(0, rows.size, chunk):
+        dists = cdist(points[rows[start : start + chunk]], centres)
+        radius = max(radius, float(dists.min(axis=1).max()))
+    return radius

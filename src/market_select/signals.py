@@ -14,10 +14,16 @@ identity is not confounded with distributional coverage.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import re
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -29,6 +35,8 @@ _CHUNK_ROWS = 256
 # m: GEMM candidates kept per row beyond the k needed, so the certificate
 # has a margin between the k-th and the nearest non-candidate
 _EXTRA_CANDIDATES = 6
+# float64 elements in cdist's row-chunk buffer (512 KiB)
+_CDIST_BUFFER = 1 << 16
 
 
 @dataclass
@@ -85,28 +93,43 @@ class DiversityParams:
 class ExactNeighborIndex:
     """Exact brute-force nearest neighbors over one point set.
 
-    Rows are processed in chunks of ``chunk_rows``. For each chunk, one
-    BLAS matrix product over mean-centred points gives approximate squared
-    distances |a|^2 + |b|^2 - 2 a.b (the brute-force formulation of FAISS,
-    Johnson, Douze & Jegou 2017), and the k + _EXTRA_CANDIDATES smallest
-    per row become candidates. Each candidate's distance is then
-    recomputed directly from the original coordinates, summing squared
-    differences in coordinate order as cdist does, so duplicates come out
-    at exactly zero. A row is accepted only when floating-point error
-    bounds prove that no non-candidate can be nearer than its k-th
-    re-ranked neighbor; other rows, and point sets too small to have
-    non-candidates, go through cdist. Either way the k nearest distances
-    are averaged in ascending order, so the result does not depend on
-    which path a row took and matches an exhaustive oracle to float64
-    precision.
+    Rows are processed in chunks of ``chunk_rows``. The points are
+    mean-centred and scaled by 2^-e, where e is the binary exponent of the
+    largest centred norm, so the largest norm lies in [1/2, 1); scaling by
+    a power of two is exact and keeps the float32 copies of the rows
+    clear of overflow. For each chunk, one float32 BLAS matrix product
+    gives approximate squared distances |a|^2 + |b|^2 - 2 a.b (the
+    brute-force formulation of FAISS, Johnson, Douze & Jegou 2017), and
+    the k + _EXTRA_CANDIDATES smallest per row become candidates. Each
+    candidate's distance is then recomputed in float64 directly from the
+    original coordinates, summing squared differences in coordinate order
+    as cdist does, so duplicates come out at exactly zero. A row is
+    accepted only when floating-point error bounds (u = 2^-24 for the
+    float32 product, in the scaled units) prove that no non-candidate can
+    be nearer than its k-th re-ranked neighbor. Rows that fail get a
+    second, float64 product (u = 2^-53), whose much smaller bound
+    certifies most of what float32 cannot: sets with a point far outside
+    the rest, or clusters of near-duplicates. The float64 rows are made
+    on the first such row, and once most rows of a chunk fail in
+    float32, later chunks skip it (``float32_first``). Rows that fail
+    both, and point sets too small to have non-candidates, go through
+    cdist. Either way the k nearest distances are averaged in
+    ascending order, so the result does not depend on which path a row
+    took and matches an exhaustive oracle to float64 precision.
     """
 
     def __init__(self, points: np.ndarray, chunk_rows: int = _CHUNK_ROWS):
         self.points = np.ascontiguousarray(points, dtype=np.float64)
         self.chunk_rows = chunk_rows
-        self.centred = self.points - self.points.mean(axis=0)
-        self.sq_norms = np.einsum("ij,ij->i", self.centred, self.centred)
-        self.norms = np.sqrt(self.sq_norms)
+        centred = self._centred()
+        norms = np.sqrt(np.einsum("ij,ij->i", centred, centred))
+        # 2^-exponent scales the largest norm into [1/2, 1); frexp(0) gives
+        # 0, so a set of identical points is left unscaled
+        self.exponent = int(np.frexp(norms.max(initial=0.0))[1])
+        scaled = np.ldexp(centred, -self.exponent, out=centred).astype(np.float32)
+        self._scaled = {np.float32: (scaled, np.einsum("ij,ij->i", scaled, scaled))}
+        self.norms = np.ldexp(norms, -self.exponent)
+        self.float32_first = True
 
     def mean_knn_distance(self, k: int) -> np.ndarray:
         n = self._check_k(k)
@@ -118,22 +141,41 @@ class ExactNeighborIndex:
     def chunk_mean_knn_distance(self, start: int, stop: int, k: int) -> np.ndarray:
         """mean_knn_distance for rows start:stop (one work item)."""
         n = self._check_k(k)
-        d = self.points.shape[1]
+        todo = np.arange(start, stop)
+        if n <= k + _EXTRA_CANDIDATES + 1:
+            return self._cdist_mean(todo, k)
+        out = np.empty(todo.size)
+        for dtype in (np.float32, np.float64) if self.float32_first else (np.float64,):
+            mean, certified = self._gemm_mean(todo, k, dtype)
+            if dtype is np.float32 and 2 * np.count_nonzero(certified) < todo.size:
+                # most rows need the float64 product anyway, so it costs
+                # less to go straight to it in later chunks
+                self.float32_first = False
+            out[todo[certified] - start] = mean[certified]
+            todo = todo[~certified]
+            if not todo.size:
+                return out
+        out[todo - start] = self._cdist_mean(todo, k)
+        return out
+
+    def _gemm_mean(self, rows: np.ndarray, k: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+        """Mean k-nearest distance of each row from candidates of a matrix
+        product in ``dtype``, and whether the rounding bounds certify it."""
+        scaled, sq_norms = self._scaled_rows(dtype)
+        d = scaled.shape[1]
         c = k + _EXTRA_CANDIDATES
-        if n <= c + 1:
-            return self._cdist_mean(np.arange(start, stop), k)
-        rows = np.arange(stop - start)
+        i = np.arange(rows.size)
         # -2 a.b + |b|^2; scaling by -2 is exact, and |a|^2 is constant per
         # row, so it is added only to the threshold below
-        block = (-2.0 * self.centred[start:stop]) @ self.centred.T
-        block += self.sq_norms
-        block[rows, rows + start] = np.inf
+        block = (-2.0 * scaled[rows]) @ scaled.T
+        block += sq_norms
+        block[i, rows] = np.inf
         order = np.argpartition(block, c, axis=1)
         candidates = order[:, :c].copy()
-        threshold = block[rows, order[:, c]] + self.sq_norms[start:stop]
+        threshold = block[i, order[:, c]] + sq_norms[rows].astype(np.float64)
         del block, order
 
-        diff = self.points[candidates] - self.points[start:stop, None, :]
+        diff = self.points[candidates] - self.points[rows, None, :]
         diff *= diff
         sq = diff[:, :, 0].copy()
         for j in range(1, d):
@@ -141,20 +183,26 @@ class ExactNeighborIndex:
         del diff
         sq.sort(axis=1)
 
-        # Rounding bounds, u = 2^-53. A GEMM value of centred rows a, b is
-        # within (d + 4) u (|a| + |b|)^2 of the true squared distance: d + 2
-        # for the dot products and the two additions, 2 for the centring.
-        # A re-ranked sum of d squares is within a relative (d + 2) u. Both
-        # are doubled to cover second-order terms and the bounds' own
-        # rounding.
-        err = 2.0 * (d + 4) * 2.0**-53
-        gemm_err = err * (self.norms[start:stop] + self.norms.max()) ** 2
-        certified = sq[:, k - 1] * (1.0 + err) < threshold - gemm_err
-        out = np.sqrt(sq[:, :k]).mean(axis=1)
-        failed = np.flatnonzero(~certified)
-        if failed.size:
-            out[failed] = self._cdist_mean(start + failed, k)
-        return out
+        # Rounding bounds, in scaled units (squared distances times
+        # 2^-2e), with u the unit roundoff of dtype. A product value of
+        # scaled centred rows a, b is within (d + 4) u (|a| + |b|)^2 of the
+        # true squared distance: d + 2 for the dot products and the two
+        # additions, 2 for the float64 centring; a float32 product adds 2
+        # for the cast. Underflow adds at most about 6 d times dtype's
+        # smallest subnormal. A re-ranked float64 sum of d squares is
+        # within a relative (d + 2) 2^-53 and, below the float64 normal
+        # range, an absolute d 2^-1074. All are doubled (the underflow
+        # floor rounded up further) to cover second-order terms and the
+        # bounds' own rounding. A k-th distance that overflows when
+        # rescaled becomes inf and fails, as it should.
+        info = np.finfo(dtype)
+        u = float(info.eps) / 2
+        terms = d + (6 if dtype is np.float32 else 4)
+        gemm_err = 2.0 * terms * u * (self.norms[rows] + self.norms.max()) ** 2
+        gemm_err += 16.0 * d * float(info.smallest_subnormal)
+        kth = sq[:, k - 1] * (1.0 + 2.0 * (d + 2) * 2.0**-53) + 2.0 * d * 2.0**-1074
+        certified = np.ldexp(kth, -2 * self.exponent) < threshold - gemm_err
+        return np.sqrt(sq[:, :k]).mean(axis=1), certified
 
     def _check_k(self, k: int) -> int:
         n = self.points.shape[0]
@@ -170,13 +218,94 @@ class ExactNeighborIndex:
         nearest = np.sort(np.partition(dist, k - 1, axis=1)[:, :k], axis=1)
         return nearest.mean(axis=1)
 
+    def _centred(self) -> np.ndarray:
+        return self.points - self.points.mean(axis=0)
+
+    def _scaled_rows(self, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+        """The scaled centred rows in ``dtype`` and their squared norms;
+        the float64 ones are made on first use. Threads that race here
+        compute the same arrays, so the first to store them wins."""
+        if dtype not in self._scaled:
+            scaled = np.ldexp(self._centred(), -self.exponent)
+            self._scaled.setdefault(dtype, (scaled, np.einsum("ij,ij->i", scaled, scaled)))
+        return self._scaled[dtype]
+
 
 def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """scipy's Euclidean cdist, imported on first use so that importing
-    this module does not load scipy."""
-    from scipy.spatial.distance import cdist as scipy_cdist
+    """Euclidean distances between the rows of xa and of xb.
 
-    return scipy_cdist(xa, xb)
+    Squared differences are added one coordinate at a time and then
+    square-rooted. That is the summation order of scipy's cdist, so the
+    result equals it bit for bit. Inputs of at most 4 _CDIST_BUFFER
+    differences take one pass over a C-ordered (d, rows, len(xb)) block,
+    whose first axis numpy reduces plane by plane, in coordinate order.
+    Larger ones go in row chunks of at most _CDIST_BUFFER elements, one
+    coordinate at a time, so that each pass stays in cache.
+    """
+    xa = np.asarray(xa, dtype=np.float64)
+    xb_cols = np.ascontiguousarray(np.asarray(xb, dtype=np.float64).T)
+    d, n = xb_cols.shape
+    out = np.empty((xa.shape[0], n))
+    if xa.size * n <= 4 * _CDIST_BUFFER:
+        diff = np.empty((d, xa.shape[0], n))
+        np.subtract(xa.T[:, :, None], xb_cols[:, None, :], out=diff)
+        diff *= diff
+        np.add.reduce(diff, axis=0, out=out)
+        return np.sqrt(out, out=out)
+    step = max(1, _CDIST_BUFFER // max(1, n))
+    diff = np.empty((min(step, xa.shape[0]), n))
+    for start in range(0, xa.shape[0], step):
+        chunk = xa[start : start + step]
+        sq = out[start : start + step]
+        sq.fill(0.0)
+        buf = diff[: len(chunk)]
+        for a, b in zip(chunk.T, xb_cols):
+            np.subtract.outer(a, b, out=buf)
+            buf *= buf
+            sq += buf
+        np.sqrt(sq, out=sq)
+    return out
+
+
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The get/set thread-count functions of numpy's bundled OpenBLAS,
+    loaded on first use, or None when the library or a symbol is missing."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    return get_threads, set_threads
+
+
+# The BLAS thread count is process-wide: callers that cap it take turns,
+# so that each one restores the count it found.
+_BLAS_CAP_LOCK = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Cap OpenBLAS at one thread inside the block and restore the old
+    count on exit; without the library, BLAS is left alone."""
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get_threads, set_threads = api
+    with _BLAS_CAP_LOCK:
+        before = get_threads()
+        set_threads(1)
+        try:
+            yield
+        finally:
+            set_threads(before)
 
 
 def rarity_knn(
@@ -189,7 +318,13 @@ def rarity_knn(
     has no neighbors at all. The work is split into row-chunk items across
     all topics, which up to ``threads`` workers share; results are placed
     by position and warnings issued in sorted-topic order, so output is
-    identical for any thread count.
+    identical for any thread count. While more than one worker runs,
+    numpy's bundled OpenBLAS is capped at one thread, so each worker's
+    matrix products run on its own core instead of starting more BLAS
+    threads; the old count is restored afterwards. A single worker
+    leaves BLAS its own threads. The count belongs to the whole process:
+    other threads using BLAS meanwhile are capped too, and concurrent
+    calls with ``threads > 1`` run one at a time.
     """
     params = params or KnnParams()
     emb = _require_embeddings(pool, "rarity")
@@ -222,7 +357,7 @@ def rarity_knn(
         return index.chunk_mean_knn_distance(start, stop, k_eff)
 
     if threads > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(_run, work))
     else:
         results = [_run(item) for item in work]

@@ -13,7 +13,7 @@ import pytest
 import market_select
 from market_select.cli import main
 from market_select.errors import ConfigError
-from market_select.pipeline import RunConfig, execute, explain, run_pipeline
+from market_select.pipeline import RunConfig, execute, explain, format_float, run_pipeline
 
 from conftest import write_pool_jsonl
 
@@ -758,6 +758,58 @@ def test_tune_and_rank_standardization_do_not_load_scipy_stats(tmp_path):
         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
     )
     assert _python_last_line(code) == "[]"
+
+
+def test_commands_run_with_scipy_blocked(pool_file, tmp_path):
+    # Both topics have 12 rows, at most k + 7 for the default k = 10, so
+    # every rarity row takes the cdist fallback.
+    dev = tmp_path / "dev.jsonl"
+    write_pool_jsonl(dev, [{"id": f"ex{i:03d}", "utility": (i * 7 % 5) / 4} for i in range(0, 24, 2)])
+
+    def argvs(out: Path) -> list[list[str]]:
+        select = ["select", "--pool", str(pool_file), "--signals", "nll,rarity,div_cent",
+                  "--budget-tokens", "200"]
+        return [
+            [*select, "--out-dir", str(out / "plain")],
+            [*select, "--coverage", "--out-dir", str(out / "coverage")],
+            ["signals", "--pool", str(pool_file), "--signals", "nll,rarity",
+             "--standardize", "rank+robust", "--out", str(out / "signals.jsonl")],
+            ["tune", "--pool", str(pool_file), "--signals", "nll,rarity", "--dev-feedback",
+             str(dev), "--rounds", "5", "--out", str(out / "weights.json")],
+        ]
+
+    code = (
+        "import json, sys, warnings\n"
+        "sys.modules['scipy'] = None\n"
+        "from market_select.cli import main\n"
+        "warnings.simplefilter('ignore')\n"
+        f"print([main(argv) for argv in json.loads({json.dumps(argvs(tmp_path / 'blocked'))!r})])\n"
+    )
+    assert _python_last_line(code) == "[0, 0, 0, 0]"
+    assert [main(argv) for argv in argvs(tmp_path / "open")] == [0, 0, 0, 0]
+    blocked = sorted(p.relative_to(tmp_path / "blocked") for p in (tmp_path / "blocked").rglob("*"))
+    assert blocked == sorted(p.relative_to(tmp_path / "open") for p in (tmp_path / "open").rglob("*"))
+    assert len(blocked) == 10
+    for rel in blocked:
+        if (tmp_path / "blocked" / rel).is_file():
+            assert (tmp_path / "blocked" / rel).read_bytes() == (tmp_path / "open" / rel).read_bytes()
+    coverage = json.loads((tmp_path / "blocked" / "coverage" / "report.json").read_text())
+    assert coverage["diagnostics"]["coverage"]["covering_radius"] > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_format_float_equals_the_round_trip(seed):
+    rng = np.random.default_rng(seed)
+    magnitudes = 10.0 ** rng.uniform(-330.0, 308.0, 50_000)
+    values = np.concatenate([
+        magnitudes * rng.choice([-1.0, 1.0], magnitudes.size),
+        rng.uniform(1e9, 1e16, 5_000),  # %g and repr choose different exponent forms
+        rng.uniform(-1.0, 1.0, 5_000) * 2.0**-1022,  # subnormals
+        np.round(rng.uniform(-1e6, 1e6, 5_000)),  # integral values
+        [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e9, 999999999.5, 1e16, 1e17, 1e-5, 1e-4,
+         123456789.0, 1.7976931348623157e308],
+    ]).tolist()
+    assert [format_float(x) for x in values] == [repr(float("%.9g" % x)) for x in values]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from market_select import selection
 from market_select.errors import ConfigError, ValidationError
 from market_select.market import MarketConfig, MarketState, Weights, price_pool
 from market_select.selection import (
@@ -10,6 +11,7 @@ from market_select.selection import (
     balance_score,
     balanced_select,
     coverage_report,
+    covering_radius,
     example_events,
     greedy_select,
     score_rho,
@@ -315,6 +317,76 @@ def test_coverage_radius_matches_brute_force():
         for i in range(pool.n)
     )
     assert metrics.covering_radius == pytest.approx(oracle, abs=1e-12)
+
+
+def exhaustive_radius(points, centres):
+    return float(selection.cdist(points, centres).min(axis=1).max())
+
+
+def tied_far_points(rng, dim):
+    """Many rows at nearly the same distance from the one centre, so the
+    certificate must keep them all."""
+    directions = rng.normal(size=(300, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    points = directions * (1.0 + 1e-13 * rng.permutation(300))[:, None]
+    return np.vstack([points, np.zeros(dim)]), np.zeros((1, dim))
+
+
+def translated_clusters(rng, dim):
+    """Clusters 1e9 from the origin, with duplicates and centres drawn
+    from the points."""
+    points = 1e9 + rng.normal(size=(400, dim)) * 10.0 ** rng.integers(-3, 2, size=(400, 1))
+    points[10:20] = points[0]
+    return points, points[rng.choice(400, size=37, replace=False)]
+
+
+def offset_spheres(rng, dim):
+    """Two centres 2e6 apart, each with 150 rows at radii 1 + j 1e-7: the
+    product's error (about 1e-3 in squared units) hides the radius order,
+    which only the exact re-check can see."""
+    directions = rng.normal(size=(300, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    centres = np.zeros((2, dim))
+    centres[:, 0] = [1e6, -1e6]
+    points = centres[np.arange(300) % 2] + directions * (1.0 + 1e-7 * rng.permutation(300))[:, None]
+    return points, centres
+
+
+def spread_points(rng, dim):
+    points = rng.normal(size=(700, dim))
+    return points, points[rng.choice(700, size=90, replace=False)] + 1e-3
+
+
+@pytest.mark.parametrize("make_points", [tied_far_points, translated_clusters, offset_spheres, spread_points])
+@pytest.mark.parametrize("dim", [1, 3, 64, 384])
+def test_covering_radius_equals_exhaustive_cdist(make_points, dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    points, centres = make_points(rng, dim)
+    want = exhaustive_radius(points, centres)
+    rows: list[int] = []
+    real = selection.cdist
+    monkeypatch.setattr(selection, "cdist", lambda a, b: (rows.append(len(a)), real(a, b))[1])
+    assert covering_radius(points, centres, chunk=64) == want
+    if make_points is spread_points:
+        assert 0 < sum(rows) < len(points) // 10  # only near-farthest rows are re-checked
+
+
+def test_covering_radius_overflow_keeps_every_row(monkeypatch):
+    # Two clusters at +-1e154: nearest distances are small, but squared
+    # centred norms overflow, so the bounds are NaN and cdist decides
+    # every row.
+    rng = np.random.default_rng(87)
+    points = np.vstack([1e154 + rng.normal(size=(20, 4)), -1e154 + rng.normal(size=(20, 4))])
+    points = points * np.array([1.0, 1.0, 1.0, 1e-154])
+    centres = points[[0, 1, 20, 21]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = exhaustive_radius(points, centres)
+        rows: list[int] = []
+        real = selection.cdist
+        monkeypatch.setattr(selection, "cdist", lambda a, b: (rows.append(len(a)), real(a, b))[1])
+        got = covering_radius(points, centres, chunk=16)
+    assert np.isfinite(want) and got == want
+    assert sum(rows) == len(points)
 
 
 def test_coverage_errors():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,83 @@ def test_rarity_threads_match_serial():
         assert np.array_equal(serial, rarity_knn(pool, KnnParams(k=5), threads=threads))
 
 
+def test_rarity_workers_run_one_blas_thread_and_restore_the_count(monkeypatch):
+    api = signals._openblas_threads()
+    if api is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    get_threads, _ = api
+    before = get_threads()
+    rng = np.random.default_rng(4)
+    pool = topic_pool(rng, [300, 200], 6)
+    want = rarity_knn(pool, KnnParams(k=5), threads=1)
+    real = ExactNeighborIndex.chunk_mean_knn_distance
+    seen: list[int] = []
+
+    def recording(self, start, stop, k):
+        seen.append(get_threads())
+        return real(self, start, stop, k)
+
+    monkeypatch.setattr(ExactNeighborIndex, "chunk_mean_knn_distance", recording)
+    assert np.array_equal(rarity_knn(pool, KnnParams(k=5), threads=2), want)
+    assert seen and set(seen) == {1}
+    assert get_threads() == before
+
+    def failing(self, start, stop, k):
+        if start:
+            raise RuntimeError("work item failed")
+        return real(self, start, stop, k)
+
+    monkeypatch.setattr(ExactNeighborIndex, "chunk_mean_knn_distance", failing)
+    with pytest.raises(RuntimeError, match="work item failed"):
+        rarity_knn(pool, KnnParams(k=5), threads=2)
+    assert get_threads() == before
+
+
+def test_concurrent_rarity_calls_restore_the_blas_thread_count():
+    api = signals._openblas_threads()
+    if api is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    get_threads, _ = api
+    before = get_threads()
+    rng = np.random.default_rng(6)
+    pool = topic_pool(rng, [600, 100], 4)
+    want = rarity_knn(pool, KnnParams(k=5), threads=1)
+    results: list[np.ndarray] = []
+
+    def call() -> None:
+        for _ in range(3):
+            results.append(rarity_knn(pool, KnnParams(k=5), threads=2))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call) for _ in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(results) == 18 and all(np.array_equal(r, want) for r in results)
+    assert get_threads() == before
+
+
+def test_rarity_without_openblas_symbols_leaves_blas_alone(monkeypatch):
+    rng = np.random.default_rng(5)
+    pool = topic_pool(rng, [300, 40], 6)
+    want = rarity_knn(pool, KnnParams(k=5), threads=1)
+    signals._openblas_threads.cache_clear()
+    try:
+        # a library without the thread-count symbols
+        monkeypatch.setattr(signals.ctypes, "CDLL", lambda path: object())
+        assert signals._openblas_threads() is None
+        assert np.array_equal(rarity_knn(pool, KnnParams(k=5), threads=2), want)
+    finally:
+        monkeypatch.undo()
+        signals._openblas_threads.cache_clear()
+
+
 def count_cdist_rows(monkeypatch) -> list[int]:
     """Replace signals.cdist with a wrapper recording each call's row count."""
     rows: list[int] = []
@@ -137,7 +217,7 @@ def topic_pool(rng, sizes, dim, offsets=None):
     return embedded_pool(np.vstack(points), topics=topics)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
+@pytest.mark.parametrize("dim", [1, 2, 5, 16, 64, 384])
 def test_rarity_certified_gemm_path_matches_oracle(dim, monkeypatch):
     rng = np.random.default_rng(dim)
     k = 4
@@ -167,6 +247,131 @@ def test_rarity_identical_cluster_is_exactly_zero():
     rare = rarity_knn(embedded_pool(points), KnnParams(k=k))
     assert np.all(rare[:size] == 0.0)
     assert np.all(rare[size:] > 0.0)
+
+
+def test_rarity_identical_topic_is_exactly_zero():
+    # The topic centres to exact zeros, so its largest centred norm is 0
+    # and the power-of-two scaling must leave it alone.
+    rng = np.random.default_rng(9)
+    k = 3
+    size = k + signals._EXTRA_CANDIDATES + 3
+    points = np.vstack([np.tile([1.5, -2.25, 3.0], (size, 1)), rng.normal(size=(15, 3))])
+    topics = ["same"] * size + ["other"] * 15
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        rare = rarity_knn(embedded_pool(points, topics=topics), KnnParams(k=k))
+    assert np.all(rare[:size] == 0.0)
+    assert np.all(rare[size:] > 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e30])
+def test_rarity_extreme_scales_match_oracle(scale, monkeypatch):
+    # Squared coordinates near 1e-60 or 1e60 lie outside float32's range;
+    # the power-of-two scaling brings them back, so every row still
+    # certifies on the float32 path.
+    rng = np.random.default_rng(12)
+    k = 4
+    pool = topic_pool(rng, [k + signals._EXTRA_CANDIDATES + 2, 30, 45], 8)
+    points = pool.embedding_matrix() * scale
+    pool = embedded_pool(points, topics=[pool.topic_names[c] for c in pool.topic_codes])
+    cdist_rows = count_cdist_rows(monkeypatch)
+    got = rarity_knn(pool, KnnParams(k=k))
+    assert cdist_rows == []
+    assert np.max(np.abs(got - brute_force_rarity(pool, k))) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 64, 384])
+def test_cdist_equals_scipy(dim, monkeypatch):
+    from scipy.spatial.distance import cdist as scipy_cdist
+
+    rng = np.random.default_rng(dim)
+    xa = rng.normal(size=(40, dim)) * 10.0 ** rng.integers(-3, 4, size=(40, 1))
+    xa[5:9] = xa[0]  # duplicate rows
+    xb = np.vstack([xa[::3], rng.normal(size=(17, dim))])
+    want = scipy_cdist(xa, xb)
+    assert np.array_equal(signals.cdist(xa, xb), want)
+    # a buffer of 3 x 31 elements: 14 row chunks, the last one partial
+    monkeypatch.setattr(signals, "_CDIST_BUFFER", 3 * len(xb))
+    assert np.array_equal(signals.cdist(xa, xb), want)
+    assert np.array_equal(signals.cdist(xa, xa), scipy_cdist(xa, xa))
+    # a buffer large enough for one (d, rows, len(xb)) block
+    monkeypatch.setattr(signals, "_CDIST_BUFFER", xa.size * len(xa))
+    assert np.array_equal(signals.cdist(xa, xb), want)
+    assert np.array_equal(signals.cdist(xa, xa), scipy_cdist(xa, xa))
+
+
+def count_gemm_rows(monkeypatch) -> dict[str, list[int]]:
+    """Wrap ExactNeighborIndex._gemm_mean, recording per dtype name the
+    rows it was given and the rows it certified."""
+    seen: dict[str, list[int]] = {}
+    real = ExactNeighborIndex._gemm_mean
+
+    def counted(self, rows, k, dtype):
+        mean, certified = real(self, rows, k, dtype)
+        tally = seen.setdefault(np.dtype(dtype).name, [0, 0])
+        tally[0] += rows.size
+        tally[1] += int(np.count_nonzero(certified))
+        return mean, certified
+
+    monkeypatch.setattr(ExactNeighborIndex, "_gemm_mean", counted)
+    return seen
+
+
+def test_rarity_near_ties_below_float32_precision_certify_in_float64(monkeypatch):
+    # Row 0 sees 40 points at radii 1 + j 1e-11: float32 products cannot
+    # order them, so its candidates are arbitrary and only the certificate
+    # (u = 2^-24) keeps the row off the float32 path. The float64 product
+    # orders them, so the row certifies there and cdist is not needed.
+    rng = np.random.default_rng(13)
+    k = 4
+    directions = rng.normal(size=(40, 8))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = 1.0 + 1e-11 * rng.permutation(40)
+    points = np.vstack([np.zeros(8), directions * radii[:, None]])
+    gemm_rows = count_gemm_rows(monkeypatch)
+    cdist_rows = count_cdist_rows(monkeypatch)
+    got = rarity_knn(embedded_pool(points), KnnParams(k=k))
+    float32_rows, float32_certified = gemm_rows["float32"]
+    assert float32_rows == len(points) and float32_certified < float32_rows
+    assert gemm_rows["float64"] == [float32_rows - float32_certified] * 2
+    assert cdist_rows == []
+    dist = signals.cdist(points, points)
+    np.fill_diagonal(dist, np.inf)
+    assert np.array_equal(got, np.sort(dist, axis=1)[:, :k].mean(axis=1))
+
+
+def far_outlier_points(rng, dim):
+    """A Gaussian cloud with one point at 300x the typical centred norm."""
+    points = rng.normal(size=(300, dim)) + 2.0
+    points[0] = 2.0 + 300.0 * (points[0] - 2.0)
+    return points
+
+
+def near_duplicate_points(rng, dim):
+    """Clusters of k + 8 rows spread over 1e-3 of the set's norm."""
+    centres = rng.normal(size=(20, dim))
+    return np.repeat(centres, 4 + 8, axis=0) + 1e-3 * rng.normal(size=(240, dim))
+
+
+@pytest.mark.parametrize("make_points", [far_outlier_points, near_duplicate_points])
+@pytest.mark.parametrize("dim", [64, 384])
+def test_rarity_float64_candidates_certify_what_float32_cannot(make_points, dim, monkeypatch):
+    # With u = 2^-24 the float32 bound is wider than the gap between the
+    # k-th and the nearest non-candidate: next to a far outlier, because
+    # the bound scales with the largest norm, and inside a tight cluster.
+    # The float64 product certifies these rows, so none reaches cdist.
+    rng = np.random.default_rng(dim)
+    k = 4
+    points = make_points(rng, dim)
+    gemm_rows = count_gemm_rows(monkeypatch)
+    cdist_rows = count_cdist_rows(monkeypatch)
+    index = ExactNeighborIndex(points, chunk_rows=32)
+    got = index.mean_knn_distance(k)
+    assert cdist_rows == []
+    assert gemm_rows["float64"][1] == gemm_rows["float64"][0] > 0
+    # the first chunk that mostly failed in float32 was the last to try it
+    assert not index.float32_first
+    assert gemm_rows["float32"][0] < len(points)
+    assert np.max(np.abs(got - brute_force_rarity(embedded_pool(points), k))) <= 1e-9
 
 
 @pytest.mark.parametrize("shifted_share, falls_back", [(1.0, False), (0.5, True)])
