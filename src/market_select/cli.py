@@ -5,7 +5,9 @@ Subcommands: select (full pipeline), signals, price, tune, simulate
 1 data/invariant violation, 2 I/O or configuration error.
 
 `select` reads an optional flat JSON config file whose keys mirror the
-flags; explicit flags win over the file. MARKET_SELECT_THREADS serves as
+flags; explicit flags win over the file. Every command that reads a pool
+builds one RunConfig from its flags and runs pipeline.prepare, so the
+shared flags mean the same everywhere. MARKET_SELECT_THREADS serves as
 a fallback for --threads.
 """
 
@@ -21,8 +23,8 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import ConfigError, MarketSelectError, ValidationError
-from .market import MarketConfig, Weights, price_pool
 from .pipeline import (
+    CONFIG_KEYS,
     PRICES_FILE,
     REPORT_FILE,
     SELECTED_FILE,
@@ -33,13 +35,12 @@ from .pipeline import (
     float_map,
     fmt_float,
     format_price_rows,
+    prepare,
+    price,
     resolve_weights,
     run_pipeline,
     write_atomic,
 )
-from .pool import load_pool
-from .signals import build_signal_table
-from .standardize import StandardizeConfig, standardize_table
 from .tune import TuneConfig, load_dev_feedback, tune_weights
 from .verify import (
     CorruptionSweepConfig,
@@ -67,21 +68,13 @@ def _default_threads() -> int:
         raise ConfigError(f"MARKET_SELECT_THREADS must be an integer, got {env!r}") from None
 
 
-def _parse_float_grid(text: str, flag: str) -> list[float]:
+def _parse_grid(text: str, flag: str, kind: type = float) -> list:
+    """Comma-separated values of ``kind`` (float or int), at least one."""
     try:
-        values = [float(x) for x in text.split(",") if x.strip()]
+        values = [kind(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ConfigError(f"{flag} must not be empty")
-    return values
-
-
-def _parse_int_grid(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{flag} expects comma-separated {noun}, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag} must not be empty")
     return values
@@ -111,17 +104,6 @@ def _parse_weights_arg(text: str) -> str | dict[str, float]:
         except ValueError:
             raise ConfigError(f"weight for {name.strip()!r} must be a number") from None
     return out
-
-
-def _parse_alpha_arg(text: str) -> str | dict[str, float]:
-    if text == "proportional":
-        return "proportional"
-    path = Path(text)
-    if not path.exists():
-        raise ConfigError(f"topic budget file not found: {path}")
-    return float_map(
-        json.loads(path.read_text(encoding="utf-8")), f"topic budget file {path}"
-    )
 
 
 def _load_json_map(path_text: str, what: str) -> dict[str, float]:
@@ -155,6 +137,18 @@ def _add_signal_args(p: argparse.ArgumentParser) -> None:
         help="normalization method: zscore, robust, or rank+robust (default robust)",
     )
     p.add_argument("--tau", type=float, help="clipping radius after standardization (default 2.5)")
+    p.add_argument(
+        "--threads", type=int,
+        help="worker cap for the kNN's row-chunk work items; with more than one worker, "
+             "OpenBLAS runs one thread per worker (results identical for any value)",
+    )
+
+
+def _add_market_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--beta", type=float, help="global liquidity (default 2.0)")
+    p.add_argument("--beta-per-topic", help="JSON file of topic -> liquidity")
+    p.add_argument("--alpha", help="'proportional' or JSON file of topic -> budget share")
+    p.add_argument("--weights", help="'equal', name=w pairs, or @weights.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,10 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_signal_args(p_select)
     p_select.add_argument("--config", help="JSON config file; flags override its keys")
     p_select.add_argument("--out-dir", required=True, help="directory for report.json, prices.jsonl, selected.txt")
-    p_select.add_argument("--beta", type=float, help="global liquidity (default 2.0)")
-    p_select.add_argument("--beta-per-topic", help="JSON file of topic -> liquidity")
-    p_select.add_argument("--alpha", help="'proportional' or JSON file of topic -> budget share")
-    p_select.add_argument("--weights", help="'equal', name=w pairs, or @weights.json")
+    _add_market_args(p_select)
     p_select.add_argument("--budget-tokens", type=int, help="token budget for the selection")
     p_select.add_argument(
         "--retention-rate",
@@ -184,25 +175,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--preset", choices=sorted(PRESETS), help="named configuration preset")
     p_select.add_argument("--coverage", action="store_true", help="add embedding-coverage metrics to the report")
     p_select.add_argument("--seed", type=int, help="seed echoed into the report (selection itself is deterministic)")
-    p_select.add_argument(
-        "--threads", type=int,
-        help="worker cap for the kNN's row-chunk work items; with more than one worker, "
-             "OpenBLAS runs one thread per worker (results identical for any value)",
-    )
+    p_select.set_defaults(func=_cmd_select)
 
     p_signals = sub.add_parser("signals", help="compute raw and standardized signal columns")
     _add_signal_args(p_signals)
     p_signals.add_argument("--out", required=True, help="output JSONL path")
-    p_signals.add_argument("--threads", type=int)
+    p_signals.set_defaults(func=_cmd_signals)
 
     p_price = sub.add_parser("price", help="price the pool without selecting")
     _add_signal_args(p_price)
-    p_price.add_argument("--beta", type=float)
-    p_price.add_argument("--beta-per-topic")
-    p_price.add_argument("--alpha")
-    p_price.add_argument("--weights")
+    _add_market_args(p_price)
     p_price.add_argument("--out", required=True, help="output JSONL path ({id, topic, q, p} per line)")
-    p_price.add_argument("--threads", type=int)
+    p_price.set_defaults(func=_cmd_price)
 
     p_tune = sub.add_parser("tune", help="tune signal weights against dev feedback")
     _add_signal_args(p_tune)
@@ -211,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--rounds", type=int, default=50, help="update rounds (default 50)")
     p_tune.add_argument("--seed", type=int, default=0, help="recorded in the output for provenance")
     p_tune.add_argument("--out", required=True, help="output weights JSON (usable via --weights @file)")
-    p_tune.add_argument("--threads", type=int)
+    p_tune.set_defaults(func=_cmd_tune)
 
     p_sim = sub.add_parser("simulate", help="run verification simulations")
     sim_sub = p_sim.add_subparsers(dest="kind", required=True)
@@ -231,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--trials", type=int, default=50)
     p_rec.add_argument("--seed", type=int, default=0)
     p_rec.add_argument("--out", required=True, help="output CSV path")
+    p_rec.set_defaults(func=_cmd_simulate_recovery)
 
     p_cor = sim_sub.add_parser(
         "corruption",
@@ -244,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("--eps-grid", default="0,0.25,0.5,0.75,1.0")
     p_cor.add_argument("--beta-grid", default="2.0")
     p_cor.add_argument("--out", required=True, help="output CSV path")
-    p_cor.add_argument("--threads", type=int)
+    p_cor.set_defaults(func=_cmd_simulate_corruption)
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -259,19 +244,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--beta-grid", default="2.0")
     p_sweep.add_argument("--gamma-grid", default="1.6")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--threads", type=int)
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_explain = sub.add_parser("explain", help="break down one example from a prior run")
     p_explain.add_argument("--run-dir", required=True, help="directory written by `select`")
     p_explain.add_argument("--pool", help="override the pool path stored in the run config")
     p_explain.add_argument("id", help="example id to explain")
+    p_explain.set_defaults(func=_cmd_explain)
 
     return parser
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
+    """The RunConfig of any pool command: the --config file, then the
+    preset, then the flags. A flag the subcommand does not define counts
+    as not given, and so does an empty --standardize, --alpha or --weights."""
+    flags = vars(args)
     data: dict[str, Any] = {}
-    if args.config:
+    if flags.get("config"):
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
@@ -282,25 +272,15 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         data.update(loaded)
-    if args.preset:
+    if flags.get("preset"):
         data.update(PRESETS[args.preset])
 
-    overrides: dict[str, Any] = {
-        "pool": args.pool,
-        "signals": args.signals,
-        "standardize": _standardize_method(args.standardize) if args.standardize else None,
-        "tau": args.tau,
-        "beta": args.beta,
-        "alpha": _parse_alpha_arg(args.alpha) if args.alpha else None,
-        "weights": _parse_weights_arg(args.weights) if args.weights else None,
-        "budget_tokens": args.budget_tokens,
-        "retention_rate": args.retention_rate,
-        "gamma": args.gamma,
-        "mode": args.mode,
-        "label_floor": args.label_floor,
-        "seed": args.seed,
-    }
-    if args.beta_per_topic:
+    overrides = {key: flags.get(key) for key in CONFIG_KEYS}
+    for key in ("standardize", "alpha", "weights"):
+        overrides[key] = overrides[key] or None
+    if overrides["weights"]:
+        overrides["weights"] = _parse_weights_arg(overrides["weights"])
+    if flags.get("beta_per_topic"):
         overrides["beta"] = _load_json_map(args.beta_per_topic, "per-topic liquidity")
     data.update({k: v for k, v in overrides.items() if v is not None})
 
@@ -316,16 +296,16 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     if isinstance(data.get("weights"), str) and data["weights"] not in ("equal", "diverse"):
         data["weights"] = _parse_weights_arg(data["weights"])
     if isinstance(data.get("alpha"), str) and data["alpha"] != "proportional":
-        data["alpha"] = _parse_alpha_arg(data["alpha"])
-    if data.get("pool") is None:
-        raise ConfigError("--pool is required (flag or config file)")
-    if data.get("signals") is None:
-        raise ConfigError("--signals is required (flag or config file)")
+        data["alpha"] = _load_json_map(data["alpha"], "topic budget")
+    for key in ("pool", "signals"):
+        if data.get(key) is None:
+            hint = " (flag or config file)" if "config" in flags else ""
+            raise ConfigError(f"--{key} is required{hint}")
     return RunConfig.from_dict(data)
 
 
 def _threads_of(args: argparse.Namespace) -> int:
-    value = getattr(args, "threads", None)
+    value = args.threads
     if value is None:
         return _default_threads()
     if value < 1:
@@ -354,20 +334,11 @@ def _write_csv(path: str, fieldnames: list[str], rows: list[dict[str, Any]]) -> 
     write_atomic([(Path(path), buf.getvalue())])
 
 
-def _prepare_tables(args: argparse.Namespace):
-    if not args.pool:
-        raise ConfigError("--pool is required")
-    if not args.signals:
-        raise ConfigError("--signals is required")
-    pool = load_pool(args.pool)
-    threads = _threads_of(args)
-    table = build_signal_table(
-        pool, [s.strip() for s in args.signals.split(",") if s.strip()], threads=threads
-    )
-    method = _standardize_method(args.standardize) if args.standardize else "robust"
-    tau = args.tau if args.tau is not None else 2.5
-    std = standardize_table(pool=pool, table=table, cfg=StandardizeConfig(method=method, tau=tau))
-    return pool, table, std
+def _prepare(args: argparse.Namespace):
+    """The command's RunConfig and the pool, signal table and standardized
+    table that pipeline.prepare builds from it."""
+    cfg = _build_run_config(args)
+    return (cfg, *prepare(cfg, _threads_of(args)))
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
@@ -388,7 +359,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_signals(args: argparse.Namespace) -> int:
-    pool, table, std = _prepare_tables(args)
+    _, pool, table, std = _prepare(args)
     out = Path(args.out)
     write_atomic([(out, "".join(
         dump_json_line(
@@ -406,15 +377,8 @@ def _cmd_signals(args: argparse.Namespace) -> int:
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
-    pool, table, std = _prepare_tables(args)
-    weights = resolve_weights(
-        _parse_weights_arg(args.weights) if args.weights else "equal", list(table.columns)
-    )
-    beta: float | dict[str, float] = args.beta if args.beta is not None else 2.0
-    if args.beta_per_topic:
-        beta = _load_json_map(args.beta_per_topic, "per-topic liquidity")
-    alpha = _parse_alpha_arg(args.alpha) if args.alpha else "proportional"
-    state = price_pool(pool, std, weights, MarketConfig(beta=beta, topic_budgets=alpha))
+    cfg, pool, table, std = _prepare(args)
+    _, state = price(cfg, pool, table, std)
     out = Path(args.out)
     write_atomic([(out, format_price_rows(pool, state))])
     print(f"wrote prices for {pool.n} examples to {out}")
@@ -422,7 +386,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    pool, table, std = _prepare_tables(args)
+    _, pool, _, std = _prepare(args)
     feedback = load_dev_feedback(args.dev_feedback)
     result = tune_weights(std, feedback, pool, TuneConfig(eta=args.eta, rounds=args.rounds))
     out = Path(args.out)
@@ -434,18 +398,15 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         "trajectory": result.trajectory,
     }
     write_atomic([(out, dump_json(payload))])
-    print(f"tuned weights over {args.rounds} rounds: {json.dumps(round_weights(result.weights))}")
+    rounded = {name: fmt_float(value) for name, value in result.weights.w.items()}
+    print(f"tuned weights over {args.rounds} rounds: {json.dumps(rounded)}")
     print(f"wrote {out}")
     return 0
 
 
-def round_weights(weights: Weights) -> dict[str, float]:
-    return {name: fmt_float(value) for name, value in weights.w.items()}
-
-
 def _cmd_simulate_recovery(args: argparse.Namespace) -> int:
-    sigmas = _parse_float_grid(args.sigma_grid, "--sigma-grid")
-    ks = _parse_int_grid(args.k_grid, "--k-grid")
+    sigmas = _parse_grid(args.sigma_grid, "--sigma-grid")
+    ks = _parse_grid(args.k_grid, "--k-grid", int)
     # the grid supplies sigma and k; the base config takes its first point
     # so that no unused default is validated against n
     cfg = RecoverySimConfig(
@@ -473,16 +434,15 @@ def _cmd_simulate_recovery(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_corruption(args: argparse.Namespace) -> int:
-    pool, table, std = _prepare_tables(args)
-    weights = resolve_weights(_parse_weights_arg(args.weights), list(table.columns))
-    tau = args.tau if args.tau is not None else 2.5
-    cfg = CorruptionSweepConfig(
-        epsilons=_parse_float_grid(args.eps_grid, "--eps-grid"),
+    cfg, pool, table, std = _prepare(args)
+    weights = resolve_weights(cfg.weights, list(table.columns))
+    sweep_cfg = CorruptionSweepConfig(
+        epsilons=_parse_grid(args.eps_grid, "--eps-grid"),
         target_signal=args.target_signal,
-        tau=tau,
-        betas=_parse_float_grid(args.beta_grid, "--beta-grid"),
+        tau=std.tau,
+        betas=_parse_grid(args.beta_grid, "--beta-grid"),
     )
-    rows = sweep_corruption(pool, std, weights, cfg)
+    rows = sweep_corruption(pool, std, weights, sweep_cfg)
     _write_csv(
         args.out,
         ["epsilon", "beta", "price_l1_change", "share_linf_change", "share_linf_bound"],
@@ -493,15 +453,15 @@ def _cmd_simulate_corruption(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    pool, table, std = _prepare_tables(args)
-    weights = resolve_weights(_parse_weights_arg(args.weights), list(table.columns))
+    cfg, pool, table, std = _prepare(args)
+    weights = resolve_weights(cfg.weights, list(table.columns))
     rows = sweep_hyperparams(
         pool,
         std,
         weights,
-        budget_tokens=args.budget_tokens,
-        beta_grid=_parse_float_grid(args.beta_grid, "--beta-grid"),
-        gamma_grid=_parse_float_grid(args.gamma_grid, "--gamma-grid"),
+        budget_tokens=cfg.budget_tokens,
+        beta_grid=_parse_grid(args.beta_grid, "--beta-grid"),
+        gamma_grid=_parse_grid(args.gamma_grid, "--gamma-grid"),
     )
     _write_csv(
         args.out,
@@ -559,20 +519,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "select": _cmd_select,
-        "signals": _cmd_signals,
-        "price": _cmd_price,
-        "tune": _cmd_tune,
-        "sweep": _cmd_sweep,
-        "explain": _cmd_explain,
-    }
     try:
-        if args.command == "simulate":
-            if args.kind == "recovery":
-                return _cmd_simulate_recovery(args)
-            return _cmd_simulate_corruption(args)
-        return handlers[args.command](args)
+        return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,8 +28,8 @@ class ConfigError(MarketSelectError):
 def require_finite(name: str, value: Any) -> None:
     """Reject a numeric config value that is not a finite number; NaN or
     inf would defeat the clipping and ranking downstream and could not be
-    written to an artifact."""
-    if not isinstance(value, (int, float, np.integer, np.floating)):
+    written to an artifact. A bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")

@@ -1,6 +1,11 @@
 """End-to-end wiring: signals -> standardize -> shares -> prices ->
 token-aware selection, plus artifact output and per-example explanation.
 
+Two shared stages own the chain and its defaults: ``prepare`` loads the
+pool, builds the signals and standardizes them, and ``price`` resolves
+the weights and prices the topic-separable market. ``execute`` (behind
+``select``) and every other pool command of the CLI go through them.
+
 A run is fully described by its RunConfig; the written report embeds the
 resolved config, so identical configs reproduce byte-identical artifacts
 regardless of thread count. Output files are written to temporaries and
@@ -14,7 +19,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
@@ -22,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError, ValidationError, require_finite
-from .market import MarketConfig, MarketState, Weights, price_pool
+from .market import DEFAULT_BETA, MarketConfig, MarketState, Weights, price_pool
 from .pool import Pool, load_pool
 from .selection import (
     SelectionConfig,
@@ -33,7 +38,7 @@ from .selection import (
     greedy_select,
 )
 from .signals import SignalTable, build_signal_table
-from .standardize import StandardizeConfig, StandardizedTable, standardize_table
+from .standardize import DEFAULT_TAU, StandardizeConfig, StandardizedTable, standardize_table
 
 REPORT_FILE = "report.json"
 PRICES_FILE = "prices.jsonl"
@@ -67,8 +72,8 @@ class RunConfig:
     pool: str
     signals: list[str]
     standardize: str = "robust"
-    tau: float = 2.5
-    beta: float | dict[str, float] = 2.0
+    tau: float = DEFAULT_TAU
+    beta: float | dict[str, float] = DEFAULT_BETA
     alpha: str | dict[str, float] = "proportional"
     weights: str | dict[str, float] = "equal"
     budget_tokens: int | None = None
@@ -79,10 +84,19 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.pool, (str, os.PathLike)):
+            raise ConfigError(f"pool must be a path string, got {self.pool!r}")
+        if isinstance(self.signals, str):
+            self.signals = [s.strip() for s in self.signals.split(",") if s.strip()]
+        if not isinstance(self.signals, (list, tuple)) or not all(
+            isinstance(s, str) for s in self.signals
+        ):
+            raise ConfigError(
+                f"signals must be a comma-separated string or a list of strings, "
+                f"got {self.signals!r}"
+            )
         if not self.signals:
             raise ConfigError("at least one signal must be configured")
-        if self.budget_tokens is None and self.retention_rate is None:
-            raise ConfigError("either budget_tokens or retention_rate is required")
         if self.budget_tokens is not None:
             _require_int("budget_tokens", self.budget_tokens)
         if self.label_floor not in (None, "auto"):
@@ -100,6 +114,11 @@ class RunConfig:
         if isinstance(self.alpha, dict):
             for topic, a in self.alpha.items():
                 require_finite(f"alpha for topic {topic!r}", a)
+        for key in ("alpha", "weights"):
+            if not isinstance(getattr(self, key), (str, dict)):
+                raise ConfigError(
+                    f"{key} must be a name or a JSON object, got {getattr(self, key)!r}"
+                )
         if self.retention_rate is not None and not 0.0 <= self.retention_rate <= 1.0:
             raise ConfigError(
                 f"retention_rate must be in [0, 1], got {self.retention_rate}"
@@ -110,15 +129,10 @@ class RunConfig:
         unknown = set(data) - CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "pool" not in data:
-            raise ConfigError("config is missing 'pool'")
-        if "signals" not in data:
-            raise ConfigError("config is missing 'signals'")
-        signals = data["signals"]
-        if isinstance(signals, str):
-            signals = [s.strip() for s in signals.split(",") if s.strip()]
-        kwargs = {k: v for k, v in data.items() if k in CONFIG_KEYS}
-        kwargs["signals"] = signals
+        for key in ("pool", "signals"):
+            if key not in data:
+                raise ConfigError(f"config is missing {key!r}")
+        kwargs = dict(data)
         for key in ("weights", "alpha", "beta"):
             if isinstance(kwargs.get(key), dict):
                 kwargs[key] = float_map(kwargs[key], f"config {key}")
@@ -148,13 +162,11 @@ def float_map(data: object, where: str) -> dict[str, float]:
 
 @dataclass
 class PipelineResult:
-    config_echo: dict[str, Any]
     pool: Pool
     table: SignalTable
     std: StandardizedTable
     weights: Weights
     state: MarketState
-    rho: np.ndarray
     selection: SelectionReport
     report: dict[str, Any] = field(default_factory=dict)
 
@@ -173,18 +185,35 @@ def resolve_weights(spec: str | dict[str, float], columns: list[str]) -> Weights
     raise ConfigError(f"unknown weights spec {spec!r}")
 
 
+def prepare(
+    cfg: RunConfig, threads: int = 1
+) -> tuple[Pool, SignalTable, StandardizedTable]:
+    """Load the pool, build the configured signals and standardize them
+    within topics."""
+    pool = load_pool(cfg.pool)
+    table = build_signal_table(pool, list(cfg.signals), threads=threads)
+    std = standardize_table(table, pool, StandardizeConfig(method=cfg.standardize, tau=cfg.tau))
+    return pool, table, std
+
+
+def price(
+    cfg: RunConfig, pool: Pool, table: SignalTable, std: StandardizedTable
+) -> tuple[Weights, MarketState]:
+    """Resolve the configured weights and price the topic-separable market."""
+    weights = resolve_weights(cfg.weights, list(table.columns))
+    state = price_pool(pool, std, weights, MarketConfig(beta=cfg.beta, topic_budgets=cfg.alpha))
+    return weights, state
+
+
 def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
     """Run the full pipeline in memory and assemble the report dict."""
+    if cfg.budget_tokens is None and cfg.retention_rate is None:
+        raise ConfigError("either budget_tokens or retention_rate is required")
     captured: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pool = load_pool(cfg.pool)
-        table = build_signal_table(pool, list(cfg.signals), threads=threads)
-        std_cfg = StandardizeConfig(method=cfg.standardize, tau=cfg.tau)
-        std = standardize_table(table, pool, std_cfg)
-        weights = resolve_weights(cfg.weights, list(table.columns))
-        market_cfg = MarketConfig(beta=cfg.beta, topic_budgets=cfg.alpha)
-        state = price_pool(pool, std, weights, market_cfg)
+        pool, table, std = prepare(cfg, threads)
+        weights, state = price(cfg, pool, table, std)
 
         budget = cfg.budget_tokens
         if budget is None:
@@ -212,20 +241,12 @@ def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
         if st.scale_source not in ("sigma", "iqr")
     ]
     echo: dict[str, Any] = {
+        **asdict(cfg),
         "pool": str(cfg.pool),
         "signals": list(cfg.signals),
-        "standardize": cfg.standardize,
-        "tau": cfg.tau,
-        "beta": cfg.beta,
-        "alpha": cfg.alpha,
         "weights": dict(weights.w),
         "budget_tokens": budget,
-        "retention_rate": cfg.retention_rate,
         "max_examples": max_examples,
-        "gamma": cfg.gamma,
-        "mode": cfg.mode,
-        "label_floor": cfg.label_floor,
-        "seed": cfg.seed,
     }
     diagnostics: dict[str, Any] = {
         "n_records": pool.n,
@@ -245,13 +266,11 @@ def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
         "diagnostics": diagnostics,
     }
     return PipelineResult(
-        config_echo=echo,
         pool=pool,
         table=table,
         std=std,
         weights=weights,
         state=state,
-        rho=selection.rho,
         selection=selection,
         report=report,
     )
@@ -343,7 +362,9 @@ def explain(
         raise ConfigError(f"no {REPORT_FILE} in {run_dir}")
     if not prices_path.exists():
         raise ConfigError(f"no {PRICES_FILE} in {run_dir}")
-    stored = json.loads(report_path.read_text(encoding="utf-8"))
+    stored = _parse_json(report_path.read_text(encoding="utf-8"), str(report_path))
+    if not isinstance(stored, dict) or not isinstance(stored.get("config"), dict):
+        raise ConfigError(f"{report_path} holds no run config")
     cfg_data = dict(stored["config"])
     cfg_data.pop("max_examples", None)
     if pool_path is not None:
@@ -356,11 +377,16 @@ def explain(
 
     dumped = None
     with prices_path.open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            row = json.loads(line)
+            where = f"{prices_path} line {lineno}"
+            row = _parse_json(line, where)
+            if not isinstance(row, dict):
+                raise ConfigError(f"{where}: expected a JSON object")
             if row.get("id") == example_id:
+                if not all(type(row.get(key)) in (int, float) for key in ("p", "q")):
+                    raise ConfigError(f"{where}: 'p' and 'q' must be numbers")
                 dumped = row
                 break
     consistent = dumped is not None and (
@@ -383,12 +409,19 @@ def explain(
         "standardized": {name: float(col[idx]) for name, col in result.std.columns.items()},
         "share": float(result.state.shares[idx]),
         "price": float(result.state.prices[idx]),
-        "score": float(result.rho[idx]),
+        "score": float(result.selection.rho[idx]),
         "selected": rank is not None,
         "rank": rank,
         "scan_events": events,
         "price_dump_consistent": bool(consistent),
     }
+
+
+def _parse_json(text: str, where: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{where}: invalid JSON ({exc.msg})") from None
 
 
 def fmt_float(x: float) -> float:

@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, ValidationError, require_finite
-from .market import MarketConfig, MarketState, Weights, aggregate_shares, lmsr_prices, topic_cost, topic_prices
+from .market import MarketConfig, MarketState, Weights, lmsr_prices, price_pool
 from .pool import Pool
 from .selection import SelectionConfig, greedy_select
 from .standardize import StandardizedTable, standardize_values
@@ -188,21 +188,19 @@ def sweep_corruption(
 
     rows: list[dict[str, float]] = []
     for beta in cfg.betas:
-        market = MarketConfig(beta=beta, topic_budgets="proportional")
-        base_q = aggregate_shares(table, weights)
-        base_p = topic_prices(base_q, pool, market)
+        market = MarketConfig(beta=beta)
+        base = price_pool(pool, table, weights, market)
         for eps in cfg.epsilons:
             corrupted = dict(table.columns)
             corrupted[cfg.target_signal] = (1.0 - eps) * z + eps * eta
             new_table = StandardizedTable(columns=corrupted, tau=table.tau)
-            new_q = aggregate_shares(new_table, weights)
-            new_p = topic_prices(new_q, pool, market)
+            new = price_pool(pool, new_table, weights, market)
             rows.append(
                 {
                     "epsilon": float(eps),
                     "beta": float(beta),
-                    "price_l1_change": float(np.abs(new_p - base_p).sum()),
-                    "share_linf_change": float(np.abs(new_q - base_q).max()),
+                    "price_l1_change": float(np.abs(new.prices - base.prices).sum()),
+                    "share_linf_change": float(np.abs(new.shares - base.shares).max()),
                     "share_linf_bound": float(2.0 * cfg.tau * eps * w_star),
                 }
             )
@@ -224,21 +222,18 @@ def sweep_hyperparams(
     if not beta_grid or not gamma_grid:
         raise ConfigError("beta and gamma grids must be nonempty")
 
-    def _select(beta: float, gamma: float) -> tuple[set[str], MarketState, list[str]]:
-        market = MarketConfig(beta=beta, topic_budgets="proportional")
-        q = aggregate_shares(table, weights)
-        p = topic_prices(q, pool, market)
-        cost, per_topic = topic_cost(q, pool, market)
-        state = MarketState(shares=q, prices=p, cost=cost, per_topic_cost=per_topic)
+    def _select(beta: float, gamma: float) -> tuple[MarketState, list[str]]:
+        state = price_pool(pool, table, weights, MarketConfig(beta=beta))
         report = greedy_select(
             state, pool, SelectionConfig(budget_tokens=budget_tokens, gamma=gamma)
         )
-        return set(report.selected), state, report.selected
+        return state, report.selected
 
-    default_set, _, _ = _select(default_beta, default_gamma)
+    default_set = set(_select(default_beta, default_gamma)[1])
     rows: list[dict[str, object]] = []
     for beta, gamma in product(beta_grid, gamma_grid):
-        chosen, state, ordered = _select(beta, gamma)
+        state, ordered = _select(beta, gamma)
+        chosen = set(ordered)
         union = default_set | chosen
         jaccard = 1.0 if not union else len(default_set & chosen) / len(union)
         idx = [pool.index_of(rid) for rid in ordered]

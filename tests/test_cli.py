@@ -937,3 +937,119 @@ def test_select_rejects_non_integer_counts(pool_file, tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "integer" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("signals", 5),
+        ("signals", [1]),
+        ("pool", 5),
+        ("alpha", 5),
+        ("weights", 5),
+        ("beta", [1]),
+        ("tau", True),
+        ("retention_rate", True),
+    ],
+)
+def test_select_rejects_wrong_typed_config(pool_file, tmp_path, capsys, key, value):
+    # pool and signals come from the file here, since flags override it
+    config = {"pool": str(pool_file), "signals": "nll", "budget_tokens": 50, key: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    code = main(["select", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+def test_select_without_a_budget_is_exit_2(pool_file, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"gamma": 1.0}), encoding="utf-8")
+    out = tmp_path / "run"
+    code = main(["select", "--pool", str(pool_file), "--signals", "nll",
+                 "--config", str(cfg_path), "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget_tokens or retention_rate" in err
+    assert not out.exists()
+
+
+def test_run_config_without_a_budget_fails_in_execute_before_the_pool_is_read(tmp_path):
+    cfg = RunConfig(pool=str(tmp_path / "ghost.jsonl"), signals=["nll"])
+    with pytest.raises(ConfigError, match="budget_tokens or retention_rate"):
+        execute(cfg)
+
+
+def _corrupt_report(run: Path, text: str) -> str:
+    (run / "report.json").write_text(text, encoding="utf-8")
+    return "report.json"
+
+
+def _corrupt_prices(run: Path, rid: str, p: object) -> str:
+    path = run / "prices.jsonl"
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    lines = [json.dumps(row if row["id"] != rid else {**row, "p": p}) for row in rows]
+    if p is None:
+        lines.insert(0, "[1]")
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return "prices.jsonl"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda run, rid: _corrupt_report(run, '{"x": 1}'), id="report-no-config"),
+        pytest.param(lambda run, rid: _corrupt_report(run, "[1]"), id="report-not-object"),
+        pytest.param(lambda run, rid: _corrupt_prices(run, rid, None), id="prices-line-not-object"),
+        pytest.param(lambda run, rid: _corrupt_prices(run, rid, "0.5"), id="prices-p-string"),
+    ],
+)
+def test_explain_rejects_a_malformed_run(pool_file, tmp_path, capsys, corrupt):
+    run = tmp_path / "run"
+    assert main(["select", "--pool", str(pool_file), "--signals", "nll",
+                 "--budget-tokens", "60", "--out-dir", str(run)]) == 0
+    rid = read_json(run / "report.json")["selected"][0]
+    name = corrupt(run, rid)
+    capsys.readouterr()
+    code = main(["explain", "--run-dir", str(run), rid])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+
+
+GOLDEN_POOL = Path(__file__).resolve().parent / "golden" / "pool.jsonl"
+UNKNOWN_KEY_WARNING = "line 10: ignoring unknown keys ['note']"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["signals", "--out", "OUT"], id="signals"),
+        pytest.param(["price", "--out", "OUT"], id="price"),
+        pytest.param(["tune", "--dev-feedback", "DEV", "--rounds", "2", "--out", "OUT"],
+                     id="tune"),
+        pytest.param(["sweep", "--budget-tokens", "300", "--out", "OUT"], id="sweep"),
+        pytest.param(["simulate", "corruption", "--target-signal", "nll", "--out", "OUT"],
+                     id="corruption"),
+        pytest.param(["select", "--budget-tokens", "400", "--out-dir", "OUT"], id="select"),
+    ],
+)
+def test_pool_warnings_are_printed_once_or_recorded_by_select(tmp_path, argv):
+    subs = {"OUT": str(tmp_path / "out"), "DEV": str(GOLDEN_POOL.parent / "dev.jsonl")}
+    argv = [subs.get(a, a) for a in argv] + ["--pool", str(GOLDEN_POOL), "--signals", "nll,s1"]
+    src = str(Path(market_select.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "market_select.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    if argv[0] == "select":
+        assert proc.stderr == ""
+        report = read_json(tmp_path / "out" / "report.json")
+        assert report["diagnostics"]["warnings"] == [UNKNOWN_KEY_WARNING]
+    else:
+        assert proc.stderr.count(UNKNOWN_KEY_WARNING) == 1
+        assert proc.stderr.count("Warning:") == 1
