@@ -6,9 +6,11 @@ Subcommands: select (full pipeline), signals, price, tune, simulate
 
 `select` reads an optional flat JSON config file whose keys mirror the
 flags; explicit flags win over the file. Every command that reads a pool
-builds one RunConfig from its flags and runs pipeline.prepare, so the
-shared flags mean the same everywhere. MARKET_SELECT_THREADS serves as
-a fallback for --threads.
+builds one RunConfig from its flags, which parses and checks every
+setting, and builds its other configs, before pipeline.prepare reads the
+pool; so the shared flags mean the same everywhere, and a bad setting
+fails before a bad pool. MARKET_SELECT_THREADS serves as a fallback for
+--threads.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -32,15 +35,19 @@ from .pipeline import (
     dump_json,
     dump_json_line,
     explain,
-    float_map,
     fmt_float,
     format_price_rows,
     prepare,
     price,
+    read_float_map,
+    read_json_file,
     resolve_weights,
     run_pipeline,
     write_atomic,
 )
+from .market import DEFAULT_BETA
+from .selection import DEFAULT_GAMMA
+from .standardize import DEFAULT_TAU
 from .tune import TuneConfig, load_dev_feedback, tune_weights
 from .verify import (
     CorruptionSweepConfig,
@@ -49,8 +56,6 @@ from .verify import (
     sweep_corruption,
     sweep_hyperparams,
 )
-
-STANDARDIZE_CHOICES = {"zscore": "zscore", "robust": "robust", "rank+robust": "rank_then_robust"}
 
 PRESETS: dict[str, dict[str, Any]] = {
     # diversity-leaning variant: longer-form diverse picks
@@ -80,51 +85,6 @@ def _parse_grid(text: str, flag: str, kind: type = float) -> list:
     return values
 
 
-def _parse_weights_arg(text: str) -> str | dict[str, float]:
-    """'equal', 'name=w,name=w', or '@file.json' (map or {"weights": map})."""
-    if text == "equal":
-        return "equal"
-    if text.startswith("@"):
-        path = Path(text[1:])
-        if not path.exists():
-            raise ConfigError(f"weights file not found: {path}")
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if isinstance(data, dict) and isinstance(data.get("weights"), dict):
-            data = data["weights"]
-        return float_map(data, f"weights file {path}")
-    out: dict[str, float] = {}
-    for part in text.split(","):
-        if "=" not in part:
-            raise ConfigError(
-                f"--weights expects 'equal', '@file', or name=value pairs; got {part!r}"
-            )
-        name, value = part.split("=", 1)
-        try:
-            out[name.strip()] = float(value)
-        except ValueError:
-            raise ConfigError(f"weight for {name.strip()!r} must be a number") from None
-    return out
-
-
-def _load_json_map(path_text: str, what: str) -> dict[str, float]:
-    path = Path(path_text)
-    if not path.exists():
-        raise ConfigError(f"{what} file not found: {path}")
-    return float_map(
-        json.loads(path.read_text(encoding="utf-8")), f"{what} file {path}"
-    )
-
-
-def _standardize_method(value: str) -> str:
-    if value in STANDARDIZE_CHOICES:
-        return STANDARDIZE_CHOICES[value]
-    if value in STANDARDIZE_CHOICES.values():
-        return value
-    raise ConfigError(
-        f"--standardize must be one of {sorted(STANDARDIZE_CHOICES)}, got {value!r}"
-    )
-
-
 def _add_signal_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pool", help="path to the pool JSONL file")
     p.add_argument(
@@ -136,7 +96,9 @@ def _add_signal_args(p: argparse.ArgumentParser) -> None:
         "--standardize",
         help="normalization method: zscore, robust, or rank+robust (default robust)",
     )
-    p.add_argument("--tau", type=float, help="clipping radius after standardization (default 2.5)")
+    p.add_argument(
+        "--tau", type=float, help=f"clipping radius after standardization (default {DEFAULT_TAU})"
+    )
     p.add_argument(
         "--threads", type=int,
         help="worker cap for the kNN's row-chunk work items; with more than one worker, "
@@ -145,10 +107,10 @@ def _add_signal_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_market_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=float, help="global liquidity (default 2.0)")
+    p.add_argument("--beta", type=float, help=f"global liquidity (default {DEFAULT_BETA})")
     p.add_argument("--beta-per-topic", help="JSON file of topic -> liquidity")
     p.add_argument("--alpha", help="'proportional' or JSON file of topic -> budget share")
-    p.add_argument("--weights", help="'equal', name=w pairs, or @weights.json")
+    p.add_argument("--weights", help="'equal', 'diverse', name=w pairs, or @weights.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,7 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="select this fraction of examples instead of a token budget",
     )
-    p_select.add_argument("--gamma", type=float, help="length-bias exponent (default 1.6)")
+    p_select.add_argument(
+        "--gamma", type=float, help=f"length-bias exponent (default {DEFAULT_GAMMA})"
+    )
     p_select.add_argument("--mode", choices=["greedy", "balanced"], help="selection mode")
     p_select.add_argument("--label-floor", help="integer per-label minimum or 'auto' (balanced mode)")
     p_select.add_argument("--preset", choices=sorted(PRESETS), help="named configuration preset")
@@ -227,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("--weights", default="equal")
     p_cor.add_argument("--target-signal", required=True, help="signal column to corrupt")
     p_cor.add_argument("--eps-grid", default="0,0.25,0.5,0.75,1.0")
-    p_cor.add_argument("--beta-grid", default="2.0")
+    p_cor.add_argument("--beta-grid", default=str(DEFAULT_BETA))
     p_cor.add_argument("--out", required=True, help="output CSV path")
     p_cor.set_defaults(func=_cmd_simulate_corruption)
 
@@ -236,13 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="liquidity / length-bias sensitivity sweep",
         description="CSV columns: beta, gamma, jaccard_vs_default, n_selected, "
         "tokens_used, median_tokens, topic_price_mass (JSON object). The "
-        "reference set uses beta=2, gamma=1.6.",
+        f"reference set uses beta={DEFAULT_BETA:g}, gamma={DEFAULT_GAMMA:g}.",
     )
     _add_signal_args(p_sweep)
     p_sweep.add_argument("--weights", default="equal")
     p_sweep.add_argument("--budget-tokens", type=int, required=True)
-    p_sweep.add_argument("--beta-grid", default="2.0")
-    p_sweep.add_argument("--gamma-grid", default="1.6")
+    p_sweep.add_argument("--beta-grid", default=str(DEFAULT_BETA))
+    p_sweep.add_argument("--gamma-grid", default=str(DEFAULT_GAMMA))
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -262,41 +226,18 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     flags = vars(args)
     data: dict[str, Any] = {}
     if flags.get("config"):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from None
+        loaded = read_json_file(args.config, "config")
         if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
+            raise ConfigError(f"config file {Path(args.config)} must hold a JSON object")
         data.update(loaded)
     if flags.get("preset"):
         data.update(PRESETS[args.preset])
-
-    overrides = {key: flags.get(key) for key in CONFIG_KEYS}
-    for key in ("standardize", "alpha", "weights"):
-        overrides[key] = overrides[key] or None
-    if overrides["weights"]:
-        overrides["weights"] = _parse_weights_arg(overrides["weights"])
+    for key in CONFIG_KEYS:
+        value = flags.get(key)
+        if value is not None and (value or key not in ("standardize", "alpha", "weights")):
+            data[key] = value
     if flags.get("beta_per_topic"):
-        overrides["beta"] = _load_json_map(args.beta_per_topic, "per-topic liquidity")
-    data.update({k: v for k, v in overrides.items() if v is not None})
-
-    if "standardize" in data:
-        data["standardize"] = _standardize_method(str(data["standardize"]))
-    if isinstance(data.get("label_floor"), str) and data["label_floor"] != "auto":
-        try:
-            data["label_floor"] = int(data["label_floor"])
-        except ValueError:
-            raise ConfigError(
-                f"label_floor must be an integer or 'auto', got {data['label_floor']!r}"
-            ) from None
-    if isinstance(data.get("weights"), str) and data["weights"] not in ("equal", "diverse"):
-        data["weights"] = _parse_weights_arg(data["weights"])
-    if isinstance(data.get("alpha"), str) and data["alpha"] != "proportional":
-        data["alpha"] = _load_json_map(data["alpha"], "topic budget")
+        data["beta"] = read_float_map(args.beta_per_topic, "per-topic liquidity")
     for key in ("pool", "signals"):
         if data.get(key) is None:
             hint = " (flag or config file)" if "config" in flags else ""
@@ -334,13 +275,6 @@ def _write_csv(path: str, fieldnames: list[str], rows: list[dict[str, Any]]) -> 
     write_atomic([(Path(path), buf.getvalue())])
 
 
-def _prepare(args: argparse.Namespace):
-    """The command's RunConfig and the pool, signal table and standardized
-    table that pipeline.prepare builds from it."""
-    cfg = _build_run_config(args)
-    return (cfg, *prepare(cfg, _threads_of(args)))
-
-
 def _cmd_select(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
     result = run_pipeline(
@@ -359,7 +293,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_signals(args: argparse.Namespace) -> int:
-    _, pool, table, std = _prepare(args)
+    pool, table, std = prepare(_build_run_config(args), _threads_of(args))
     out = Path(args.out)
     write_atomic([(out, "".join(
         dump_json_line(
@@ -377,7 +311,8 @@ def _cmd_signals(args: argparse.Namespace) -> int:
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
-    cfg, pool, table, std = _prepare(args)
+    cfg = _build_run_config(args)
+    pool, table, std = prepare(cfg, _threads_of(args))
     _, state = price(cfg, pool, table, std)
     out = Path(args.out)
     write_atomic([(out, format_price_rows(pool, state))])
@@ -386,9 +321,11 @@ def _cmd_price(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    _, pool, _, std = _prepare(args)
+    cfg = _build_run_config(args)
+    tune_cfg = TuneConfig(eta=args.eta, rounds=args.rounds)
+    pool, _, std = prepare(cfg, _threads_of(args))
     feedback = load_dev_feedback(args.dev_feedback)
-    result = tune_weights(std, feedback, pool, TuneConfig(eta=args.eta, rounds=args.rounds))
+    result = tune_weights(std, feedback, pool, tune_cfg)
     out = Path(args.out)
     payload = {
         "weights": result.weights.w,
@@ -434,14 +371,15 @@ def _cmd_simulate_recovery(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_corruption(args: argparse.Namespace) -> int:
-    cfg, pool, table, std = _prepare(args)
-    weights = resolve_weights(cfg.weights, list(table.columns))
+    cfg = _build_run_config(args)
     sweep_cfg = CorruptionSweepConfig(
         epsilons=_parse_grid(args.eps_grid, "--eps-grid"),
         target_signal=args.target_signal,
-        tau=std.tau,
+        tau=cfg.tau,
         betas=_parse_grid(args.beta_grid, "--beta-grid"),
     )
+    pool, table, std = prepare(cfg, _threads_of(args))
+    weights = resolve_weights(cfg.weights, list(table.columns))
     rows = sweep_corruption(pool, std, weights, sweep_cfg)
     _write_csv(
         args.out,
@@ -453,15 +391,18 @@ def _cmd_simulate_corruption(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg, pool, table, std = _prepare(args)
+    cfg = _build_run_config(args)
+    betas = _parse_grid(args.beta_grid, "--beta-grid")
+    gammas = _parse_grid(args.gamma_grid, "--gamma-grid")
+    # every grid value passes the run settings' own checks before the pool is read
+    for beta in betas:
+        replace(cfg, beta=beta)
+    for gamma in gammas:
+        replace(cfg, gamma=gamma)
+    pool, table, std = prepare(cfg, _threads_of(args))
     weights = resolve_weights(cfg.weights, list(table.columns))
     rows = sweep_hyperparams(
-        pool,
-        std,
-        weights,
-        budget_tokens=cfg.budget_tokens,
-        beta_grid=_parse_grid(args.beta_grid, "--beta-grid"),
-        gamma_grid=_parse_grid(args.gamma_grid, "--gamma-grid"),
+        pool, std, weights, budget_tokens=cfg.budget_tokens, beta_grid=betas, gamma_grid=gammas
     )
     _write_csv(
         args.out,

@@ -13,7 +13,7 @@ liquidities as extreme as 1e-3 or 1e6 stay finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -53,10 +53,6 @@ class Weights:
             raise ValidationError("cannot build equal weights over zero signals")
         return Weights({name: 1.0 / len(names) for name in names})
 
-    def normalized(self) -> "Weights":
-        total = sum(self.w.values())
-        return Weights({name: v / total for name, v in self.w.items()})
-
 
 @dataclass
 class MarketConfig:
@@ -71,28 +67,31 @@ class MarketConfig:
     topic_budgets: str | Mapping[str, float] = "proportional"
 
     def __post_init__(self) -> None:
-        if isinstance(self.beta, (int, float)):
-            require_finite("beta", self.beta)
-            if not self.beta > 0:
-                raise ConfigError(f"beta must be positive, got {self.beta}")
-        else:
+        if isinstance(self.beta, Mapping):
             for topic, b in self.beta.items():
                 require_finite(f"beta for topic {topic!r}", b)
                 if not b > 0:
                     raise ConfigError(f"beta for topic {topic!r} must be positive, got {b}")
-        if isinstance(self.topic_budgets, str):
-            if self.topic_budgets != "proportional":
-                raise ConfigError(
-                    f"topic_budgets must be a map or 'proportional', got {self.topic_budgets!r}"
-                )
         else:
+            require_finite("beta", self.beta)
+            if not self.beta > 0:
+                raise ConfigError(f"beta must be positive, got {self.beta}")
+        if isinstance(self.topic_budgets, Mapping):
             for topic, a in self.topic_budgets.items():
                 require_finite(f"alpha for topic {topic!r}", a)
                 if a < 0:
                     raise ConfigError(f"alpha for topic {topic!r} must be >= 0, got {a}")
+        elif not isinstance(self.topic_budgets, str):
+            raise ConfigError(
+                f"alpha must be a name or a JSON object, got {self.topic_budgets!r}"
+            )
+        elif self.topic_budgets != "proportional":
+            raise ConfigError(
+                f"topic_budgets must be a map or 'proportional', got {self.topic_budgets!r}"
+            )
 
     def beta_for(self, topic: str) -> float:
-        if isinstance(self.beta, (int, float)):
+        if not isinstance(self.beta, Mapping):
             return float(self.beta)
         if topic not in self.beta:
             raise ConfigError(f"no liquidity configured for topic {topic!r}")
@@ -122,7 +121,6 @@ class MarketState:
     shares: np.ndarray
     prices: np.ndarray
     cost: float
-    per_topic_cost: dict[str, float] = field(default_factory=dict)
 
 
 def aggregate_shares(table: StandardizedTable, weights: Weights) -> np.ndarray:
@@ -215,8 +213,8 @@ def price_pool(
         )
     q = aggregate_shares(table, weights)
     p = topic_prices(q, pool, cfg)
-    cost, per_topic = topic_cost(q, pool, cfg)
-    return MarketState(shares=q, prices=p, cost=cost, per_topic_cost=per_topic)
+    cost, _ = topic_cost(q, pool, cfg)
+    return MarketState(shares=q, prices=p, cost=cost)
 
 
 def _check_shares(q: np.ndarray, expected: int | None = None) -> np.ndarray:

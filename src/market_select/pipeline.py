@@ -19,7 +19,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
@@ -30,6 +30,7 @@ from .errors import ConfigError, ValidationError, require_finite
 from .market import DEFAULT_BETA, MarketConfig, MarketState, Weights, price_pool
 from .pool import Pool, load_pool
 from .selection import (
+    DEFAULT_GAMMA,
     SelectionConfig,
     SelectionReport,
     balanced_select,
@@ -37,28 +38,14 @@ from .selection import (
     example_events,
     greedy_select,
 )
-from .signals import SignalTable, build_signal_table
+from .signals import SignalTable, build_signal_table, parse_signal_specs
 from .standardize import DEFAULT_TAU, StandardizeConfig, StandardizedTable, standardize_table
 
 REPORT_FILE = "report.json"
 PRICES_FILE = "prices.jsonl"
 SELECTED_FILE = "selected.txt"
 
-CONFIG_KEYS = {
-    "pool",
-    "signals",
-    "standardize",
-    "tau",
-    "beta",
-    "alpha",
-    "weights",
-    "budget_tokens",
-    "retention_rate",
-    "gamma",
-    "mode",
-    "label_floor",
-    "seed",
-}
+STANDARDIZE_ALIASES = {"zscore": "zscore", "robust": "robust", "rank+robust": "rank_then_robust"}
 
 
 @dataclass
@@ -67,6 +54,17 @@ class RunConfig:
 
     Execution details (thread count, output directory) deliberately live
     outside, so they can vary without changing results or the report.
+
+    Construction is the one place where a run's settings become values
+    and are checked, so a bad setting fails before the pool is read. The
+    spec strings are parsed first: ``signals`` as a comma-separated
+    string; ``weights`` as 'equal', 'diverse', 'name=w,...', '@file' or
+    an object; an ``alpha`` other than 'proportional' as a file; a
+    ``label_floor`` string; and the ``standardize`` aliases. Then the
+    stage configs are built from the fields, and their own checks run:
+    ``specs`` (the parsed signal specs), ``std_config``,
+    ``market_config`` and ``selection_config``. A run without
+    ``budget_tokens`` gets its budget from the pool in ``execute``.
     """
 
     pool: str
@@ -78,7 +76,7 @@ class RunConfig:
     weights: str | dict[str, float] = "equal"
     budget_tokens: int | None = None
     retention_rate: float | None = None
-    gamma: float = 1.6
+    gamma: float = DEFAULT_GAMMA
     mode: str = "greedy"
     label_floor: int | str | None = "auto"
     seed: int = 0
@@ -97,32 +95,49 @@ class RunConfig:
             )
         if not self.signals:
             raise ConfigError("at least one signal must be configured")
+        method = str(self.standardize)
+        self.standardize = STANDARDIZE_ALIASES.get(method, method)
+        if self.standardize not in STANDARDIZE_ALIASES.values():
+            raise ConfigError(
+                f"--standardize must be one of {sorted(STANDARDIZE_ALIASES)}, got {method!r}"
+            )
+        if isinstance(self.label_floor, str) and self.label_floor != "auto":
+            try:
+                self.label_floor = int(self.label_floor)
+            except ValueError:
+                raise ConfigError(
+                    f"label_floor must be an integer or 'auto', got {self.label_floor!r}"
+                ) from None
+        self.weights = parse_weights(self.weights)
+        if isinstance(self.alpha, str) and self.alpha != "proportional":
+            self.alpha = read_float_map(self.alpha, "topic budget")
+        elif isinstance(self.alpha, dict):
+            self.alpha = float_map(self.alpha, "config alpha")
+        if isinstance(self.beta, dict):
+            self.beta = float_map(self.beta, "config beta")
+
         if self.budget_tokens is not None:
             _require_int("budget_tokens", self.budget_tokens)
         if self.label_floor not in (None, "auto"):
             _require_int("label_floor", self.label_floor, "an integer or 'auto'")
         _require_int("seed", self.seed)
-        require_finite("tau", self.tau)
-        require_finite("gamma", self.gamma)
         if self.retention_rate is not None:
             require_finite("retention_rate", self.retention_rate)
-        if isinstance(self.beta, dict):
-            for topic, b in self.beta.items():
-                require_finite(f"beta for topic {topic!r}", b)
-        else:
-            require_finite("beta", self.beta)
-        if isinstance(self.alpha, dict):
-            for topic, a in self.alpha.items():
-                require_finite(f"alpha for topic {topic!r}", a)
-        for key in ("alpha", "weights"):
-            if not isinstance(getattr(self, key), (str, dict)):
+            if not 0.0 <= self.retention_rate <= 1.0:
                 raise ConfigError(
-                    f"{key} must be a name or a JSON object, got {getattr(self, key)!r}"
+                    f"retention_rate must be in [0, 1], got {self.retention_rate}"
                 )
-        if self.retention_rate is not None and not 0.0 <= self.retention_rate <= 1.0:
-            raise ConfigError(
-                f"retention_rate must be in [0, 1], got {self.retention_rate}"
-            )
+        self.specs = parse_signal_specs(self.signals)
+        self.std_config = StandardizeConfig(method=self.standardize, tau=self.tau)
+        self.market_config = MarketConfig(beta=self.beta, topic_budgets=self.alpha)
+        # a budget that comes from the pool stands in as 1 until execute
+        # knows it, so that gamma, mode and label_floor are checked now
+        self.selection_config = SelectionConfig(
+            budget_tokens=1 if self.budget_tokens is None else self.budget_tokens,
+            gamma=self.gamma,
+            mode=self.mode,
+            label_floor=None if self.label_floor in ("auto", None) else int(self.label_floor),
+        )
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "RunConfig":
@@ -132,11 +147,10 @@ class RunConfig:
         for key in ("pool", "signals"):
             if key not in data:
                 raise ConfigError(f"config is missing {key!r}")
-        kwargs = dict(data)
-        for key in ("weights", "alpha", "beta"):
-            if isinstance(kwargs.get(key), dict):
-                kwargs[key] = float_map(kwargs[key], f"config {key}")
-        return RunConfig(**kwargs)
+        return RunConfig(**data)
+
+
+CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _require_int(name: str, value: Any, expected: str = "an integer") -> None:
@@ -144,6 +158,54 @@ def _require_int(name: str, value: Any, expected: str = "an integer") -> None:
     comparison that would raise TypeError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{name} must be {expected}, got {value!r}")
+
+
+def parse_weights(spec: object) -> str | dict[str, float]:
+    """A weights setting as a preset name ('equal' or 'diverse') or a map:
+    an object, 'name=w,name=w' pairs, or '@file.json' (a map or
+    {"weights": map}, as ``tune`` writes it)."""
+    if isinstance(spec, dict):
+        return float_map(spec, "config weights")
+    if not isinstance(spec, str):
+        raise ConfigError(f"weights must be a name or a JSON object, got {spec!r}")
+    if spec in ("equal", "diverse"):
+        return spec
+    if spec.startswith("@"):
+        data = read_json_file(spec[1:], "weights")
+        if isinstance(data, dict) and isinstance(data.get("weights"), dict):
+            data = data["weights"]
+        return float_map(data, f"weights file {Path(spec[1:])}")
+    out: dict[str, float] = {}
+    for part in spec.split(","):
+        if "=" not in part:
+            raise ConfigError(
+                f"--weights expects 'equal', '@file', or name=value pairs; got {part!r}"
+            )
+        name, value = part.split("=", 1)
+        try:
+            out[name.strip()] = float(value)
+        except ValueError:
+            raise ConfigError(f"weight for {name.strip()!r} must be a number") from None
+    return out
+
+
+def read_json_file(path: str | Path, what: str) -> Any:
+    """The JSON value in a settings file; ``what`` names the file's role
+    in the error messages."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{what} file not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not valid UTF-8: {exc.reason}") from None
+
+
+def read_float_map(path: str | Path, what: str) -> dict[str, float]:
+    """A settings file holding a JSON object of name -> number."""
+    return float_map(read_json_file(path, what), f"{what} file {Path(path)}")
 
 
 def float_map(data: object, where: str) -> dict[str, float]:
@@ -191,8 +253,8 @@ def prepare(
     """Load the pool, build the configured signals and standardize them
     within topics."""
     pool = load_pool(cfg.pool)
-    table = build_signal_table(pool, list(cfg.signals), threads=threads)
-    std = standardize_table(table, pool, StandardizeConfig(method=cfg.standardize, tau=cfg.tau))
+    table = build_signal_table(pool, cfg.specs, threads=threads)
+    std = standardize_table(table, pool, cfg.std_config)
     return pool, table, std
 
 
@@ -201,7 +263,7 @@ def price(
 ) -> tuple[Weights, MarketState]:
     """Resolve the configured weights and price the topic-separable market."""
     weights = resolve_weights(cfg.weights, list(table.columns))
-    state = price_pool(pool, std, weights, MarketConfig(beta=cfg.beta, topic_budgets=cfg.alpha))
+    state = price_pool(pool, std, weights, cfg.market_config)
     return weights, state
 
 
@@ -222,15 +284,8 @@ def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
         if cfg.retention_rate is not None:
             max_examples = int(round(cfg.retention_rate * pool.n))
 
-        floor = None if cfg.label_floor in ("auto", None) else int(cfg.label_floor)
-        sel_cfg = SelectionConfig(
-            budget_tokens=budget,
-            gamma=cfg.gamma,
-            mode=cfg.mode,
-            label_floor=floor,
-            max_examples=max_examples,
-        )
-        select = balanced_select if cfg.mode == "balanced" else greedy_select
+        sel_cfg = replace(cfg.selection_config, budget_tokens=budget, max_examples=max_examples)
+        select = balanced_select if sel_cfg.mode == "balanced" else greedy_select
         selection = select(state, pool, sel_cfg)
         captured = [str(w.message) for w in caught]
 
@@ -369,7 +424,10 @@ def explain(
     cfg_data.pop("max_examples", None)
     if pool_path is not None:
         cfg_data["pool"] = str(pool_path)
-    cfg = RunConfig.from_dict(cfg_data)
+    try:
+        cfg = RunConfig.from_dict(cfg_data)
+    except ConfigError as exc:
+        raise ConfigError(f"{report_path}: {exc}") from None
     result = execute(cfg, threads=1)
     pool = result.pool
     idx = pool.index_of(example_id)

@@ -21,7 +21,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -44,12 +44,10 @@ class SignalTable:
     """Column store of raw per-example signal values.
 
     Every column has one value per pool record (ascending-id order) and
-    all values are finite. Provenance records whether a column came from
-    the pool file (ingested) or was computed here.
+    all values are finite.
     """
 
     columns: dict[str, np.ndarray]
-    provenance: dict[str, str] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -69,13 +67,10 @@ class SignalTable:
 @dataclass
 class KnnParams:
     k: int = DEFAULT_K
-    metric: str = "euclidean"
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.metric != "euclidean":
-            raise ConfigError(f"unsupported metric {self.metric!r}")
 
 
 @dataclass
@@ -403,6 +398,8 @@ class SignalSpec:
 
     Accepted forms: an ingested name such as ``nll``, ``rarity[:k=<int>]``,
     ``div_cent``, and ``div[:alpha_cent=<f>,alpha_knn=<f>[,k=<int>]]``.
+    A spec runs the checks of the KnnParams and DiversityParams it will
+    be computed with, so a bad k or alpha fails when it is parsed.
     """
 
     name: str
@@ -410,6 +407,11 @@ class SignalSpec:
     k: int = DEFAULT_K
     alpha_cent: float = 0.5
     alpha_knn: float = 0.5
+
+    def __post_init__(self) -> None:
+        KnnParams(k=self.k)
+        if self.kind == "div":
+            DiversityParams(alpha_cent=self.alpha_cent, alpha_knn=self.alpha_knn)
 
 
 _SPEC_RE = re.compile(r"^(?P<name>[A-Za-z_][\w.-]*)(?::(?P<args>.*))?$")
@@ -461,6 +463,19 @@ def parse_signal_spec(text: str) -> SignalSpec:
     return spec
 
 
+def parse_signal_specs(requested: list[str | SignalSpec]) -> list[SignalSpec]:
+    """Parse each requested spec (a SignalSpec is kept as it is) and
+    reject an empty request or one that names a signal twice."""
+    specs = [s if isinstance(s, SignalSpec) else parse_signal_spec(s) for s in requested]
+    if not specs:
+        raise ConfigError("at least one signal must be requested")
+    names = [s.name for s in specs]
+    dupes = {n for n in names if names.count(n) > 1}
+    if dupes:
+        raise ConfigError(f"duplicate signal names requested: {sorted(dupes)}")
+    return specs
+
+
 def build_signal_table(
     pool: Pool, requested: list[str | SignalSpec], threads: int = 1
 ) -> SignalTable:
@@ -470,14 +485,7 @@ def build_signal_table(
     need embeddings on every record. Rarity columns shared between
     ``rarity`` and ``div`` specs with the same k are computed once.
     """
-    specs = [s if isinstance(s, SignalSpec) else parse_signal_spec(s) for s in requested]
-    if not specs:
-        raise ConfigError("at least one signal must be requested")
-    names = [s.name for s in specs]
-    dupes = {n for n in names if names.count(n) > 1}
-    if dupes:
-        raise ConfigError(f"duplicate signal names requested: {sorted(dupes)}")
-
+    specs = parse_signal_specs(requested)
     rarity_cache: dict[int, np.ndarray] = {}
     centroid_cache: np.ndarray | None = None
 
@@ -493,7 +501,6 @@ def build_signal_table(
         return centroid_cache
 
     columns: dict[str, np.ndarray] = {}
-    provenance: dict[str, str] = {}
     for spec in specs:
         if spec.kind == "ingested":
             values = pool.signals.get(spec.name, np.full(pool.n, np.nan))
@@ -503,20 +510,16 @@ def build_signal_table(
                     f"ingested signal {spec.name!r} missing on record {pool.ids[missing[0]]!r}"
                 )
             columns[spec.name] = values.copy()
-            provenance[spec.name] = "ingested"
         elif spec.kind == "rarity":
             columns[spec.name] = _rarity(spec.k)
-            provenance[spec.name] = "computed"
         elif spec.kind == "div_cent":
             columns[spec.name] = _centroid()
-            provenance[spec.name] = "computed"
         elif spec.kind == "div":
             params = DiversityParams(alpha_cent=spec.alpha_cent, alpha_knn=spec.alpha_knn)
             columns[spec.name] = diversity_combined(_centroid(), _rarity(spec.k), params)
-            provenance[spec.name] = "computed"
         else:  # pragma: no cover - parse_signal_spec restricts kinds
             raise ConfigError(f"unknown signal kind {spec.kind!r}")
 
-    table = SignalTable(columns=columns, provenance=provenance)
+    table = SignalTable(columns=columns)
     table.validate()
     return table

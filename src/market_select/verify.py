@@ -23,10 +23,10 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, ValidationError, require_finite
-from .market import MarketConfig, MarketState, Weights, lmsr_prices, price_pool
+from .market import DEFAULT_BETA, MarketConfig, MarketState, Weights, lmsr_prices, price_pool
 from .pool import Pool
-from .selection import SelectionConfig, greedy_select
-from .standardize import StandardizedTable, standardize_values
+from .selection import DEFAULT_GAMMA, SelectionConfig, greedy_select
+from .standardize import DEFAULT_TAU, StandardizeConfig, StandardizedTable, standardize_values
 
 MONOTONE_FAMILIES = ("linear", "logistic")
 
@@ -40,8 +40,8 @@ class RecoverySimConfig:
     monotone_family: str = "linear"
     trials: int = 50
     seed: int = 0
-    beta: float = 2.0
-    tau: float = 2.5
+    beta: float = DEFAULT_BETA
+    tau: float = DEFAULT_TAU
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -139,8 +139,8 @@ def recovery_grid(
 class CorruptionSweepConfig:
     epsilons: list[float]
     target_signal: str
-    tau: float = 2.5
-    betas: list[float] = field(default_factory=lambda: [2.0])
+    tau: float = DEFAULT_TAU
+    betas: list[float] = field(default_factory=lambda: [DEFAULT_BETA])
 
     def __post_init__(self) -> None:
         if not self.epsilons:
@@ -150,11 +150,10 @@ class CorruptionSweepConfig:
                 raise ConfigError(f"epsilon must be in [0, 1], got {eps}")
         if not self.betas:
             raise ConfigError("beta grid must be nonempty")
+        # the market's and the standardization's own checks of beta and tau
         for beta in self.betas:
-            require_finite("beta", beta)
-        require_finite("tau", self.tau)
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+            MarketConfig(beta=beta)
+        StandardizeConfig(tau=self.tau)
 
 
 def sweep_corruption(
@@ -214,11 +213,10 @@ def sweep_hyperparams(
     budget_tokens: int,
     beta_grid: list[float],
     gamma_grid: list[float],
-    default_beta: float = 2.0,
-    default_gamma: float = 1.6,
 ) -> list[dict[str, object]]:
     """Grid the liquidity and length-bias knobs and compare each selected
-    set against the default configuration's set by Jaccard overlap."""
+    set against the default configuration's set (DEFAULT_BETA,
+    DEFAULT_GAMMA) by Jaccard overlap."""
     if not beta_grid or not gamma_grid:
         raise ConfigError("beta and gamma grids must be nonempty")
 
@@ -229,7 +227,7 @@ def sweep_hyperparams(
         )
         return state, report.selected
 
-    default_set = set(_select(default_beta, default_gamma)[1])
+    default_set = set(_select(DEFAULT_BETA, DEFAULT_GAMMA)[1])
     rows: list[dict[str, object]] = []
     for beta, gamma in product(beta_grid, gamma_grid):
         state, ordered = _select(beta, gamma)

@@ -297,6 +297,39 @@ def test_preset_diverse(pool_file, tmp_path):
     assert report["config"]["weights"]["div"] == 2.0
 
 
+def test_weights_diverse_flag_equals_the_config_value(pool_file, tmp_path):
+    argv = ["select", "--pool", str(pool_file), "--signals", "nll,div:k=3",
+            "--budget-tokens", "100"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"weights": "diverse"}), encoding="utf-8")
+    assert main(argv + ["--weights", "diverse", "--out-dir", str(tmp_path / "flag")]) == 0
+    assert main(argv + ["--config", str(cfg_path), "--out-dir", str(tmp_path / "file")]) == 0
+    for name in ("report.json", "prices.jsonl", "selected.txt"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+    assert read_json(tmp_path / "flag" / "report.json")["config"]["weights"]["div"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "content, problem",
+    [(b"{'nll': 1}", "is not valid JSON"), (b"\xff{}", "is not valid UTF-8")],
+    ids=["json", "utf8"],
+)
+@pytest.mark.parametrize("flag", ["--weights", "--alpha", "--beta-per-topic", "--config"])
+def test_a_settings_file_that_cannot_be_read_is_named(
+    pool_file, tmp_path, capsys, flag, content, problem
+):
+    bad = tmp_path / "map.json"
+    bad.write_bytes(content)
+    out = tmp_path / "run"
+    value = "@" + str(bad) if flag == "--weights" else str(bad)
+    code = main(["select", "--pool", str(pool_file), "--signals", "nll", "--budget-tokens", "60",
+                 flag, value, "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{bad} {problem}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json", "pool.jsonl"]
+
+
 def test_signals_command(pool_file, tmp_path):
     out = tmp_path / "signals.jsonl"
     code = main(
@@ -983,6 +1016,69 @@ def test_run_config_without_a_budget_fails_in_execute_before_the_pool_is_read(tm
         execute(cfg)
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["--beta", "0"], None, "beta must be positive, got 0.0"),
+        (["--gamma", "-1"], None, "gamma must be >= 0, got -1.0"),
+        (["--tau", "0"], None, "tau must be positive, got 0.0"),
+        (["--budget-tokens", "0"], None, "budget_tokens must be >= 1, got 0"),
+        (["--mode", "balanced", "--label-floor", "-3"], None, "label_floor must be >= 0, got -3"),
+        ([], {"mode": "bogus"}, "mode must be one of ('greedy', 'balanced'), got 'bogus'"),
+        (["--signals", "rarity:k=0"], None, "k must be >= 1, got 0"),
+        (["--signals", "div:alpha_cent=-1"], None,
+         "diversity combination weights must be nonnegative"),
+        (["--alpha", "NEG_ALPHA"], None, "alpha for topic 'alpha' must be >= 0, got -0.5"),
+    ],
+    ids=["beta", "gamma", "tau", "budget", "label-floor", "mode", "rarity-k", "div-alpha",
+         "alpha-file"],
+)
+def test_select_rejects_a_bad_setting_before_reading_the_pool(
+    tmp_path, capsys, argv, config, message
+):
+    neg_alpha = tmp_path / "alpha.json"
+    neg_alpha.write_text(json.dumps({"alpha": -0.5, "beta": 1.5}), encoding="utf-8")
+    argv = [str(neg_alpha) if a == "NEG_ALPHA" else a for a in argv]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(cfg_path)]
+    out = tmp_path / "run"
+    # the flags given later win, so a spec in argv replaces the default signals
+    code = main(["select", "--pool", str(tmp_path / "ghost.jsonl"), "--signals", "nll",
+                 "--budget-tokens", "60", *argv, "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["price", "--beta", "-1"], "beta must be positive, got -1.0"),
+        (["tune", "--dev-feedback", "dev.jsonl", "--eta", "0"], "eta must be positive, got 0.0"),
+        (["sweep", "--budget-tokens", "60", "--gamma-grid", "abc"],
+         "--gamma-grid expects comma-separated numbers, got 'abc'"),
+        (["sweep", "--budget-tokens", "60", "--gamma-grid", "1.6,-1"],
+         "gamma must be >= 0, got -1.0"),
+        (["simulate", "corruption", "--target-signal", "nll", "--eps-grid", "2"],
+         "epsilon must be in [0, 1], got 2.0"),
+        (["simulate", "corruption", "--target-signal", "nll", "--beta-grid", "2,0"],
+         "beta must be positive, got 0.0"),
+    ],
+    ids=["price", "tune", "sweep", "sweep-gamma-value", "corruption", "corruption-beta-value"],
+)
+def test_pool_commands_reject_a_bad_setting_before_reading_the_pool(
+    tmp_path, capsys, argv, message
+):
+    out = tmp_path / "out"
+    code = main(argv + ["--pool", str(tmp_path / "ghost.jsonl"), "--signals", "nll",
+                        "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def _corrupt_report(run: Path, text: str) -> str:
     (run / "report.json").write_text(text, encoding="utf-8")
     return "report.json"
@@ -998,11 +1094,20 @@ def _corrupt_prices(run: Path, rid: str, p: object) -> str:
     return "prices.jsonl"
 
 
+def _corrupt_config(run: Path, **changes: object) -> str:
+    report = read_json(run / "report.json")
+    report["config"].update(changes)
+    (run / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    return "report.json"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         pytest.param(lambda run, rid: _corrupt_report(run, '{"x": 1}'), id="report-no-config"),
         pytest.param(lambda run, rid: _corrupt_report(run, "[1]"), id="report-not-object"),
+        pytest.param(lambda run, rid: _corrupt_config(run, mystery=1), id="config-unknown-key"),
+        pytest.param(lambda run, rid: _corrupt_config(run, tau="x"), id="config-tau-string"),
         pytest.param(lambda run, rid: _corrupt_prices(run, rid, None), id="prices-line-not-object"),
         pytest.param(lambda run, rid: _corrupt_prices(run, rid, "0.5"), id="prices-p-string"),
     ],

@@ -490,7 +490,6 @@ def test_parse_signal_specs():
 def test_build_table_ingested_only(tiny_pool):
     table = build_signal_table(tiny_pool, ["nll"])
     assert list(table.columns) == ["nll"]
-    assert table.provenance["nll"] == "ingested"
     assert np.allclose(table.columns["nll"], [1.0, 2.0, 3.0])
 
 
@@ -517,7 +516,6 @@ def test_build_table_composes_geometric_oracles():
     cent = diversity_centroid(pool)
     assert np.max(np.abs(table.columns["rarity"] - rare)) <= 1e-9
     assert np.allclose(table.columns["div"], 0.5 * cent + 0.5 * rare)
-    assert table.provenance == {"rarity": "computed", "div": "computed"}
 
 
 def test_build_table_rejects_duplicates(tiny_pool):
@@ -528,7 +526,5 @@ def test_build_table_rejects_duplicates(tiny_pool):
 def test_knn_params_validation():
     with pytest.raises(ConfigError):
         KnnParams(k=0)
-    with pytest.raises(ConfigError):
-        KnnParams(k=1, metric="cosine")
     with pytest.raises(ConfigError):
         DiversityParams(0.0, 0.0)

@@ -241,8 +241,8 @@ def test_sweep_gamma_zero_is_raw_price_ranking():
     q = aggregate_shares(table, weights)
     cfg = MarketConfig(beta=2.0)
     p = topic_prices(q, pool, cfg)
-    cost, per_topic = topic_cost(q, pool, cfg)
-    state = MarketState(shares=q, prices=p, cost=cost, per_topic_cost=per_topic)
+    cost, _ = topic_cost(q, pool, cfg)
+    state = MarketState(shares=q, prices=p, cost=cost)
     tight = 40
     raw_rank = greedy_select(state, pool, SelectionConfig(budget_tokens=tight, gamma=0.0))
     rows_tight = sweep_hyperparams(
