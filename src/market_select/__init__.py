@@ -17,7 +17,7 @@ from .market import (
     topic_prices,
 )
 from .pipeline import RunConfig, execute, explain, run_pipeline
-from .pool import ExampleRecord, Pool, load_pool, topic_sizes, write_pool
+from .pool import Pool, load_pool, topic_sizes, write_pool
 from .selection import (
     SelectionConfig,
     SelectionReport,

@@ -128,6 +128,8 @@ class RunConfig:
                     f"retention_rate must be in [0, 1], got {self.retention_rate}"
                 )
         self.specs = parse_signal_specs(self.signals)
+        if self.weights == "diverse" and not any(spec.name == "div" for spec in self.specs):
+            raise ConfigError("weights preset 'diverse' requires the 'div' signal")
         self.std_config = StandardizeConfig(method=self.standardize, tau=self.tau)
         self.market_config = MarketConfig(beta=self.beta, topic_budgets=self.alpha)
         # a budget that comes from the pool stands in as 1 until execute
@@ -310,16 +312,7 @@ def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
         "market_cost": state.cost,
     }
     diagnostics.update(selection.diagnostics)
-    report = {
-        "config": echo,
-        "selected": selection.selected,
-        "tokens_used": selection.tokens_used,
-        "per_topic": selection.per_topic,
-        "per_label": selection.per_label,
-        "balance_score": selection.balance_score,
-        "skipped_for_budget": selection.skipped_for_budget,
-        "diagnostics": diagnostics,
-    }
+    report = {"config": echo, **selection.to_dict(), "diagnostics": diagnostics}
     return PipelineResult(
         pool=pool,
         table=table,
@@ -431,7 +424,7 @@ def explain(
     result = execute(cfg, threads=1)
     pool = result.pool
     idx = pool.index_of(example_id)
-    rec = pool.record(example_id)
+    label = int(pool.label_codes[idx])
 
     dumped = None
     with prices_path.open("r", encoding="utf-8") as fh:
@@ -459,10 +452,10 @@ def explain(
     rank = selected_ids.index(example_id) + 1 if example_id in selected_ids else None
 
     return {
-        "id": rec.id,
-        "topic": rec.topic,
-        "tokens": int(rec.token_length),
-        "label": rec.label,
+        "id": example_id,
+        "topic": pool.topic_names[pool.topic_codes[idx]],
+        "tokens": int(pool.token_lengths[idx]),
+        "label": None if label < 0 else pool.label_names[label],
         "raw_signals": {name: float(col[idx]) for name, col in result.table.columns.items()},
         "standardized": {name: float(col[idx]) for name, col in result.std.columns.items()},
         "share": float(result.state.shares[idx]),

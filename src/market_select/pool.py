@@ -1,18 +1,19 @@
-"""Example pool: data model, JSONL ingestion, and validation.
+"""Example pool: rows, their one checker, and the column store.
 
 A pool is an immutable, id-sorted set of examples partitioned into
 topics. It is stored as columns: ids, topic codes, token lengths, label
 codes, one float64 embedding matrix and one float64 array per ingested
 signal. Everything downstream (signals, pricing, selection) reads the
-columns; nothing mutates them after load. ``Pool.records`` and
-``Pool.record()`` give per-example ``ExampleRecord`` views for callers
-that want objects.
+columns; nothing mutates them after load.
 
-Pool file format: UTF-8 JSONL, one object per line with keys
-``id`` (string), ``topic`` (string), ``tokens`` (positive int), and
-optional ``label`` (string), ``embedding`` (list of numbers),
-``signals`` (object name -> number). Unknown keys are ignored with a
-warning.
+A pool is built from rows. A row is a JSON object with keys ``id``
+(string), ``topic`` (string), ``tokens`` (positive int), and optional
+``label`` (string), ``embedding`` (list of numbers), ``signals``
+(object name -> number). Unknown keys are ignored with a warning.
+``load_pool`` reads the rows from a UTF-8 JSONL file, one per line;
+``Pool.from_rows`` takes them from code. Both check each row with the
+same checker, so both accept and reject the same rows with the same
+messages, numbered by ``line`` or by ``row``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from functools import cached_property
 from pathlib import Path
 
@@ -29,18 +30,7 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 
 KNOWN_KEYS = {"id", "topic", "tokens", "label", "embedding", "signals"}
-
-
-@dataclass
-class ExampleRecord:
-    """One pool item. Treated as immutable after pool construction."""
-
-    id: str
-    topic: str
-    token_length: int
-    label: str | None = None
-    embedding: np.ndarray | None = None
-    raw_signals: dict[str, float] = field(default_factory=dict)
+MAX_TOKENS = 2**63 - 1  # token lengths are stored as int64
 
 
 class Pool:
@@ -59,26 +49,12 @@ class Pool:
 
     ``topics`` maps each topic, in sorted order, to its ascending row
     indices. All downstream tie-breaks rely on ascending-id order.
-    ``records`` and ``record()`` build ExampleRecord views on demand.
+
+    The constructor takes columns that are already sorted and checked;
+    build a pool with ``load_pool`` or ``Pool.from_rows``.
     """
 
-    def __init__(self, records: list[ExampleRecord]):
-        records = sorted(records, key=lambda r: r.id)
-        _validate_records(records)
-        columns = _Columns()
-        for r in records:
-            columns.add(r.id, r.topic, r.token_length, r.label, r.embedding, r.raw_signals)
-        self._set_columns(**columns.finish())
-
-    @classmethod
-    def from_columns(cls, **columns) -> "Pool":
-        """A pool over already sorted, already validated columns, given by
-        the keyword names of _set_columns."""
-        pool = cls.__new__(cls)
-        pool._set_columns(**columns)
-        return pool
-
-    def _set_columns(
+    def __init__(
         self,
         ids: list[str],
         topic_codes: np.ndarray,
@@ -109,6 +85,16 @@ class Pool:
         # first id without a label, for error messages
         self.first_unlabelled = None if self.has_labels else ids[unlabelled[0]]
 
+    @classmethod
+    def from_rows(cls, rows: Iterable[object]) -> "Pool":
+        """A pool from rows given in code, each the JSON object a pool
+        file line holds. Rows are checked as ``load_pool`` checks lines,
+        with the same errors and warnings, numbered ``row 1``, ``row 2``..."""
+        columns = _Columns("row")
+        for n, row in enumerate(rows, start=1):
+            columns.add(row, n)
+        return cls(**columns.finish())
+
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -125,29 +111,6 @@ class Pool:
             return self._pos[example_id]
         except KeyError:
             raise ValidationError(f"unknown example id {example_id!r}") from None
-
-    def record(self, example_id: str) -> ExampleRecord:
-        return self._record_at(self.index_of(example_id))
-
-    @cached_property
-    def records(self) -> list[ExampleRecord]:
-        """Per-example views in id order (embeddings are rows of the matrix)."""
-        return [self._record_at(i) for i in range(self.n)]
-
-    def _record_at(self, i: int) -> ExampleRecord:
-        emb = self.embeddings
-        label = int(self.label_codes[i])
-        return ExampleRecord(
-            id=self.ids[i],
-            topic=self.topic_names[self.topic_codes[i]],
-            token_length=int(self.token_lengths[i]),
-            label=None if label < 0 else self.label_names[label],
-            embedding=None if emb is None or np.isnan(emb[i, 0]) else emb[i],
-            raw_signals={
-                name: float(col[i]) for name, col in self.signals.items()
-                if not math.isnan(col[i])
-            },
-        )
 
     def labels(self) -> list[str]:
         """Sorted distinct labels; requires every record to carry one."""
@@ -168,51 +131,20 @@ class Pool:
         return emb if emb is not None else np.empty((0, 0))
 
 
-def _validate_records(records: list[ExampleRecord]) -> None:
-    """Checks for records built in code, in id order (load_pool checks
-    each line as it parses it)."""
-    seen: set[str] = set()
-    dim: int | None = None
-    for r in records:
-        if r.id in seen:
-            raise ValidationError(f"duplicate id {r.id!r} in pool")
-        seen.add(r.id)
-        if r.token_length < 1:
-            raise ValidationError(
-                f"record {r.id!r}: token_length must be >= 1, got {r.token_length}"
-            )
-        if r.embedding is not None:
-            if r.embedding.ndim != 1 or r.embedding.size < 1:
-                raise ValidationError(
-                    f"record {r.id!r}: embedding must be a non-empty 1-D vector"
-                )
-            if dim is None:
-                dim = r.embedding.size
-            elif r.embedding.size != dim:
-                raise ValidationError(
-                    f"record {r.id!r}: embedding dimension {r.embedding.size} "
-                    f"does not match earlier dimension {dim}"
-                )
-            if not np.all(np.isfinite(r.embedding)):
-                raise ValidationError(
-                    f"record {r.id!r}: embedding contains non-finite values"
-                )
-        for name, value in r.raw_signals.items():
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"record {r.id!r}: signal {name!r} is not finite"
-                )
-
-
 class _Columns:
-    """Pool rows gathered in any order and finished as id-sorted columns.
+    """Pool rows checked one at a time and finished as id-sorted columns.
 
+    ``add`` is the one row checker, for file lines and rows from code
+    alike. Its messages start with ``<unit> <n>:``, where ``unit`` is
+    "line" or "row" and ``n`` is the number the caller gives the row.
     Topic and label codes are numbered in first-seen order as rows come
-    in and renumbered to sorted-name order by finish(). Rows are already
-    checked; the caller does that.
+    in and renumbered to sorted-name order by finish().
     """
 
-    def __init__(self) -> None:
+    def __init__(self, unit: str) -> None:
+        self.unit = unit
+        self.first_seen: dict[str, int] = {}  # id -> number of its row
+        self.dim_seen: tuple[int, int] | None = None  # (dimension, number of its first row)
         self.ids: list[str] = []
         self.topics: dict[str, int] = {}
         self.topic_codes: list[int] = []
@@ -223,15 +155,68 @@ class _Columns:
         self.emb_rows: list[int] = []  # row indices that carry an embedding
         self.emb_list: list[np.ndarray] = []
 
-    def add(
-        self,
-        rid: str,
-        topic: str,
-        tokens: int,
-        label: str | None,
-        embedding: np.ndarray | None,
-        signals: dict[str, float],
-    ) -> None:
+    def add(self, obj: object, n: int) -> None:
+        """Check row ``n`` and append it to the columns."""
+        if type(obj) is not dict:
+            raise ConfigError(f"{self.unit} {n}: expected a JSON object")
+        if not KNOWN_KEYS.issuperset(obj):
+            warnings.warn(
+                f"{self.unit} {n}: ignoring unknown keys {sorted(set(obj) - KNOWN_KEYS)}",
+                stacklevel=3,
+            )
+        try:
+            rid = obj["id"]
+            topic = obj["topic"]
+            tokens = obj["tokens"]
+        except KeyError as exc:
+            raise ConfigError(f"{self.unit} {n}: missing required key {exc}") from None
+        if type(rid) is not str:
+            raise ConfigError(f"{self.unit} {n}: 'id' must be a string")
+        if type(topic) is not str:
+            raise ConfigError(f"{self.unit} {n}: 'topic' must be a string")
+        if type(tokens) is not int:
+            raise ConfigError(f"{self.unit} {n}: 'tokens' must be an integer")
+        if tokens < 1:
+            raise ValidationError(f"{self.unit} {n}: 'tokens' must be >= 1, got {tokens}")
+        if tokens > MAX_TOKENS:
+            raise ValidationError(f"{self.unit} {n}: 'tokens' must be < 2**63, got {tokens}")
+        label = obj.get("label")
+        if label is not None and type(label) is not str:
+            raise ConfigError(f"{self.unit} {n}: 'label' must be a string")
+        raw_emb = obj.get("embedding")
+        embedding = None if raw_emb is None else self._embedding(raw_emb, n)
+
+        raw_sig = obj.get("signals")
+        if raw_sig is None:
+            raw_sig = {}
+        elif type(raw_sig) is not dict:
+            raise ConfigError(f"{self.unit} {n}: 'signals' must be an object")
+        for name, value in raw_sig.items():
+            kind = type(value)
+            if kind is not float and kind is not int:
+                raise ConfigError(f"{self.unit} {n}: signal {name!r} must be a number")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise ValidationError(f"{self.unit} {n}: signal {name!r} is not finite")
+
+        first = self.first_seen.setdefault(rid, n)
+        if first != n:
+            raise ValidationError(
+                f"{self.unit} {n}: duplicate id {rid!r} "
+                f"(first seen on {self.unit} {first})"
+            )
+        if embedding is not None:
+            if self.dim_seen is None:
+                self.dim_seen = (embedding.size, n)
+            elif embedding.size != self.dim_seen[0]:
+                raise ValidationError(
+                    f"{self.unit} {n}: embedding dimension {embedding.size} does not "
+                    f"match dimension {self.dim_seen[0]} from {self.unit} {self.dim_seen[1]}"
+                )
+
         j = len(self.ids)
         self.ids.append(rid)
         self.topic_codes.append(self.topics.setdefault(topic, len(self.topics)))
@@ -241,7 +226,7 @@ class _Columns:
         if embedding is not None:
             self.emb_rows.append(j)
             self.emb_list.append(embedding)
-        for name, value in signals.items():
+        for name, value in raw_sig.items():
             col = self.signals.get(name)
             if col is None:
                 col = self.signals[name] = []
@@ -249,8 +234,27 @@ class _Columns:
                 col.extend([math.nan] * (j - len(col)))
             col.append(value)
 
+    def _embedding(self, raw: object, n: int) -> np.ndarray:
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError(f"{self.unit} {n}: 'embedding' must be a non-empty array")
+        try:
+            row = np.asarray(raw, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{self.unit} {n}: 'embedding' must contain only numbers"
+            ) from None
+        except OverflowError:  # an integer beyond the float range
+            raise ValidationError(f"{self.unit} {n}: embedding has non-finite values") from None
+        if row.ndim != 1:
+            raise ConfigError(f"{self.unit} {n}: 'embedding' must be a flat array")
+        if not np.all(np.isfinite(row)):
+            raise ValidationError(f"{self.unit} {n}: embedding has non-finite values")
+        return row
+
     def finish(self) -> dict[str, object]:
-        """The keyword arguments of Pool._set_columns, rows in id order."""
+        """The keyword arguments of Pool(), rows in id order."""
+        # the duplicate check is over; free its index before the arrays are built
+        self.first_seen.clear()
         ids, n = self.ids, len(self.ids)
         embeddings = None
         if self.emb_rows:
@@ -299,113 +303,52 @@ def topic_sizes(pool: Pool) -> dict[str, int]:
     return {t: int(idx.size) for t, idx in pool.topics.items()}
 
 
-def _embedding_row(raw: object, lineno: int) -> np.ndarray:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"line {lineno}: 'embedding' must be a non-empty array")
-    try:
-        row = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ConfigError(f"line {lineno}: 'embedding' must contain only numbers") from None
-    if row.ndim != 1:
-        raise ConfigError(f"line {lineno}: 'embedding' must be a flat array")
-    if not np.all(np.isfinite(row)):
-        raise ValidationError(f"line {lineno}: embedding has non-finite values")
-    return row
-
-
 def load_pool(path: str | Path) -> Pool:
-    """Load and validate a JSONL pool file straight into columns.
+    """Load and check a JSONL pool file straight into columns.
 
-    Each line is parsed once and checked once. Per-line problems are
-    reported with the offending line number; duplicate ids and ragged
-    embedding dimensions name the lines involved.
+    Each line is parsed once and checked once, by the row checker that
+    ``Pool.from_rows`` uses too. Errors name the offending line;
+    duplicate ids and ragged embedding dimensions name both lines
+    involved.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"pool file not found: {path}")
-    columns = _Columns()
-    first_line: dict[str, int] = {}
-    dim_seen: tuple[int, int] | None = None  # (dimension, first lineno)
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            if type(obj) is not dict:
-                raise ConfigError(f"line {lineno}: expected a JSON object")
-            if not KNOWN_KEYS.issuperset(obj):
-                warnings.warn(
-                    f"line {lineno}: ignoring unknown keys {sorted(set(obj) - KNOWN_KEYS)}",
-                    stacklevel=2,
-                )
-            try:
-                rid = obj["id"]
-                topic = obj["topic"]
-                tokens = obj["tokens"]
-            except KeyError as exc:
-                raise ConfigError(f"line {lineno}: missing required key {exc}") from None
-            if type(rid) is not str:
-                raise ConfigError(f"line {lineno}: 'id' must be a string")
-            if type(topic) is not str:
-                raise ConfigError(f"line {lineno}: 'topic' must be a string")
-            if type(tokens) is not int:
-                raise ConfigError(f"line {lineno}: 'tokens' must be an integer")
-            if tokens < 1:
-                raise ValidationError(f"line {lineno}: 'tokens' must be >= 1, got {tokens}")
-            label = obj.get("label")
-            if label is not None and type(label) is not str:
-                raise ConfigError(f"line {lineno}: 'label' must be a string")
-            raw_emb = obj.get("embedding")
-            row = None if raw_emb is None else _embedding_row(raw_emb, lineno)
-
-            raw_sig = obj.get("signals")
-            if raw_sig is None:
-                raw_sig = {}
-            elif type(raw_sig) is not dict:
-                raise ConfigError(f"line {lineno}: 'signals' must be an object")
-            for name, value in raw_sig.items():
-                kind = type(value)
-                if kind is not float and kind is not int:
-                    raise ConfigError(f"line {lineno}: signal {name!r} must be a number")
-                if not math.isfinite(value):
-                    raise ValidationError(f"line {lineno}: signal {name!r} is not finite")
-
-            if rid in first_line:
-                raise ValidationError(
-                    f"line {lineno}: duplicate id {rid!r} "
-                    f"(first seen on line {first_line[rid]})"
-                )
-            first_line[rid] = lineno
-            if row is not None:
-                if dim_seen is None:
-                    dim_seen = (row.size, lineno)
-                elif row.size != dim_seen[0]:
-                    raise ValidationError(
-                        f"line {lineno}: embedding dimension {row.size} "
-                        f"does not match dimension {dim_seen[0]} from line {dim_seen[1]}"
-                    )
-            columns.add(rid, topic, tokens, label, row, raw_sig)
-    del first_line
-    return Pool.from_columns(**columns.finish())
+    columns = _Columns("line")
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.isspace():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+                columns.add(obj, lineno)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"pool file {path} is not valid UTF-8: {exc.reason}") from None
+    return Pool(**columns.finish())
 
 
 def write_pool(pool: Pool, path: str | Path) -> None:
     """Write a pool back to JSONL; load_pool(write_pool(p)) == p."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for r in pool.records:
+    emb = pool.embeddings
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for i, rid in enumerate(pool.ids):
             obj: dict[str, object] = {
-                "id": r.id,
-                "topic": r.topic,
-                "tokens": int(r.token_length),
+                "id": rid,
+                "topic": pool.topic_names[pool.topic_codes[i]],
+                "tokens": int(pool.token_lengths[i]),
             }
-            if r.label is not None:
-                obj["label"] = r.label
-            if r.embedding is not None:
-                obj["embedding"] = [float(x) for x in r.embedding]
-            if r.raw_signals:
-                obj["signals"] = {k: float(v) for k, v in r.raw_signals.items()}
+            label = pool.label_codes[i]
+            if label >= 0:
+                obj["label"] = pool.label_names[label]
+            if emb is not None and not np.isnan(emb[i, 0]):
+                obj["embedding"] = emb[i].tolist()
+            signals = {
+                name: float(col[i]) for name, col in pool.signals.items()
+                if not math.isnan(col[i])
+            }
+            if signals:
+                obj["signals"] = signals
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")

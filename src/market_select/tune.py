@@ -56,25 +56,28 @@ def load_dev_feedback(path: str | Path) -> DevFeedback:
     if not path.exists():
         raise ConfigError(f"dev feedback file not found: {path}")
     utilities: dict[str, float] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict) or "id" not in obj or "utility" not in obj:
-                raise ConfigError(f"line {lineno}: expected keys 'id' and 'utility'")
-            utility = obj["utility"]
-            if type(utility) is not float and type(utility) is not int:
-                raise ConfigError(
-                    f"line {lineno}: 'utility' must be a number, got {utility!r}"
-                )
-            try:
-                utilities[str(obj["id"])] = float(utility)
-            except OverflowError:  # an integer beyond the float range
-                raise ValidationError(f"line {lineno}: utility is not finite") from None
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+                if not isinstance(obj, dict) or "id" not in obj or "utility" not in obj:
+                    raise ConfigError(f"line {lineno}: expected keys 'id' and 'utility'")
+                utility = obj["utility"]
+                if type(utility) is not float and type(utility) is not int:
+                    raise ConfigError(
+                        f"line {lineno}: 'utility' must be a number, got {utility!r}"
+                    )
+                try:
+                    utilities[str(obj["id"])] = float(utility)
+                except OverflowError:  # an integer beyond the float range
+                    raise ValidationError(f"line {lineno}: utility is not finite") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"dev feedback file {path} is not valid UTF-8: {exc.reason}") from None
     return DevFeedback(utilities=utilities)
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from market_select.pool import ExampleRecord, Pool
+from market_select.pool import Pool
 
 
 def make_record(
@@ -15,20 +15,20 @@ def make_record(
     label: str | None = None,
     embedding=None,
     signals: dict[str, float] | None = None,
-) -> ExampleRecord:
-    emb = None if embedding is None else np.asarray(embedding, dtype=np.float64)
-    return ExampleRecord(
-        id=rid,
-        topic=topic,
-        token_length=tokens,
-        label=label,
-        embedding=emb,
-        raw_signals=dict(signals or {}),
-    )
+) -> dict:
+    """One pool row, as a pool file line holds it."""
+    row: dict = {"id": rid, "topic": topic, "tokens": tokens}
+    if label is not None:
+        row["label"] = label
+    if embedding is not None:
+        row["embedding"] = np.asarray(embedding, dtype=np.float64).tolist()
+    if signals:
+        row["signals"] = {name: float(value) for name, value in signals.items()}
+    return row
 
 
-def make_pool(*records: ExampleRecord) -> Pool:
-    return Pool(list(records))
+def make_pool(*rows: dict) -> Pool:
+    return Pool.from_rows(rows)
 
 
 @pytest.fixture
@@ -56,18 +56,17 @@ def random_pool(
     max_tokens: int = 50,
     signal_names: tuple[str, ...] = ("s1",),
 ) -> Pool:
-    records = []
+    rows = []
     width = len(str(n))
     for i in range(n):
-        emb = None if dim is None else rng.normal(size=dim)
-        records.append(
-            ExampleRecord(
-                id=f"e{i:0{width}d}",
-                topic=f"t{rng.integers(n_topics)}",
-                token_length=int(rng.integers(1, max_tokens + 1)),
-                label=f"l{rng.integers(n_labels)}" if with_labels else None,
-                embedding=emb,
-                raw_signals={name: float(rng.normal()) for name in signal_names},
-            )
-        )
-    return Pool(records)
+        # the rng draws come in this order: embedding, topic, tokens, label, signals
+        row: dict = {"id": f"e{i:0{width}d}"}
+        if dim is not None:
+            row["embedding"] = rng.normal(size=dim).tolist()
+        row["topic"] = f"t{rng.integers(n_topics)}"
+        row["tokens"] = int(rng.integers(1, max_tokens + 1))
+        if with_labels:
+            row["label"] = f"l{rng.integers(n_labels)}"
+        row["signals"] = {name: float(rng.normal()) for name in signal_names}
+        rows.append(row)
+    return Pool.from_rows(rows)

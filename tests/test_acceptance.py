@@ -18,7 +18,7 @@ from market_select.market import (
     topic_prices,
 )
 from market_select.pipeline import dump_json
-from market_select.pool import ExampleRecord, Pool
+from market_select.pool import Pool
 from market_select.selection import (
     SelectionConfig,
     balanced_select,
@@ -344,20 +344,20 @@ def test_criterion_11_pipeline_overhead():
     rng = np.random.default_rng(1011)
     n, dim, n_topics = 10_000, 384, 8
     base = rng.normal(size=(n_topics, dim))
-    records = []
+    rows = []
     for i in range(n):
         topic = i % n_topics
         emb = base[topic] + rng.normal(size=dim)
-        records.append(
-            ExampleRecord(
-                id=f"e{i:05d}",
-                topic=f"t{topic}",
-                token_length=int(rng.integers(10, 400)),
-                embedding=emb,
-                raw_signals={"nll": float(rng.normal())},
-            )
+        rows.append(
+            {
+                "id": f"e{i:05d}",
+                "topic": f"t{topic}",
+                "tokens": int(rng.integers(10, 400)),
+                "embedding": emb.tolist(),
+                "signals": {"nll": float(rng.normal())},
+            }
         )
-    pool = Pool(records)
+    pool = Pool.from_rows(rows)
 
     start = time.perf_counter()
     table = build_signal_table(pool, ["nll", "rarity:k=10", "div_cent"])

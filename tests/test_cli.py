@@ -951,6 +951,27 @@ def test_tune_rejects_a_bad_utility(pool_file, tmp_path, capsys, utility, expect
 
 
 @pytest.mark.parametrize(
+    "command, what", [("select", "pool"), ("tune", "dev feedback")], ids=["pool", "dev-feedback"]
+)
+def test_a_pool_or_dev_feedback_file_that_is_not_utf8_is_exit_2(
+    pool_file, tmp_path, capsys, command, what
+):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'{"id": "ex000", "topic": "alpha", "tokens": 3}\n\xff\n')
+    out = tmp_path / "out"
+    if command == "select":
+        argv = ["select", "--pool", str(bad), "--budget-tokens", "60", "--out-dir", str(out)]
+    else:
+        argv = ["tune", "--pool", str(pool_file), "--dev-feedback", str(bad), "--out", str(out)]
+    code = main(argv + ["--signals", "nll"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {what} file {bad} is not valid UTF-8: invalid start byte\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "config",
     [
         {"budget_tokens": "50"},
@@ -1029,9 +1050,12 @@ def test_run_config_without_a_budget_fails_in_execute_before_the_pool_is_read(tm
         (["--signals", "div:alpha_cent=-1"], None,
          "diversity combination weights must be nonnegative"),
         (["--alpha", "NEG_ALPHA"], None, "alpha for topic 'alpha' must be >= 0, got -0.5"),
+        (["--weights", "diverse"], None, "weights preset 'diverse' requires the 'div' signal"),
+        (["--preset", "diverse"], None, "weights preset 'diverse' requires the 'div' signal"),
+        ([], {"weights": "diverse"}, "weights preset 'diverse' requires the 'div' signal"),
     ],
     ids=["beta", "gamma", "tau", "budget", "label-floor", "mode", "rarity-k", "div-alpha",
-         "alpha-file"],
+         "alpha-file", "weights-diverse", "preset-diverse", "config-diverse"],
 )
 def test_select_rejects_a_bad_setting_before_reading_the_pool(
     tmp_path, capsys, argv, config, message

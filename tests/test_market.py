@@ -157,7 +157,7 @@ def test_monotone_in_own_share():
     bumped = q.copy()
     bumped[4] += 0.5
     p2 = topic_prices(bumped, pool, cfg)
-    topic_of_4 = pool.records[4].topic
+    topic_of_4 = pool.topic_names[pool.topic_codes[4]]
     same_topic = pool.topics[topic_of_4]
     assert p2[4] > p[4]
     others = [i for i in same_topic if i != 4]

@@ -1,12 +1,30 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from market_select.errors import ConfigError, ValidationError
+from market_select.errors import ConfigError, MarketSelectError, ValidationError
 from market_select.pool import Pool, load_pool, topic_sizes, write_pool
 
 from conftest import make_pool, make_record, write_pool_jsonl
+
+
+def assert_same_columns(a: Pool, b: Pool) -> None:
+    assert a.ids == b.ids
+    assert a.topic_names == b.topic_names and a.label_names == b.label_names
+    for name in ("topic_codes", "token_lengths", "label_codes"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert getattr(a, name).dtype == getattr(b, name).dtype
+    assert (a.embeddings is None) == (b.embeddings is None)
+    if a.embeddings is not None:
+        assert np.array_equal(a.embeddings, b.embeddings, equal_nan=True)
+    assert a.signals.keys() == b.signals.keys()
+    for name in a.signals:
+        assert np.array_equal(a.signals[name], b.signals[name], equal_nan=True)
 
 
 def test_load_pool_counts_topics(tmp_path):
@@ -101,7 +119,7 @@ def test_records_sorted_by_id_and_topic_partition(tmp_path):
     total = sum(idx.size for idx in pool.topics.values())
     assert total == pool.n
     for topic, idx in pool.topics.items():
-        assert all(pool.records[i].topic == topic for i in idx)
+        assert all(pool.topic_names[pool.topic_codes[i]] == topic for i in idx)
 
 
 def test_partial_signals_and_embeddings_land_on_their_rows(tmp_path):
@@ -114,22 +132,20 @@ def test_partial_signals_and_embeddings_land_on_their_rows(tmp_path):
     ]
     path = tmp_path / "pool.jsonl"
     write_pool_jsonl(path, rows)
-    records = [
-        make_record(r["id"], topic=r["topic"], tokens=r["tokens"],
-                    embedding=r.get("embedding"), signals=r.get("signals", {}))
-        for r in rows
-    ]
-    for pool in (load_pool(path), Pool(records)):
+    by_id = {r["id"]: r for r in rows}
+    for pool in (load_pool(path), Pool.from_rows(rows)):
         assert pool.ids == ["a", "b", "c", "d"]
-        by_id = {r["id"]: r for r in rows}
-        for rec in pool.records:
-            row = by_id[rec.id]
-            assert rec.token_length == row["tokens"]
-            assert rec.raw_signals == row.get("signals", {})
+        for i, rid in enumerate(pool.ids):
+            row = by_id[rid]
+            assert pool.token_lengths[i] == row["tokens"]
+            present = {
+                name: col[i] for name, col in pool.signals.items() if not np.isnan(col[i])
+            }
+            assert present == row.get("signals", {})
             if "embedding" in row:
-                assert rec.embedding.tolist() == row["embedding"]
+                assert pool.embeddings[i].tolist() == row["embedding"]
             else:
-                assert rec.embedding is None
+                assert np.isnan(pool.embeddings[i]).all()
 
 
 def test_round_trip(tmp_path):
@@ -139,19 +155,7 @@ def test_round_trip(tmp_path):
     )
     out = tmp_path / "out.jsonl"
     write_pool(pool, out)
-    loaded = load_pool(out)
-    assert loaded.ids == pool.ids
-    for orig, back in zip(pool.records, loaded.records):
-        assert back.topic == orig.topic
-        assert back.token_length == orig.token_length
-        assert back.label == orig.label
-        if orig.embedding is None:
-            assert back.embedding is None
-        else:
-            assert np.allclose(back.embedding, orig.embedding, atol=1e-12, rtol=0)
-        assert back.raw_signals.keys() == orig.raw_signals.keys()
-        for key in orig.raw_signals:
-            assert abs(back.raw_signals[key] - orig.raw_signals[key]) <= 1e-12
+    assert_same_columns(load_pool(out), pool)
 
 
 def test_topic_sizes_sum_to_n():
@@ -164,7 +168,7 @@ def test_topic_sizes_sum_to_n():
 
 
 def test_topic_sizes_empty_pool():
-    pool = Pool([])
+    pool = Pool.from_rows([])
     assert topic_sizes(pool) == {}
 
 
@@ -187,4 +191,128 @@ def test_embedding_matrix_requires_all_embeddings():
 def test_unknown_id_lookup():
     pool = make_pool(make_record("a"))
     with pytest.raises(ValidationError, match="'zz'"):
-        pool.record("zz")
+        pool.index_of("zz")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"id": "a", "topic": "t", "tokens": 2.5}],
+        [{"id": "a", "topic": "t", "tokens": True}],
+        [{"id": "a", "topic": "t", "tokens": 0}],
+        [{"id": "a", "topic": "t", "tokens": 2**63}],
+        [{"id": "a", "topic": 7, "tokens": 1}],
+        [{"id": "a", "topic": "t", "tokens": 1, "label": 3}],
+        [{"id": "a", "topic": "t", "tokens": 1, "signals": {"nll": "2.0"}}],
+        [{"id": "a", "topic": "t", "tokens": 1, "signals": {"nll": 10**400}}],
+        [{"id": "a", "topic": "t", "tokens": 1, "embedding": [0.5, float("nan")]}],
+        [{"id": "a", "topic": "t", "tokens": 1, "embedding": [10**400]}],
+        [{"id": "b", "topic": "t", "tokens": 1}, {"id": "a", "topic": "t", "tokens": 1},
+         {"id": "b", "topic": "u", "tokens": 2}],
+    ],
+    ids=["tokens-float", "tokens-bool", "tokens-zero", "tokens-int64-overflow",
+         "topic-int", "label-int", "signal-string", "signal-huge-int", "embedding-nan",
+         "embedding-huge-int", "duplicate-id"],
+)
+def test_from_rows_rejects_what_load_pool_rejects(tmp_path, rows):
+    path = tmp_path / "pool.jsonl"
+    write_pool_jsonl(path, rows)
+    with pytest.raises(MarketSelectError) as from_file:
+        load_pool(path)
+    with pytest.raises(MarketSelectError) as from_rows:
+        Pool.from_rows(rows)
+    assert type(from_rows.value) is type(from_file.value)
+    assert str(from_rows.value).startswith("row ")
+    assert str(from_rows.value) == str(from_file.value).replace("line ", "row ")
+
+
+# hypothesis favours the first choice of a one_of or sampled_from, so the
+# choices that make a row invalid come first
+ODD_VALUES = st.one_of(
+    st.just(10**400),
+    st.floats(),
+    st.text(max_size=2),
+    st.lists(st.floats(), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers()),
+    st.integers(-2, 3),
+    st.booleans(),
+    st.none(),
+)
+BAD_VALUES = {
+    "signals": st.dictionaries(st.sampled_from(["s1", "s2"]), ODD_VALUES, min_size=1, max_size=2),
+    "embedding": st.lists(st.one_of(ODD_VALUES, st.floats()), min_size=1, max_size=4),
+    "tokens": st.one_of(st.integers(-2, 0), st.just(2**63)),
+}
+
+
+@st.composite
+def pool_rows(draw):
+    """Row lists in shuffled id order, valid or with one field of one row
+    made wrong: a value of the wrong type or range, a missing or unknown
+    key, a duplicate id, an embedding of another dimension or a row that
+    is not an object."""
+    ids = draw(st.permutations(["a", "b", "c", "d", "e", "f"]))[: draw(st.integers(0, 6))]
+    dim = draw(st.integers(1, 3))
+    rows = []
+    for rid in ids:
+        row = {
+            "id": rid,
+            "topic": draw(st.sampled_from(["x", "y"])),
+            "tokens": draw(st.integers(1, 10**6)),
+        }
+        if draw(st.booleans()):
+            row["label"] = draw(st.sampled_from(["p", "q"]))
+        if draw(st.booleans()):
+            row["embedding"] = draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim))
+        if draw(st.booleans()):
+            row["signals"] = draw(st.dictionaries(
+                st.sampled_from(["s1", "s2"]),
+                st.one_of(st.floats(-1e3, 1e3), st.integers(-5, 5)),
+            ))
+        rows.append(row)
+    fault = draw(st.sampled_from(
+        ["value", "missing", "unknown", "duplicate", "ragged", "not-object", None]))
+    if rows and fault:
+        i = draw(st.integers(0, len(rows) - 1))
+        key = draw(st.sampled_from(["signals", "embedding", "tokens", "topic", "id", "label"]))
+        if fault == "value":
+            rows[i][key] = draw(st.one_of(BAD_VALUES.get(key, st.nothing()), ODD_VALUES))
+        elif fault == "missing":
+            rows[i].pop(key, None)
+        elif fault == "unknown":
+            rows[i]["note"] = draw(ODD_VALUES)
+        elif fault == "duplicate":
+            rows[i]["id"] = rows[draw(st.integers(0, len(rows) - 1))]["id"]
+        elif fault == "ragged":
+            rows[i]["embedding"] = [0.5] * (dim + 1)
+        else:
+            rows[i] = draw(ODD_VALUES)
+    return rows
+
+
+def _outcome(build):
+    """(pool, None, warning texts) or (None, error, warning texts)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            pool, error = build(), None
+        except MarketSelectError as exc:
+            pool, error = None, exc
+    return pool, error, [str(w.message) for w in caught]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=pool_rows())
+def test_load_pool_and_from_rows_agree(tmp_path, rows):
+    path = tmp_path / "pool.jsonl"
+    write_pool_jsonl(path, rows)
+    file_pool, file_error, file_warnings = _outcome(lambda: load_pool(path))
+    rows_pool, rows_error, rows_warnings = _outcome(lambda: Pool.from_rows(rows))
+    assert rows_warnings == [w.replace("line ", "row ") for w in file_warnings]
+    if file_error is None:
+        assert rows_error is None
+        assert_same_columns(rows_pool, file_pool)
+    else:
+        assert type(rows_error) is type(file_error)
+        assert str(rows_error) == str(file_error).replace("line ", "row ")

@@ -108,7 +108,7 @@ def test_budget_safety_randomized():
         )
         assert report.tokens_used <= budget
         assert report.tokens_used == sum(
-            pool.record(rid).token_length for rid in report.selected
+            int(pool.token_lengths[pool.index_of(rid)]) for rid in report.selected
         )
         assert len(set(report.selected)) == len(report.selected)
 
@@ -130,7 +130,7 @@ def test_greedy_dominance():
         min_selected_rho = min(rho[i] for i in chosen)
         leftover = budget - report.tokens_used
         for i in range(pool.n):
-            if i not in chosen and pool.records[i].token_length <= leftover:
+            if i not in chosen and pool.token_lengths[i] <= leftover:
                 assert rho[i] <= min_selected_rho + 1e-15
 
 
@@ -445,9 +445,9 @@ def reference_selection(state, pool, cfg):
         floor = -(-len(chosen) // (2 * len(labels)))
         chosen.clear()
         tokens = 0
-    for label in labels:
+    for code, label in enumerate(labels):  # labels() lists label_names, so code is the index
         start = len(chosen)
-        members = [i for i in order if pool.record(pool.ids[i]).label == label]
+        members = [i for i in order if pool.label_codes[i] == code]
         visit(f"floor:{label}", members,
               lambda: len(chosen) - start >= floor or len(chosen) >= cap)
     taken = set(chosen)

@@ -443,9 +443,12 @@ def test_translation_invariance_of_geometry():
     shifted = make_pool(
         *[
             make_record(
-                r.id, topic=r.topic, tokens=r.token_length, embedding=r.embedding + 13.25
+                rid,
+                topic=pool.topic_names[pool.topic_codes[i]],
+                tokens=int(pool.token_lengths[i]),
+                embedding=pool.embeddings[i] + 13.25,
             )
-            for r in pool.records
+            for i, rid in enumerate(pool.ids)
         ]
     )
     assert np.allclose(
@@ -463,9 +466,12 @@ def test_scale_equivariance_of_geometry():
     scaled = make_pool(
         *[
             make_record(
-                r.id, topic=r.topic, tokens=r.token_length, embedding=c * r.embedding
+                rid,
+                topic=pool.topic_names[pool.topic_codes[i]],
+                tokens=int(pool.token_lengths[i]),
+                embedding=c * pool.embeddings[i],
             )
-            for r in pool.records
+            for i, rid in enumerate(pool.ids)
         ]
     )
     assert np.allclose(
