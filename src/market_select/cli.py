@@ -101,8 +101,9 @@ def _add_signal_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--threads", type=int,
-        help="worker cap for the kNN's row-chunk work items; with more than one worker, "
-             "OpenBLAS runs one thread per worker (results identical for any value)",
+        help="worker cap for the pool parse (one range of at least 1 MiB per worker, at most "
+             "one per usable CPU) and for the kNN's row-chunk work items, where OpenBLAS then "
+             "runs one thread per worker; results are byte-identical for any value",
     )
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError, require_finite
 from .market import DEFAULT_BETA, MarketConfig, MarketState, Weights, price_pool
-from .pool import Pool, load_pool
+from .pool import Pool, load_pool, token_sum
 from .selection import (
     DEFAULT_GAMMA,
     SelectionConfig,
@@ -253,8 +253,9 @@ def prepare(
     cfg: RunConfig, threads: int = 1
 ) -> tuple[Pool, SignalTable, StandardizedTable]:
     """Load the pool, build the configured signals and standardize them
-    within topics."""
-    pool = load_pool(cfg.pool)
+    within topics; ``threads`` caps the workers of the pool parse and of
+    the kNN."""
+    pool = load_pool(cfg.pool, threads)
     table = build_signal_table(pool, cfg.specs, threads=threads)
     std = standardize_table(table, pool, cfg.std_config)
     return pool, table, std
@@ -281,7 +282,7 @@ def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
 
         budget = cfg.budget_tokens
         if budget is None:
-            budget = int(pool.token_lengths.sum())
+            budget = token_sum(pool.token_lengths)
         max_examples = None
         if cfg.retention_rate is not None:
             max_examples = int(round(cfg.retention_rate * pool.n))
@@ -410,7 +411,7 @@ def explain(
         raise ConfigError(f"no {REPORT_FILE} in {run_dir}")
     if not prices_path.exists():
         raise ConfigError(f"no {PRICES_FILE} in {run_dir}")
-    stored = _parse_json(report_path.read_text(encoding="utf-8"), str(report_path))
+    stored = read_json_file(report_path, "report")
     if not isinstance(stored, dict) or not isinstance(stored.get("config"), dict):
         raise ConfigError(f"{report_path} holds no run config")
     cfg_data = dict(stored["config"])
@@ -427,19 +428,22 @@ def explain(
     label = int(pool.label_codes[idx])
 
     dumped = None
-    with prices_path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{prices_path} line {lineno}"
-            row = _parse_json(line, where)
-            if not isinstance(row, dict):
-                raise ConfigError(f"{where}: expected a JSON object")
-            if row.get("id") == example_id:
-                if not all(type(row.get(key)) in (int, float) for key in ("p", "q")):
-                    raise ConfigError(f"{where}: 'p' and 'q' must be numbers")
-                dumped = row
-                break
+    try:
+        with prices_path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                where = f"{prices_path} line {lineno}"
+                row = _parse_json(line, where)
+                if not isinstance(row, dict):
+                    raise ConfigError(f"{where}: expected a JSON object")
+                if row.get("id") == example_id:
+                    if not all(type(row.get(key)) in (int, float) for key in ("p", "q")):
+                        raise ConfigError(f"{where}: 'p' and 'q' must be numbers")
+                    dumped = row
+                    break
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"prices file {prices_path} is not valid UTF-8: {exc.reason}") from None
     consistent = dumped is not None and (
         math.isclose(dumped["q"], result.state.shares[idx], rel_tol=1e-6, abs_tol=1e-9)
         and math.isclose(dumped["p"], result.state.prices[idx], rel_tol=1e-6, abs_tol=1e-9)

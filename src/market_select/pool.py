@@ -14,20 +14,34 @@ A pool is built from rows. A row is a JSON object with keys ``id``
 ``Pool.from_rows`` takes them from code. Both check each row with the
 same checker, so both accept and reject the same rows with the same
 messages, numbered by ``line`` or by ``row``.
+
+``load_pool`` can split a large file into newline-aligned byte ranges
+and parse them on several cores: the caller parses the first range and
+forked workers the others, each handing back columns. Rows are checked
+one range at a time, and one merge settles in line order what spans
+rows and ranges (duplicate ids, the embedding dimension, which error
+comes first, the warnings). A code row list is a single range. So the
+result does not depend on the number of workers.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
+import pickle
+import signal
 import warnings
+from array import array
 from collections.abc import Iterable
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, MarketSelectError, ValidationError
 
 KNOWN_KEYS = {"id", "topic", "tokens", "label", "embedding", "signals"}
 MAX_TOKENS = 2**63 - 1  # token lengths are stored as int64
@@ -92,8 +106,9 @@ class Pool:
         with the same errors and warnings, numbered ``row 1``, ``row 2``..."""
         columns = _Columns("row")
         for n, row in enumerate(rows, start=1):
-            columns.add(row, n)
-        return cls(**columns.finish())
+            if not columns.add(row, n):
+                break
+        return cls(**_merge([columns.seal()]))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -132,98 +147,111 @@ class Pool:
 
 
 class _Columns:
-    """Pool rows checked one at a time and finished as id-sorted columns.
+    """The checked rows of one range of a pool, as columns.
 
     ``add`` is the one row checker, for file lines and rows from code
-    alike. Its messages start with ``<unit> <n>:``, where ``unit`` is
-    "line" or "row" and ``n`` is the number the caller gives the row.
-    Topic and label codes are numbered in first-seen order as rows come
-    in and renumbered to sorted-name order by finish().
+    alike. It checks everything that concerns the row alone; what spans
+    rows (duplicate ids, one embedding dimension) and the numbering of
+    the messages are left to ``_merge``, which sees every range. Rows
+    are numbered within the range; a message starts with
+    ``<unit> <n>:``, where ``unit`` is "line" or "row".
+
+    ``add`` records instead of raising: the unknown keys of a row in
+    ``warnings``, and the first rejected row in ``stop``, which ends the
+    range. A row whose embedding dimension differs from the range's
+    first one is kept (its id may still be a duplicate, which comes
+    first) as ``ragged`` and ends the range too. ``seal`` then turns the
+    row lists into arrays: the form a worker hands back. Topic and label
+    codes index ``topics`` and ``labels``, whose names are in first-seen
+    order.
     """
 
     def __init__(self, unit: str) -> None:
         self.unit = unit
-        self.first_seen: dict[str, int] = {}  # id -> number of its row
-        self.dim_seen: tuple[int, int] | None = None  # (dimension, number of its first row)
+        self.lines = array("q")  # number of each row within the range
+        self.line_count = 0  # lines the range holds, blank ones included
         self.ids: list[str] = []
         self.topics: dict[str, int] = {}
-        self.topic_codes: list[int] = []
-        self.tokens: list[int] = []
+        self.topic_codes: list[int] | np.ndarray = []
+        self.tokens: list[int] | np.ndarray = []
         self.labels: dict[str, int] = {}
-        self.label_codes: list[int] = []
-        self.signals: dict[str, list[float]] = {}
-        self.emb_rows: list[int] = []  # row indices that carry an embedding
+        self.label_codes: list[int] | np.ndarray = []
+        self.signals: dict[str, list[float] | np.ndarray] = {}
+        self.emb_rows: list[int] | np.ndarray = []  # rows that carry an embedding
         self.emb_list: list[np.ndarray] = []
+        self.emb: np.ndarray | None = None  # emb_list stacked by seal()
+        self.ragged: tuple[int, int] | None = None  # (row, its embedding dimension)
+        self.warnings: list[tuple[int, list[str]]] = []  # (n, unknown keys)
+        self.stop: tuple[int, type[MarketSelectError], str] | None = None  # (n, class, message)
+        self.bad_utf8: str | None = None  # the decoder's reason, when the range is not UTF-8
 
-    def add(self, obj: object, n: int) -> None:
-        """Check row ``n`` and append it to the columns."""
+    def add(self, obj: object, n: int) -> bool:
+        """Check row ``n`` and append it to the columns. False when the
+        row ends the range: it was rejected, or it is ragged."""
         if type(obj) is not dict:
-            raise ConfigError(f"{self.unit} {n}: expected a JSON object")
+            return self.reject(n, ConfigError, "expected a JSON object")
         if not KNOWN_KEYS.issuperset(obj):
-            warnings.warn(
-                f"{self.unit} {n}: ignoring unknown keys {sorted(set(obj) - KNOWN_KEYS)}",
-                stacklevel=3,
-            )
+            self.warnings.append((n, sorted(set(obj) - KNOWN_KEYS)))
         try:
             rid = obj["id"]
             topic = obj["topic"]
             tokens = obj["tokens"]
         except KeyError as exc:
-            raise ConfigError(f"{self.unit} {n}: missing required key {exc}") from None
+            return self.reject(n, ConfigError, f"missing required key {exc}")
         if type(rid) is not str:
-            raise ConfigError(f"{self.unit} {n}: 'id' must be a string")
+            return self.reject(n, ConfigError, "'id' must be a string")
         if type(topic) is not str:
-            raise ConfigError(f"{self.unit} {n}: 'topic' must be a string")
+            return self.reject(n, ConfigError, "'topic' must be a string")
         if type(tokens) is not int:
-            raise ConfigError(f"{self.unit} {n}: 'tokens' must be an integer")
+            return self.reject(n, ConfigError, "'tokens' must be an integer")
         if tokens < 1:
-            raise ValidationError(f"{self.unit} {n}: 'tokens' must be >= 1, got {tokens}")
+            return self.reject(n, ValidationError, f"'tokens' must be >= 1, got {tokens}")
         if tokens > MAX_TOKENS:
-            raise ValidationError(f"{self.unit} {n}: 'tokens' must be < 2**63, got {tokens}")
+            return self.reject(n, ValidationError, f"'tokens' must be < 2**63, got {tokens}")
         label = obj.get("label")
         if label is not None and type(label) is not str:
-            raise ConfigError(f"{self.unit} {n}: 'label' must be a string")
-        raw_emb = obj.get("embedding")
-        embedding = None if raw_emb is None else self._embedding(raw_emb, n)
+            return self.reject(n, ConfigError, "'label' must be a string")
+
+        embedding = obj.get("embedding")
+        if embedding is not None:
+            if not isinstance(embedding, list) or not embedding:
+                return self.reject(n, ConfigError, "'embedding' must be a non-empty array")
+            if not _NUMBER_TYPES.issuperset(map(type, embedding)):
+                return self.reject(n, ConfigError, "'embedding' must contain only numbers")
+            try:
+                embedding = np.array(embedding, dtype=np.float64)
+            except OverflowError:  # an integer beyond the float range
+                return self.reject(n, ValidationError, "embedding has non-finite values")
+            if not np.isfinite(embedding).all():
+                return self.reject(n, ValidationError, "embedding has non-finite values")
 
         raw_sig = obj.get("signals")
         if raw_sig is None:
             raw_sig = {}
         elif type(raw_sig) is not dict:
-            raise ConfigError(f"{self.unit} {n}: 'signals' must be an object")
+            return self.reject(n, ConfigError, "'signals' must be an object")
         for name, value in raw_sig.items():
             kind = type(value)
             if kind is not float and kind is not int:
-                raise ConfigError(f"{self.unit} {n}: signal {name!r} must be a number")
+                return self.reject(n, ConfigError, f"signal {name!r} must be a number")
             try:
                 finite = math.isfinite(value)
             except OverflowError:  # an integer beyond the float range
                 finite = False
             if not finite:
-                raise ValidationError(f"{self.unit} {n}: signal {name!r} is not finite")
-
-        first = self.first_seen.setdefault(rid, n)
-        if first != n:
-            raise ValidationError(
-                f"{self.unit} {n}: duplicate id {rid!r} "
-                f"(first seen on {self.unit} {first})"
-            )
-        if embedding is not None:
-            if self.dim_seen is None:
-                self.dim_seen = (embedding.size, n)
-            elif embedding.size != self.dim_seen[0]:
-                raise ValidationError(
-                    f"{self.unit} {n}: embedding dimension {embedding.size} does not "
-                    f"match dimension {self.dim_seen[0]} from {self.unit} {self.dim_seen[1]}"
-                )
+                return self.reject(n, ValidationError, f"signal {name!r} is not finite")
 
         j = len(self.ids)
+        self.lines.append(n)
         self.ids.append(rid)
         self.topic_codes.append(self.topics.setdefault(topic, len(self.topics)))
         self.tokens.append(tokens)
         labels = self.labels
         self.label_codes.append(-1 if label is None else labels.setdefault(label, len(labels)))
         if embedding is not None:
+            if self.emb_list and embedding.size != self.emb_list[0].size:
+                self.ragged = (j, embedding.size)
+                return False
             self.emb_rows.append(j)
             self.emb_list.append(embedding)
         for name, value in raw_sig.items():
@@ -233,69 +261,149 @@ class _Columns:
             if len(col) < j:
                 col.extend([math.nan] * (j - len(col)))
             col.append(value)
+        return True
 
-    def _embedding(self, raw: object, n: int) -> np.ndarray:
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{self.unit} {n}: 'embedding' must be a non-empty array")
-        try:
-            row = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{self.unit} {n}: 'embedding' must contain only numbers"
-            ) from None
-        except OverflowError:  # an integer beyond the float range
-            raise ValidationError(f"{self.unit} {n}: embedding has non-finite values") from None
-        if row.ndim != 1:
-            raise ConfigError(f"{self.unit} {n}: 'embedding' must be a flat array")
-        if not np.all(np.isfinite(row)):
-            raise ValidationError(f"{self.unit} {n}: embedding has non-finite values")
-        return row
+    def reject(self, n: int, kind: type[MarketSelectError], message: str) -> bool:
+        """Record row ``n`` as the one that ends the range."""
+        self.stop = (n, kind, message)
+        return False
 
-    def finish(self) -> dict[str, object]:
-        """The keyword arguments of Pool(), rows in id order."""
-        # the duplicate check is over; free its index before the arrays are built
-        self.first_seen.clear()
-        ids, n = self.ids, len(self.ids)
-        embeddings = None
-        if self.emb_rows:
-            stacked = np.stack(self.emb_list).astype(np.float64, copy=False)
-            self.emb_list.clear()
-            if len(self.emb_rows) == n:
-                embeddings = stacked
-            else:
-                embeddings = np.full((n, stacked.shape[1]), np.nan)
-                embeddings[self.emb_rows] = stacked
-            del stacked
-        signals = {}
+    def seal(self) -> "_Columns":
+        """Turn the row lists into arrays, rows in range order."""
+        k = len(self.ids)
+        self.lines = np.frombuffer(self.lines, dtype=np.int64)
+        self.topic_codes = np.array(self.topic_codes, dtype=np.intp)
+        self.label_codes = np.array(self.label_codes, dtype=np.intp)
+        self.tokens = np.array(self.tokens, dtype=np.int64)
         for name, col in self.signals.items():
-            col.extend([math.nan] * (n - len(col)))
-            signals[name] = np.array(col, dtype=np.float64)
-        self.signals.clear()
+            col.extend([math.nan] * (k - len(col)))
+            self.signals[name] = np.array(col, dtype=np.float64)
+        if self.emb_list:
+            self.emb = np.stack(self.emb_list)
+            self.emb_list = []
+        self.emb_rows = np.array(self.emb_rows, dtype=np.intp)
+        return self
 
-        order = sorted(range(n), key=ids.__getitem__)
-        perm = None
-        if any(i != k for k, i in enumerate(order)):
-            perm = np.array(order, dtype=np.intp)
-            ids = [ids[i] for i in order]
 
-        def rows(column: np.ndarray) -> np.ndarray:
-            return column if perm is None else column[perm]
+_NUMBER_TYPES = frozenset((float, int))
 
-        def sorted_codes(codes: list[int], first_seen: dict[str, int]) -> np.ndarray:
-            rank = {name: r for r, name in enumerate(sorted(first_seen))}
-            remap = np.array([rank[name] for name in first_seen] + [-1], dtype=np.intp)
-            return rows(remap[np.array(codes, dtype=np.intp)])  # -1 stays -1
 
-        return dict(
-            ids=ids,
-            topic_codes=sorted_codes(self.topic_codes, self.topics),
-            token_lengths=rows(np.array(self.tokens, dtype=np.int64)),
-            label_codes=sorted_codes(self.label_codes, self.labels),
-            topic_names=sorted(self.topics),
-            label_names=sorted(self.labels),
-            embeddings=None if embeddings is None else rows(embeddings),
-            signals={name: rows(col) for name, col in signals.items()},
-        )
+def _merge(parts: list[_Columns]) -> dict[str, object]:
+    """The keyword arguments of Pool(): the rows of every range, in id
+    order, once the checks that span rows or ranges have passed.
+
+    The ranges are walked in line order, with each range's numbers
+    shifted by the lines of the ranges before it. The first error in
+    line order wins: a rejected row, a duplicate id, or an embedding
+    whose dimension differs from the first embedding's (a row's
+    duplicate id comes before its dimension). The unknown-key warnings
+    of the lines up to that error are emitted first, in line order.
+    """
+    unit = parts[0].unit
+    offsets: list[int] = []
+    counts: list[int] = []  # rows of each range that come before the error
+    dim: tuple[int, int] | None = None  # (dimension, number of its first row)
+    error: tuple[int, type[MarketSelectError], str] | None = None
+    offset = 0
+    for part in parts:
+        offsets.append(offset)
+        cut = part.ragged
+        if part.emb is not None:
+            first, size = int(part.emb_rows[0]), part.emb.shape[1]
+            if dim is None:
+                dim = (size, offset + int(part.lines[first]))
+            elif size != dim[0]:
+                cut = (first, size)
+        if cut is not None:
+            row, size = cut
+            counts.append(row + 1)
+            error = (
+                offset + int(part.lines[row]), ValidationError,
+                f"embedding dimension {size} does not match dimension {dim[0]} "
+                f"from {unit} {dim[1]}",
+            )
+            break
+        counts.append(len(part.ids))
+        if part.stop is not None:
+            n, kind, message = part.stop
+            error = (offset + n, kind, message)
+            break
+        offset += part.line_count
+    parts = parts[: len(counts)]
+
+    ids = list(chain.from_iterable(part.ids[:k] for part, k in zip(parts, counts)))
+    if len(set(ids)) < len(ids):
+        first_seen: dict[str, int] = {}
+        lines = np.concatenate([p.lines[:k] + o for p, k, o in zip(parts, counts, offsets)])
+        for rid, n in zip(ids, lines.tolist()):
+            first = first_seen.setdefault(rid, n)
+            if first != n:
+                message = f"duplicate id {rid!r} (first seen on {unit} {first})"
+                error = (n, ValidationError, message)
+                break
+
+    for part, o in zip(parts, offsets):
+        for n, keys in part.warnings:
+            if error is not None and o + n > error[0]:
+                break
+            warnings.warn(f"{unit} {o + n}: ignoring unknown keys {keys}", stacklevel=3)
+    if error is not None:
+        n, kind, message = error
+        raise kind(f"{unit} {n}: {message}")
+
+    n = len(ids)
+    order = sorted(range(n), key=ids.__getitem__)
+    perm = None
+    if any(i != k for k, i in enumerate(order)):
+        perm = np.array(order, dtype=np.intp)
+        ids = [ids[i] for i in order]
+
+    def rows(column: np.ndarray) -> np.ndarray:
+        return column if perm is None else column[perm]
+
+    def sorted_codes(
+        first_seen: list[dict[str, int]], codes: list[np.ndarray]
+    ) -> tuple[list[str], np.ndarray]:
+        """Each range's codes renumbered to the sorted names of all ranges."""
+        names = sorted(set().union(*first_seen))
+        rank = {name: r for r, name in enumerate(names)}
+        remaps = [np.array([rank[name] for name in seen] + [-1], dtype=np.intp)
+                  for seen in first_seen]
+        # -1 (no label) maps to the remap's last entry, -1
+        return names, rows(np.concatenate([remap[c] for remap, c in zip(remaps, codes)]))
+
+    topic_names, topic_codes = sorted_codes([p.topics for p in parts],
+                                            [p.topic_codes for p in parts])
+    label_names, label_codes = sorted_codes([p.labels for p in parts],
+                                            [p.label_codes for p in parts])
+    signals = {
+        name: rows(np.concatenate([p.signals.get(name, np.full(len(p.ids), np.nan))
+                                   for p in parts]))
+        for name in dict.fromkeys(name for p in parts for name in p.signals)
+    }
+
+    embeddings = None
+    bases = np.cumsum([0] + counts[:-1])
+    blocks = [(p.emb_rows + base, p.emb) for p, base in zip(parts, bases) if p.emb is not None]
+    if len(blocks) == 1 and len(blocks[0][0]) == n:
+        embeddings = rows(blocks[0][1])
+    elif blocks:
+        # each block goes straight to its rows' places in id order
+        place = np.arange(n) if perm is None else np.argsort(perm)
+        embeddings = np.full((n, dim[0]), np.nan)
+        for dest, block in blocks:
+            embeddings[place[dest]] = block
+
+    return dict(
+        ids=ids,
+        topic_codes=topic_codes,
+        token_lengths=rows(np.concatenate([p.tokens for p in parts])),
+        label_codes=label_codes,
+        topic_names=topic_names,
+        label_names=label_names,
+        embeddings=embeddings,
+        signals=signals,
+    )
 
 
 def topic_sizes(pool: Pool) -> dict[str, int]:
@@ -303,31 +411,187 @@ def topic_sizes(pool: Pool) -> dict[str, int]:
     return {t: int(idx.size) for t, idx in pool.topics.items()}
 
 
-def load_pool(path: str | Path) -> Pool:
+def token_sum(lengths: np.ndarray) -> int:
+    """The exact sum of token lengths; an int64 sum could wrap."""
+    return sum(lengths.tolist())
+
+
+# Bytes a range must hold, at least, to get a worker of its own. Forking
+# a worker from a process that has loaded numpy and taking its columns
+# back cost 5-8 ms on a 2-vCPU VM, where parsing 1 MiB of a 64-d
+# embedding pool took 40 ms; so a range below 1 MiB would save too
+# little, and a file below 2 MiB is parsed in one range.
+RANGE_FLOOR = 1 << 20
+
+
+def load_pool(path: str | Path, workers: int = 1) -> Pool:
     """Load and check a JSONL pool file straight into columns.
 
-    Each line is parsed once and checked once, by the row checker that
-    ``Pool.from_rows`` uses too. Errors name the offending line;
-    duplicate ids and ragged embedding dimensions name both lines
-    involved.
+    The file is split into at most ``workers`` ranges that end on a
+    newline, at most one per usable CPU and one per ``RANGE_FLOOR``
+    bytes. The calling process parses the first range; each other range
+    goes to a forked worker, which hands back its columns. A range whose
+    worker cannot start or dies, or every range where there is no
+    ``fork``, is parsed in-process. Within a range the lines are read
+    as text-mode files read them: universal newlines, blank lines
+    skipped. Every row goes through the row checker that
+    ``Pool.from_rows`` uses too, and ``_merge`` settles, in line order,
+    what spans rows and ranges; so the pool, the warnings and the error
+    do not depend on ``workers``.
+
+    Errors name the offending line; duplicate ids and ragged embedding
+    dimensions name both lines involved. A file that is not valid UTF-8
+    is refused as such, whatever other errors it holds.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"pool file not found: {path}")
-    columns = _Columns("line")
+    parts = _parse_ranges(path, _ranges(path, workers))
+    for part in parts:
+        if part.bad_utf8 is not None:
+            raise ConfigError(f"pool file {path} is not valid UTF-8: {part.bad_utf8}")
+    return Pool(**_merge(parts))
+
+
+def _usable_cpus() -> int:
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _ranges(path: Path, workers: int) -> list[tuple[int, int]]:
+    """Byte ranges [start, end) that cover the file, each but the last
+    ending just after a newline."""
+    size = path.stat().st_size
+    count = max(1, min(workers, _usable_cpus(), size // RANGE_FLOOR))
+    bounds = [0]
+    with path.open("rb") as fh:
+        for k in range(1, count):
+            pos = max(size * k // count, bounds[-1])
+            fh.seek(pos)
+            while chunk := fh.read(1 << 16):
+                newline = chunk.find(b"\n")
+                if newline >= 0:
+                    pos += newline + 1
+                    break
+                pos += len(chunk)
+            bounds.append(pos)
+    bounds.append(size)
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b] or [(0, size)]
+
+
+def _parse_ranges(path: Path, ranges: list[tuple[int, int]]) -> list[_Columns]:
+    """The columns of each range: the first parsed here, the others by
+    workers, or here when their worker fails. No worker outlives this."""
+    workers: list[tuple[int, io.BufferedReader] | None] = []
+    try:
+        # extend() appends one worker at a time, so a failure midway
+        # still leaves the ones started to the cleanup below
+        workers.extend(_start_worker(path, *r) for r in ranges[1:])
+        parts = [_parse_range(path, *ranges[0])]
+        for i, r in enumerate(ranges[1:]):
+            worker, workers[i] = workers[i], None  # _collect reaps it, whatever happens
+            part = None if worker is None else _collect(*worker)
+            parts.append(part if part is not None else _parse_range(path, *r))
+    finally:
+        for worker in workers:  # still running only if this raised
+            if worker is not None:
+                pid, pipe = worker
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return parts
+
+
+def _start_worker(path: Path, start: int, end: int) -> tuple[int, io.BufferedReader] | None:
+    """Fork a worker that parses bytes [start, end) of the file and
+    pipes back its pickled columns: (pid, read end of the pipe), or None
+    when no worker can start."""
+    if not hasattr(os, "fork"):
+        return None
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork() in a process with threads (BLAS
+            # has some); the worker only parses, so the warning is moot
+            warnings.simplefilter("ignore")
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            data = pickle.dumps(_parse_range(path, start, end), pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as out:
+                out.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _collect(pid: int, pipe: io.BufferedReader) -> _Columns | None:
+    """A worker's columns, or None when it did not finish cleanly. The
+    worker is reaped in any case."""
+    try:
+        with pipe:
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if os.waitstatus_to_exitcode(status) != 0:
+        return None
+    return pickle.loads(data)
+
+
+class _Span(io.RawIOBase):
+    """Bytes [start, end) of an open binary file, as a raw stream."""
+
+    def __init__(self, fh: io.FileIO, start: int, end: int) -> None:
+        fh.seek(start)
+        self.fh = fh
+        self.left = end - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer: memoryview) -> int:
+        got = self.fh.readinto(memoryview(buffer)[: self.left])
+        self.left -= got
+        return got
+
+
+def _parse_range(path: Path, start: int, end: int) -> _Columns:
+    """Parse and check the lines in bytes [start, end) of a pool file."""
+    columns = _Columns("line")
+    with path.open("rb", buffering=0) as fh:
+        text = io.TextIOWrapper(io.BufferedReader(_Span(fh, start, end), 1 << 16),
+                                encoding="utf-8")
+        try:
+            n = 0
+            for n, line in enumerate(text, start=1):
                 if line.isspace():
                     continue
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ConfigError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-                columns.add(obj, lineno)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"pool file {path} is not valid UTF-8: {exc.reason}") from None
-    return Pool(**columns.finish())
+                    columns.reject(n, ConfigError, f"invalid JSON ({exc.msg})")
+                    break
+                if not columns.add(obj, n):
+                    break
+            columns.line_count = n
+            for _ in text:  # a range that stopped early must still be UTF-8
+                pass
+        except UnicodeDecodeError as exc:
+            columns.bad_utf8 = exc.reason
+    return columns.seal()
 
 
 def write_pool(pool: Pool, path: str | Path) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError, require_finite
 from .market import MarketState
-from .pool import Pool
+from .pool import Pool, token_sum
 from .signals import cdist
 
 DEFAULT_GAMMA = 1.6
@@ -232,7 +232,7 @@ def example_events(report: SelectionReport, pool: Pool, index: int) -> list[dict
             continue
         position = int(hits[0])
         earlier = phase.visited[:position][phase.admitted[:position]]
-        before = phase.tokens_before + int(pool.token_lengths[earlier].sum())
+        before = phase.tokens_before + token_sum(pool.token_lengths[earlier])
         event: dict[str, object] = {
             "action": "admit" if phase.admitted[position] else "reject",
             "position": position + 1,
@@ -264,7 +264,7 @@ def _build_report(
         mask = in_set[idx]
         per_topic[topic] = {
             "count": int(mask.sum()),
-            "tokens": int(pool.token_lengths[idx][mask].sum()),
+            "tokens": token_sum(pool.token_lengths[idx][mask]),
             "price_mass": float(state.prices[idx][mask].sum()),
         }
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError, require_finite
 from .market import DEFAULT_BETA, MarketConfig, MarketState, Weights, lmsr_prices, price_pool
-from .pool import Pool
+from .pool import Pool, token_sum
 from .selection import DEFAULT_GAMMA, SelectionConfig, greedy_select
 from .standardize import DEFAULT_TAU, StandardizeConfig, StandardizedTable, standardize_values
 
@@ -248,7 +248,7 @@ def sweep_hyperparams(
                 "gamma": float(gamma),
                 "jaccard_vs_default": float(jaccard),
                 "n_selected": len(ordered),
-                "tokens_used": int(lengths.sum()),
+                "tokens_used": token_sum(lengths),
                 "median_tokens": float(np.median(lengths)) if lengths.size else 0.0,
                 "topic_price_mass": topic_mass,
             }

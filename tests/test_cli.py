@@ -1103,6 +1103,47 @@ def test_pool_commands_reject_a_bad_setting_before_reading_the_pool(
     assert not out.exists()
 
 
+def test_token_sums_past_int64_are_exact(tmp_path, capsys):
+    pool = tmp_path / "pool.jsonl"
+    write_pool_jsonl(pool, [
+        {"id": "a", "topic": "t", "tokens": 2**62, "signals": {"nll": 1.0}},
+        {"id": "b", "topic": "t", "tokens": 2**62, "signals": {"nll": 0.5}},
+    ])
+    run = tmp_path / "run"
+    assert main(["select", "--pool", str(pool), "--signals", "nll", "--retention-rate", "1",
+                 "--out-dir", str(run)]) == 0
+    report = read_json(run / "report.json")
+    assert report["config"]["budget_tokens"] == 2**63
+    assert report["tokens_used"] == 2**63
+    assert report["per_topic"]["t"]["tokens"] == 2**63
+    assert sorted(report["selected"]) == ["a", "b"]
+    second = report["selected"][1]
+    capsys.readouterr()
+    assert main(["explain", "--run-dir", str(run), second]) == 0
+    assert f"cumulative tokens after admission: {2**63}" in capsys.readouterr().out
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", "--pool", str(pool), "--signals", "nll", "--budget-tokens",
+                 str(2**63), "--out", str(sweep)]) == 0
+    with sweep.open(newline="") as fh:
+        assert [row["tokens_used"] for row in csv.DictReader(fh)] == [str(2**63)]
+
+
+@pytest.mark.parametrize("name, what", [("report.json", "report"), ("prices.jsonl", "prices")])
+def test_explain_on_a_run_file_that_is_not_utf8_is_exit_2(pool_file, tmp_path, capsys, name,
+                                                           what):
+    run = tmp_path / "run"
+    assert main(["select", "--pool", str(pool_file), "--signals", "nll",
+                 "--budget-tokens", "60", "--out-dir", str(run)]) == 0
+    rid = read_json(run / "report.json")["selected"][0]
+    with (run / name).open("ab") as fh:
+        fh.write(b"\xff")
+    capsys.readouterr()
+    assert main(["explain", "--run-dir", str(run), rid]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {what} file {run / name} is not valid UTF-8: invalid start byte\n"
+    )
+
+
 def _corrupt_report(run: Path, text: str) -> str:
     (run / "report.json").write_text(text, encoding="utf-8")
     return "report.json"

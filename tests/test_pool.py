@@ -226,6 +226,20 @@ def test_from_rows_rejects_what_load_pool_rejects(tmp_path, rows):
     assert str(from_rows.value) == str(from_file.value).replace("line ", "row ")
 
 
+@pytest.mark.parametrize(
+    "values", [["1.5", True], [True, 1.0], [1.0, None], [[1.0, 2.0]]],
+    ids=["numeric-string", "bool", "null", "nested"],
+)
+def test_embedding_values_must_be_numbers(tmp_path, values):
+    rows = [{"id": "a", "topic": "t", "tokens": 3, "embedding": values}]
+    path = tmp_path / "pool.jsonl"
+    write_pool_jsonl(path, rows)
+    with pytest.raises(ConfigError, match=r"^line 1: 'embedding' must contain only numbers$"):
+        load_pool(path)
+    with pytest.raises(ConfigError, match=r"^row 1: 'embedding' must contain only numbers$"):
+        Pool.from_rows(rows)
+
+
 # hypothesis favours the first choice of a one_of or sampled_from, so the
 # choices that make a row invalid come first
 ODD_VALUES = st.one_of(
