@@ -63,16 +63,6 @@ PRESETS: dict[str, dict[str, Any]] = {
 }
 
 
-def _default_threads() -> int:
-    env = os.environ.get("MARKET_SELECT_THREADS")
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigError(f"MARKET_SELECT_THREADS must be an integer, got {env!r}") from None
-
-
 def _parse_grid(text: str, flag: str, kind: type = float) -> list:
     """Comma-separated values of ``kind`` (float or int), at least one."""
     try:
@@ -247,12 +237,18 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _threads_of(args: argparse.Namespace) -> int:
-    value = args.threads
-    if value is None:
-        return _default_threads()
-    if value < 1:
-        raise ConfigError(f"--threads must be >= 1, got {value}")
-    return value
+    """--threads, else MARKET_SELECT_THREADS, else 1: an integer >= 1."""
+    if args.threads is not None:
+        name, value = "--threads", args.threads
+    else:
+        name, value = "MARKET_SELECT_THREADS", os.environ.get("MARKET_SELECT_THREADS", "1")
+    try:
+        threads = int(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if threads < 1:
+        raise ConfigError(f"{name} must be >= 1, got {threads}")
+    return threads
 
 
 def _write_csv(path: str, fieldnames: list[str], rows: list[dict[str, Any]]) -> None:

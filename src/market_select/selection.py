@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, ValidationError, require_finite
 from .market import MarketState
 from .pool import Pool, token_sum
-from .signals import cdist
+from .signals import exact_sq_distances, rounding_bound
 
 DEFAULT_GAMMA = 1.6
 MODES = ("greedy", "balanced")
@@ -321,35 +321,35 @@ class CoverageMetrics:
 
 def coverage_report(selected_ids: list[str], pool: Pool) -> CoverageMetrics:
     """Trace-of-covariance ratio selected/pool, and the covering radius
-    (largest distance from any pool point to its nearest selected point)."""
+    (largest distance from any pool point to its nearest selected point);
+    a figure that is not finite, from coordinates too large to square, is
+    a ValidationError."""
     if not selected_ids:
         raise ValidationError("coverage is undefined for an empty selection")
     emb = pool.embedding_matrix()
-    sel_idx = np.array([pool.index_of(rid) for rid in selected_ids], dtype=np.intp)
-
-    def _trace_var(points: np.ndarray) -> float:
-        return float(points.var(axis=0).sum())  # population variance per dim
-
-    pool_var = _trace_var(emb)
-    sel_var = _trace_var(emb[sel_idx])
-    ratio = 1.0 if pool_var == 0.0 else sel_var / pool_var
-
-    radius = covering_radius(emb, emb[sel_idx])
+    selected = emb[[pool.index_of(rid) for rid in selected_ids]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # traces of the population covariances
+        pool_var, sel_var = float(emb.var(axis=0).sum()), float(selected.var(axis=0).sum())
+        ratio = 1.0 if pool_var == 0.0 else sel_var / pool_var
+        radius = covering_radius(emb, selected)
+    if not (math.isfinite(ratio) and math.isfinite(radius)):
+        raise ValidationError(f"coverage is not finite: variance ratio {ratio}, covering radius {radius}")
     return CoverageMetrics(variance_ratio=ratio, covering_radius=radius)
 
 
 def covering_radius(points: np.ndarray, centres: np.ndarray, chunk: int = 256) -> float:
     """Largest distance from a row of points to its nearest centre, equal
-    to the maximum of cdist(points, centres).min(axis=1).
+    to the maximum over rows of scipy's cdist(points, centres).min(axis=1).
 
     A float64 matrix product over rows centred on the mean of points gives
-    each row's nearest squared distance m to within e = 2 (d + 4) 2^-53
-    (|a| + max|b|)^2, the kNN's bound. A row whose upper bound m + e
+    each row's nearest squared distance m to within the error e of
+    signals.rounding_bound, the kNN's bound. A row whose upper bound m + e
     (widened by the exact re-computation's own error) is below some row's
     lower bound m - e cannot be the farthest one, so only the remaining
-    rows go through cdist. NaN bounds, from overflow, keep a row.
+    rows are re-checked through signals.exact_sq_distances. NaN bounds,
+    from overflow, keep a row.
     """
-    d = points.shape[1]
     mean = points.mean(axis=0)
     a, b = points - mean, centres - mean
     a_sq, b_sq = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
@@ -359,14 +359,15 @@ def covering_radius(points: np.ndarray, centres: np.ndarray, chunk: int = 256) -
         block += b_sq
         nearest[start : start + chunk] = block.min(axis=1)
     nearest += a_sq
-    err = 2.0 * (d + 4) * 2.0**-53 * (np.sqrt(a_sq) + np.sqrt(b_sq.max())) ** 2
-    rel = 2.0 * (d + 2) * 2.0**-53
-    floor = 2.0 * d * 2.0**-1074
-    upper = (nearest + err) * (1.0 + rel) + floor
-    lower = (nearest - err) * (1.0 - rel) - floor
+    err, widen, floor = rounding_bound(
+        points.shape[1], np.float64, np.sqrt(a_sq) + np.sqrt(b_sq.max())
+    )
+    upper = (nearest + err) * (1.0 + widen) + floor
+    lower = (nearest - err) * (1.0 - widen) - floor
     rows = np.flatnonzero(~(upper < lower.max()))
-    radius = 0.0
+    coords = np.ascontiguousarray(centres.T)
+    radius_sq = 0.0
     for start in range(0, rows.size, chunk):
-        dists = cdist(points[rows[start : start + chunk]], centres)
-        radius = max(radius, float(dists.min(axis=1).max()))
-    return radius
+        sq = exact_sq_distances(points[rows[start : start + chunk]], coords)
+        radius_sq = max(radius_sq, float(sq.min(axis=1).max()))
+    return math.sqrt(radius_sq)

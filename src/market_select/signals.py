@@ -35,8 +35,8 @@ _CHUNK_ROWS = 256
 # m: GEMM candidates kept per row beyond the k needed, so the certificate
 # has a margin between the k-th and the nearest non-candidate
 _EXTRA_CANDIDATES = 6
-# float64 elements in cdist's row-chunk buffer (512 KiB)
-_CDIST_BUFFER = 1 << 16
+# float64 elements in one piece of exact_sq_distances' differences (512 KiB)
+_DIFF_BUFFER = 1 << 16
 
 
 @dataclass
@@ -88,35 +88,36 @@ class DiversityParams:
 class ExactNeighborIndex:
     """Exact brute-force nearest neighbors over one point set.
 
-    Rows are processed in chunks of ``chunk_rows``. The points are
+    The index keeps one float64, coordinate-major (d x n) copy of the
+    points, and processes rows in chunks of ``chunk_rows``. The points are
     mean-centred and scaled by 2^-e, where e is the binary exponent of the
     largest centred norm, so the largest norm lies in [1/2, 1); scaling by
     a power of two is exact and keeps the float32 copies of the rows
     clear of overflow. For each chunk, one float32 BLAS matrix product
     gives approximate squared distances |a|^2 + |b|^2 - 2 a.b (the
     brute-force formulation of FAISS, Johnson, Douze & Jegou 2017), and
-    the k + _EXTRA_CANDIDATES smallest per row become candidates. Each
-    candidate's distance is then recomputed in float64 directly from the
-    original coordinates, summing squared differences in coordinate order
-    as cdist does, so duplicates come out at exactly zero. A row is
-    accepted only when floating-point error bounds (u = 2^-24 for the
-    float32 product, in the scaled units) prove that no non-candidate can
-    be nearer than its k-th re-ranked neighbor. Rows that fail get a
-    second, float64 product (u = 2^-53), whose much smaller bound
-    certifies most of what float32 cannot: sets with a point far outside
-    the rest, or clusters of near-duplicates. The float64 rows are made
-    on the first such row, and once most rows of a chunk fail in
-    float32, later chunks skip it (``float32_first``). Rows that fail
-    both, and point sets too small to have non-candidates, go through
-    cdist. Either way the k nearest distances are averaged in
-    ascending order, so the result does not depend on which path a row
-    took and matches an exhaustive oracle to float64 precision.
+    the k + _EXTRA_CANDIDATES smallest per row become candidates, whose
+    exact_sq_distances re-rank them. A row is accepted only when
+    rounding_bound (u = 2^-24 for the float32 product, in the scaled
+    units) proves that no non-candidate can be nearer than its k-th
+    re-ranked neighbor. Rows that fail get a second, float64 product
+    (u = 2^-53), whose much smaller bound certifies most of what float32
+    cannot: sets with a point far outside the rest, or clusters of
+    near-duplicates. The float64 rows are made on the first such row, and
+    once most rows of a chunk fail in float32, later chunks skip it
+    (``float32_first``). The last tier, exact_sq_distances to every
+    point, takes the rows that fail both and every row of a set of at
+    most k + _EXTRA_CANDIDATES + 1 points, which has no non-candidates.
+    Every tier averages the k nearest distances in ascending order, so the
+    result does not depend on the tier and matches an exhaustive oracle.
     """
 
     def __init__(self, points: np.ndarray, chunk_rows: int = _CHUNK_ROWS):
-        self.points = np.ascontiguousarray(points, dtype=np.float64)
+        points = np.ascontiguousarray(points, dtype=np.float64)
+        self.coords = np.ascontiguousarray(points.T)
         self.chunk_rows = chunk_rows
-        centred = self._centred()
+        self.mean = points.mean(axis=0)
+        centred = points - self.mean
         norms = np.sqrt(np.einsum("ij,ij->i", centred, centred))
         # 2^-exponent scales the largest norm into [1/2, 1); frexp(0) gives
         # 0, so a set of identical points is left unscaled
@@ -137,10 +138,9 @@ class ExactNeighborIndex:
         """mean_knn_distance for rows start:stop (one work item)."""
         n = self._check_k(k)
         todo = np.arange(start, stop)
-        if n <= k + _EXTRA_CANDIDATES + 1:
-            return self._cdist_mean(todo, k)
         out = np.empty(todo.size)
-        for dtype in (np.float32, np.float64) if self.float32_first else (np.float64,):
+        tiers = (np.float32, np.float64) if self.float32_first else (np.float64,)
+        for dtype in tiers if n > k + _EXTRA_CANDIDATES + 1 else ():
             mean, certified = self._gemm_mean(todo, k, dtype)
             if dtype is np.float32 and 2 * np.count_nonzero(certified) < todo.size:
                 # most rows need the float64 product anyway, so it costs
@@ -150,14 +150,13 @@ class ExactNeighborIndex:
             todo = todo[~certified]
             if not todo.size:
                 return out
-        out[todo - start] = self._cdist_mean(todo, k)
+        out[todo - start] = self._exhaustive_mean(todo, k)
         return out
 
     def _gemm_mean(self, rows: np.ndarray, k: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
         """Mean k-nearest distance of each row from candidates of a matrix
         product in ``dtype``, and whether the rounding bounds certify it."""
         scaled, sq_norms = self._scaled_rows(dtype)
-        d = scaled.shape[1]
         c = k + _EXTRA_CANDIDATES
         i = np.arange(rows.size)
         # -2 a.b + |b|^2; scaling by -2 is exact, and |a|^2 is constant per
@@ -170,95 +169,92 @@ class ExactNeighborIndex:
         threshold = block[i, order[:, c]] + sq_norms[rows].astype(np.float64)
         del block, order
 
-        diff = self.points[candidates] - self.points[rows, None, :]
-        diff *= diff
-        sq = diff[:, :, 0].copy()
-        for j in range(1, d):
-            sq += diff[:, :, j]
-        del diff
+        sq = exact_sq_distances(self.coords[:, rows].T, self.coords, candidates)
         sq.sort(axis=1)
-
-        # Rounding bounds, in scaled units (squared distances times
-        # 2^-2e), with u the unit roundoff of dtype. A product value of
-        # scaled centred rows a, b is within (d + 4) u (|a| + |b|)^2 of the
-        # true squared distance: d + 2 for the dot products and the two
-        # additions, 2 for the float64 centring; a float32 product adds 2
-        # for the cast. Underflow adds at most about 6 d times dtype's
-        # smallest subnormal. A re-ranked float64 sum of d squares is
-        # within a relative (d + 2) 2^-53 and, below the float64 normal
-        # range, an absolute d 2^-1074. All are doubled (the underflow
-        # floor rounded up further) to cover second-order terms and the
-        # bounds' own rounding. A k-th distance that overflows when
-        # rescaled becomes inf and fails, as it should.
-        info = np.finfo(dtype)
-        u = float(info.eps) / 2
-        terms = d + (6 if dtype is np.float32 else 4)
-        gemm_err = 2.0 * terms * u * (self.norms[rows] + self.norms.max()) ** 2
-        gemm_err += 16.0 * d * float(info.smallest_subnormal)
-        kth = sq[:, k - 1] * (1.0 + 2.0 * (d + 2) * 2.0**-53) + 2.0 * d * 2.0**-1074
-        certified = np.ldexp(kth, -2 * self.exponent) < threshold - gemm_err
+        err, widen, floor = rounding_bound(len(self.coords), dtype, self.norms[rows] + self.norms.max())
+        # the test is in scaled units (squared distances times 2^-2e); a
+        # k-th distance that overflows when rescaled becomes inf and fails
+        kth = sq[:, k - 1] * (1.0 + widen) + floor
+        certified = np.ldexp(kth, -2 * self.exponent) < threshold - err
         return np.sqrt(sq[:, :k]).mean(axis=1), certified
 
+    def _exhaustive_mean(self, rows: np.ndarray, k: int) -> np.ndarray:
+        sq = exact_sq_distances(self.coords[:, rows].T, self.coords)
+        # exclude self only (the diagonal); duplicates legitimately
+        # contribute zero distances
+        sq[np.arange(rows.size), rows] = np.inf
+        nearest = np.sort(np.partition(sq, k - 1, axis=1)[:, :k], axis=1)
+        return np.sqrt(nearest).mean(axis=1)
+
     def _check_k(self, k: int) -> int:
-        n = self.points.shape[0]
+        n = self.coords.shape[1]
         if not 1 <= k < n:
             raise ValidationError(f"need 1 <= k < n, got k={k}, n={n}")
         return n
-
-    def _cdist_mean(self, rows: np.ndarray, k: int) -> np.ndarray:
-        dist = cdist(self.points[rows], self.points)
-        # exclude self only (the diagonal); duplicates legitimately
-        # contribute zero distances
-        dist[np.arange(rows.size), rows] = np.inf
-        nearest = np.sort(np.partition(dist, k - 1, axis=1)[:, :k], axis=1)
-        return nearest.mean(axis=1)
-
-    def _centred(self) -> np.ndarray:
-        return self.points - self.points.mean(axis=0)
 
     def _scaled_rows(self, dtype: type) -> tuple[np.ndarray, np.ndarray]:
         """The scaled centred rows in ``dtype`` and their squared norms;
         the float64 ones are made on first use. Threads that race here
         compute the same arrays, so the first to store them wins."""
         if dtype not in self._scaled:
-            scaled = np.ldexp(self._centred(), -self.exponent)
+            centred = np.subtract(self.coords.T, self.mean, order="C")
+            scaled = np.ldexp(centred, -self.exponent, out=centred)
             self._scaled.setdefault(dtype, (scaled, np.einsum("ij,ij->i", scaled, scaled)))
         return self._scaled[dtype]
 
 
-def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of xa and of xb.
+def rounding_bound(d: int, dtype: type, norm_sum: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """For a search in d dimensions: the error of a ``dtype`` matrix-product
+    squared distance between centred rows whose norms add up to
+    ``norm_sum``, and the relative widening and absolute floor of an
+    exact_sq_distances value.
 
-    Squared differences are added one coordinate at a time and then
-    square-rooted. That is the summation order of scipy's cdist, so the
-    result equals it bit for bit. Inputs of at most 4 _CDIST_BUFFER
-    differences take one pass over a C-ordered (d, rows, len(xb)) block,
-    whose first axis numpy reduces plane by plane, in coordinate order.
-    Larger ones go in row chunks of at most _CDIST_BUFFER elements, one
-    coordinate at a time, so that each pass stays in cache.
+    A product value of centred rows a, b is within (d + 4) u (|a| + |b|)^2
+    of the true squared distance, with u the unit roundoff of dtype:
+    d + 2 for the dot products and the two additions, 2 for the float64
+    centring; a float32 product adds 2 for the cast. Underflow adds at
+    most about 6 d times dtype's smallest subnormal. An exact sum of d
+    squares is within a relative (d + 2) 2^-53 and, below the float64
+    normal range, an absolute d 2^-1074. All are doubled (the underflow
+    floor rounded up further) to cover second-order terms and the bounds'
+    own rounding.
     """
-    xa = np.asarray(xa, dtype=np.float64)
-    xb_cols = np.ascontiguousarray(np.asarray(xb, dtype=np.float64).T)
-    d, n = xb_cols.shape
-    out = np.empty((xa.shape[0], n))
-    if xa.size * n <= 4 * _CDIST_BUFFER:
-        diff = np.empty((d, xa.shape[0], n))
-        np.subtract(xa.T[:, :, None], xb_cols[:, None, :], out=diff)
-        diff *= diff
-        np.add.reduce(diff, axis=0, out=out)
-        return np.sqrt(out, out=out)
-    step = max(1, _CDIST_BUFFER // max(1, n))
-    diff = np.empty((min(step, xa.shape[0]), n))
-    for start in range(0, xa.shape[0], step):
-        chunk = xa[start : start + step]
-        sq = out[start : start + step]
-        sq.fill(0.0)
-        buf = diff[: len(chunk)]
-        for a, b in zip(chunk.T, xb_cols):
-            np.subtract.outer(a, b, out=buf)
-            buf *= buf
-            sq += buf
-        np.sqrt(sq, out=sq)
+    info = np.finfo(dtype)
+    terms = d + (6 if dtype is np.float32 else 4)
+    err = terms * float(info.eps) * norm_sum**2 + 16.0 * d * float(info.smallest_subnormal)
+    return err, 2.0 * (d + 2) * 2.0**-53, 2.0 * d * 2.0**-1074
+
+
+def exact_sq_distances(
+    queries: np.ndarray, coords: np.ndarray, candidates: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared Euclidean distances from each row of ``queries`` (m x d)
+    either to every column of the coordinate-major points ``coords``
+    (d x n), giving m x n, or to the columns that its row of
+    ``candidates`` (m x c) names, giving m x c.
+
+    The squared differences are added one coordinate at a time, in an
+    explicit loop: scipy's cdist sums in that order, so the square roots
+    equal its distances bit for bit, and a duplicate is exactly 0 away.
+    The work goes in pieces of rows and coordinates holding at most
+    _DIFF_BUFFER differences (but at least one row and one coordinate):
+    many points take one coordinate per piece, a chunk's few candidates
+    many, so that each coordinate costs few numpy calls.
+    """
+    width = coords.shape[1] if candidates is None else candidates.shape[1]
+    out = np.zeros((len(queries), width))
+    step = max(1, min(len(queries), _DIFF_BUFFER // width))
+    group = max(1, _DIFF_BUFFER // (step * width))
+    for start in range(0, len(queries), step):
+        rows = slice(start, start + step)
+        sq, q = out[rows], queries[rows].T[:, :, None]
+        for j in range(0, len(coords), group):
+            block = coords[j : j + group]
+            block = block[:, None, :] if candidates is None else block.take(candidates[rows], axis=1)
+            diff = np.subtract(block, q[j : j + group], order="C")
+            diff *= diff
+            for plane in diff:
+                sq += plane
     return out
 
 
@@ -308,7 +304,9 @@ def rarity_knn(
 ) -> np.ndarray:
     """Mean distance to the k nearest same-topic neighbors, self excluded.
 
-    k is clamped to (topic size - 1) for topics too small to supply k
+    Each topic gets an ExactNeighborIndex, so every distance averaged is
+    the square root of an exact_sq_distances value, equal to scipy's. k is
+    clamped to (topic size - 1) for topics too small to supply k
     neighbors, with a warning; a singleton topic gets rarity 0 because it
     has no neighbors at all. The work is split into row-chunk items across
     all topics, which up to ``threads`` workers share; results are placed

@@ -634,6 +634,73 @@ def test_env_var_threads(pool_file, tmp_path, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "env, argv, message",
+    [
+        ("0", [], "MARKET_SELECT_THREADS must be >= 1, got 0"),
+        ("-3", [], "MARKET_SELECT_THREADS must be >= 1, got -3"),
+        ("two", [], "MARKET_SELECT_THREADS must be an integer, got 'two'"),
+        (None, ["--threads", "0"], "--threads must be >= 1, got 0"),
+        ("0", ["--threads", "-1"], "--threads must be >= 1, got -1"),
+    ],
+    ids=["env-zero", "env-negative", "env-word", "flag-zero", "flag-wins"],
+)
+def test_a_bad_thread_count_is_exit_2(pool_file, tmp_path, capsys, monkeypatch, env, argv, message):
+    if env is not None:
+        monkeypatch.setenv("MARKET_SELECT_THREADS", env)
+    else:
+        monkeypatch.delenv("MARKET_SELECT_THREADS", raising=False)
+    out = tmp_path / "run"
+    code = main(["select", "--pool", str(pool_file), "--signals", "nll", "--budget-tokens", "60",
+                 *argv, "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_coverage_that_is_not_finite_is_exit_1(tmp_path, capsys):
+    # squares of coordinates near 1e200 overflow: the variance ratio is
+    # inf / inf and the covering radius inf
+    pool = tmp_path / "pool.jsonl"
+    write_pool_jsonl(pool, [
+        {"id": f"e{i}", "topic": "t", "tokens": 3,
+         "embedding": [1e200 * (i % 3 - 1), 2e200 * (i % 2)], "signals": {"nll": 0.1 * i}}
+        for i in range(8)
+    ])
+    out = tmp_path / "run"
+    code = main(["select", "--pool", str(pool), "--signals", "nll", "--budget-tokens", "9",
+                 "--coverage", "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: coverage is not finite:") and err.count("\n") == 1
+    assert not out.exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_shuffled_pool_lines_give_the_same_artifacts(tmp_path, monkeypatch):
+    # The pool is sorted by id when it is read, so the order of its lines
+    # must not reach an artifact. Unknown keys are dropped: their warnings
+    # follow line order. Each run reads "pool.jsonl" in its own working
+    # directory, so the echoed pool path is the same.
+    lines = (Path(__file__).resolve().parent / "golden" / "pool.jsonl").read_text(encoding="utf-8")
+    rows = [json.loads(line) for line in lines.splitlines() if line.strip()]
+    for row in rows:
+        row.pop("note", None)
+    shuffled = [rows[i] for i in np.random.default_rng(11).permutation(len(rows))]
+    assert shuffled != rows
+    names = ("report.json", "prices.jsonl", "selected.txt")
+    outputs = []
+    for name, order in (("file", rows), ("shuffled", shuffled)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        write_pool_jsonl("pool.jsonl", order)
+        code = main(["select", "--pool", "pool.jsonl", "--signals", "nll,s1,rarity:k=3,div_cent",
+                     "--budget-tokens", "400", "--coverage", "--out-dir", "run"])
+        assert code == 0
+        outputs.append([(Path("run") / n).read_bytes() for n in names])
+    assert outputs[0] == outputs[1]
+
+
 def test_run_config_round_trip_through_echo(pool_file, tmp_path):
     cfg = RunConfig(
         pool=str(pool_file),
@@ -795,7 +862,7 @@ def test_tune_and_rank_standardization_do_not_load_scipy_stats(tmp_path):
 
 def test_commands_run_with_scipy_blocked(pool_file, tmp_path):
     # Both topics have 12 rows, at most k + 7 for the default k = 10, so
-    # every rarity row takes the cdist fallback.
+    # every rarity row takes the exhaustive tier of the kNN.
     dev = tmp_path / "dev.jsonl"
     write_pool_jsonl(dev, [{"id": f"ex{i:03d}", "utility": (i * 7 % 5) / 4} for i in range(0, 24, 2)])
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist as scipy_cdist
 
 from market_select import selection
 from market_select.errors import ConfigError, ValidationError
@@ -320,7 +321,21 @@ def test_coverage_radius_matches_brute_force():
 
 
 def exhaustive_radius(points, centres):
-    return float(selection.cdist(points, centres).min(axis=1).max())
+    return float(scipy_cdist(points, centres).min(axis=1).max())
+
+
+def count_recheck_rows(monkeypatch) -> list[int]:
+    """Wrap selection.exact_sq_distances, recording each call's row count:
+    the rows that covering_radius re-checks."""
+    rows: list[int] = []
+    real = selection.exact_sq_distances
+
+    def counted(queries, coords):
+        rows.append(len(queries))
+        return real(queries, coords)
+
+    monkeypatch.setattr(selection, "exact_sq_distances", counted)
+    return rows
 
 
 def tied_far_points(rng, dim):
@@ -357,15 +372,29 @@ def spread_points(rng, dim):
     return points, points[rng.choice(700, size=90, replace=False)] + 1e-3
 
 
-@pytest.mark.parametrize("make_points", [tied_far_points, translated_clusters, offset_spheres, spread_points])
+def one_row_one_centre(rng, dim):
+    return rng.normal(size=(1, dim)), rng.normal(size=(1, dim))
+
+
+def tiny_spheres(rng, dim):
+    """Seven rows around one centre at radii 1e-150 (1 + j 1e-12): squared
+    distances near 1e-300, where few bits are left above the subnormals."""
+    centre = rng.normal(size=(1, dim)) * 1e-150
+    directions = rng.normal(size=(7, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return centre + directions * 1e-150 * (1.0 + 1e-12 * rng.permutation(7))[:, None], centre
+
+
+@pytest.mark.parametrize(
+    "make_points",
+    [tied_far_points, translated_clusters, offset_spheres, spread_points, one_row_one_centre, tiny_spheres],
+)
 @pytest.mark.parametrize("dim", [1, 3, 64, 384])
 def test_covering_radius_equals_exhaustive_cdist(make_points, dim, monkeypatch):
     rng = np.random.default_rng(dim)
     points, centres = make_points(rng, dim)
     want = exhaustive_radius(points, centres)
-    rows: list[int] = []
-    real = selection.cdist
-    monkeypatch.setattr(selection, "cdist", lambda a, b: (rows.append(len(a)), real(a, b))[1])
+    rows = count_recheck_rows(monkeypatch)
     assert covering_radius(points, centres, chunk=64) == want
     if make_points is spread_points:
         assert 0 < sum(rows) < len(points) // 10  # only near-farthest rows are re-checked
@@ -373,20 +402,24 @@ def test_covering_radius_equals_exhaustive_cdist(make_points, dim, monkeypatch):
 
 def test_covering_radius_overflow_keeps_every_row(monkeypatch):
     # Two clusters at +-1e154: nearest distances are small, but squared
-    # centred norms overflow, so the bounds are NaN and cdist decides
-    # every row.
+    # centred norms overflow, so the bounds are NaN and the exact
+    # re-check decides every row.
     rng = np.random.default_rng(87)
     points = np.vstack([1e154 + rng.normal(size=(20, 4)), -1e154 + rng.normal(size=(20, 4))])
     points = points * np.array([1.0, 1.0, 1.0, 1e-154])
     centres = points[[0, 1, 20, 21]]
     with np.errstate(over="ignore", invalid="ignore"):
         want = exhaustive_radius(points, centres)
-        rows: list[int] = []
-        real = selection.cdist
-        monkeypatch.setattr(selection, "cdist", lambda a, b: (rows.append(len(a)), real(a, b))[1])
+        rows = count_recheck_rows(monkeypatch)
         got = covering_radius(points, centres, chunk=16)
     assert np.isfinite(want) and got == want
     assert sum(rows) == len(points)
+
+
+def test_covering_radius_of_one_row_and_one_centre_equals_scipy():
+    rng = np.random.default_rng(0)
+    row, centre = rng.normal(size=(1, 64)), rng.normal(size=(1, 64))
+    assert covering_radius(row, centre) == scipy_cdist(row, centre)[0, 0] == 11.648850890856677
 
 
 def test_coverage_errors():

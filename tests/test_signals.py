@@ -15,9 +15,11 @@ from market_select.signals import (
     build_signal_table,
     diversity_centroid,
     diversity_combined,
+    exact_sq_distances,
     parse_signal_spec,
     rarity_knn,
 )
+from scipy.spatial.distance import cdist as scipy_cdist
 
 from conftest import make_pool, make_record, random_pool
 
@@ -33,6 +35,18 @@ def brute_force_rarity(pool, k: int) -> np.ndarray:
             )
             k_eff = min(k, len(dists))
             out[i] = sum(dists[:k_eff]) / k_eff if dists else 0.0
+    return out
+
+
+def scipy_rarity(pool, k: int) -> np.ndarray:
+    """Per-topic mean of the k smallest scipy cdist distances in
+    ascending order, self excluded: the kNN's float64 reference."""
+    emb = pool.embedding_matrix()
+    out = np.zeros(pool.n)
+    for idx in pool.topics.values():
+        dist = scipy_cdist(emb[idx], emb[idx])
+        np.fill_diagonal(dist, np.inf)
+        out[idx] = np.sort(dist, axis=1)[:, :k].mean(axis=1)
     return out
 
 
@@ -192,16 +206,17 @@ def test_rarity_without_openblas_symbols_leaves_blas_alone(monkeypatch):
         signals._openblas_threads.cache_clear()
 
 
-def count_cdist_rows(monkeypatch) -> list[int]:
-    """Replace signals.cdist with a wrapper recording each call's row count."""
+def count_exhaustive_rows(monkeypatch) -> list[int]:
+    """Wrap ExactNeighborIndex._exhaustive_mean, recording each call's
+    row count: the rows of the exhaustive last tier."""
     rows: list[int] = []
-    real = signals.cdist
+    real = ExactNeighborIndex._exhaustive_mean
 
-    def counted(a, b):
-        rows.append(len(a))
-        return real(a, b)
+    def counted(self, todo, k):
+        rows.append(todo.size)
+        return real(self, todo, k)
 
-    monkeypatch.setattr(signals, "cdist", counted)
+    monkeypatch.setattr(ExactNeighborIndex, "_exhaustive_mean", counted)
     return rows
 
 
@@ -223,9 +238,9 @@ def test_rarity_certified_gemm_path_matches_oracle(dim, monkeypatch):
     k = 4
     sizes = [k + signals._EXTRA_CANDIDATES + 2, 25, 40]
     pool = topic_pool(rng, sizes, dim)
-    cdist_rows = count_cdist_rows(monkeypatch)
+    exhaustive_rows = count_exhaustive_rows(monkeypatch)
     got = rarity_knn(pool, KnnParams(k=k))
-    assert cdist_rows == []  # every row certified on the GEMM path
+    assert exhaustive_rows == []  # every row certified on the GEMM path
     assert np.max(np.abs(got - brute_force_rarity(pool, k))) <= 1e-9
 
 
@@ -273,30 +288,38 @@ def test_rarity_extreme_scales_match_oracle(scale, monkeypatch):
     pool = topic_pool(rng, [k + signals._EXTRA_CANDIDATES + 2, 30, 45], 8)
     points = pool.embedding_matrix() * scale
     pool = embedded_pool(points, topics=[pool.topic_names[c] for c in pool.topic_codes])
-    cdist_rows = count_cdist_rows(monkeypatch)
+    exhaustive_rows = count_exhaustive_rows(monkeypatch)
     got = rarity_knn(pool, KnnParams(k=k))
-    assert cdist_rows == []
+    assert exhaustive_rows == []
     assert np.max(np.abs(got - brute_force_rarity(pool, k))) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 64, 384])
-def test_cdist_equals_scipy(dim, monkeypatch):
-    from scipy.spatial.distance import cdist as scipy_cdist
-
+def test_exact_sq_distances_equal_scipy(dim, monkeypatch):
     rng = np.random.default_rng(dim)
     xa = rng.normal(size=(40, dim)) * 10.0 ** rng.integers(-3, 4, size=(40, 1))
     xa[5:9] = xa[0]  # duplicate rows
     xb = np.vstack([xa[::3], rng.normal(size=(17, dim))])
+    coords = np.ascontiguousarray(xb.T)
+    candidates = rng.integers(0, len(xb), size=(40, 9))
+    candidates[:9, 0] = 0  # xb[0] is xa[0], so rows 0 and 5-8 see a duplicate
     want = scipy_cdist(xa, xb)
-    assert np.array_equal(signals.cdist(xa, xb), want)
-    # a buffer of 3 x 31 elements: 14 row chunks, the last one partial
-    monkeypatch.setattr(signals, "_CDIST_BUFFER", 3 * len(xb))
-    assert np.array_equal(signals.cdist(xa, xb), want)
-    assert np.array_equal(signals.cdist(xa, xa), scipy_cdist(xa, xa))
-    # a buffer large enough for one (d, rows, len(xb)) block
-    monkeypatch.setattr(signals, "_CDIST_BUFFER", xa.size * len(xa))
-    assert np.array_equal(signals.cdist(xa, xb), want)
-    assert np.array_equal(signals.cdist(xa, xa), scipy_cdist(xa, xa))
+    assert np.all(want[[0, 5, 6, 7, 8], 0] == 0.0)
+
+    def check() -> None:
+        assert np.array_equal(np.sqrt(exact_sq_distances(xa, coords)), want)
+        gathered = exact_sq_distances(xa, coords, candidates)
+        assert np.array_equal(np.sqrt(gathered), np.take_along_axis(want, candidates, axis=1))
+        # one row against one point
+        assert np.array_equal(np.sqrt(exact_sq_distances(xa[1:2], coords[:, 3:4])), want[1:2, 3:4])
+
+    check()
+    # pieces of one row and one coordinate; of 3 rows (the last one
+    # partial) and one coordinate; of every row and 3 coordinates (the
+    # last group partial unless 3 divides dim)
+    for buffer in (1, 3 * len(xb), 3 * len(xa) * len(xb)):
+        monkeypatch.setattr(signals, "_DIFF_BUFFER", buffer)
+        check()
 
 
 def count_gemm_rows(monkeypatch) -> dict[str, list[int]]:
@@ -320,7 +343,8 @@ def test_rarity_near_ties_below_float32_precision_certify_in_float64(monkeypatch
     # Row 0 sees 40 points at radii 1 + j 1e-11: float32 products cannot
     # order them, so its candidates are arbitrary and only the certificate
     # (u = 2^-24) keeps the row off the float32 path. The float64 product
-    # orders them, so the row certifies there and cdist is not needed.
+    # orders them, so the row certifies there and never reaches the exhaustive
+    # tier.
     rng = np.random.default_rng(13)
     k = 4
     directions = rng.normal(size=(40, 8))
@@ -328,13 +352,13 @@ def test_rarity_near_ties_below_float32_precision_certify_in_float64(monkeypatch
     radii = 1.0 + 1e-11 * rng.permutation(40)
     points = np.vstack([np.zeros(8), directions * radii[:, None]])
     gemm_rows = count_gemm_rows(monkeypatch)
-    cdist_rows = count_cdist_rows(monkeypatch)
+    exhaustive_rows = count_exhaustive_rows(monkeypatch)
     got = rarity_knn(embedded_pool(points), KnnParams(k=k))
     float32_rows, float32_certified = gemm_rows["float32"]
     assert float32_rows == len(points) and float32_certified < float32_rows
     assert gemm_rows["float64"] == [float32_rows - float32_certified] * 2
-    assert cdist_rows == []
-    dist = signals.cdist(points, points)
+    assert exhaustive_rows == []
+    dist = scipy_cdist(points, points)
     np.fill_diagonal(dist, np.inf)
     assert np.array_equal(got, np.sort(dist, axis=1)[:, :k].mean(axis=1))
 
@@ -358,15 +382,16 @@ def test_rarity_float64_candidates_certify_what_float32_cannot(make_points, dim,
     # With u = 2^-24 the float32 bound is wider than the gap between the
     # k-th and the nearest non-candidate: next to a far outlier, because
     # the bound scales with the largest norm, and inside a tight cluster.
-    # The float64 product certifies these rows, so none reaches cdist.
+    # The float64 product certifies these rows, so none reaches the
+    # exhaustive tier.
     rng = np.random.default_rng(dim)
     k = 4
     points = make_points(rng, dim)
     gemm_rows = count_gemm_rows(monkeypatch)
-    cdist_rows = count_cdist_rows(monkeypatch)
+    exhaustive_rows = count_exhaustive_rows(monkeypatch)
     index = ExactNeighborIndex(points, chunk_rows=32)
     got = index.mean_knn_distance(k)
-    assert cdist_rows == []
+    assert exhaustive_rows == []
     assert gemm_rows["float64"][1] == gemm_rows["float64"][0] > 0
     # the first chunk that mostly failed in float32 was the last to try it
     assert not index.float32_first
@@ -379,15 +404,17 @@ def test_rarity_far_translation(shifted_share, falls_back, monkeypatch):
     # A translation of the whole topic cancels in the centring, so the
     # certificate holds. Translating half of it puts both halves ~5e8 from
     # the topic mean; the GEMM error bound then dwarfs every gap and all
-    # rows must fall back to cdist.
+    # rows must fall back to the exhaustive tier.
     rng = np.random.default_rng(10)
     sizes = [40, 30]
     offsets = [np.where(np.arange(n) < shifted_share * n, 1e9, 0.0) for n in sizes]
     pool = topic_pool(rng, sizes, 4, offsets)
-    cdist_rows = count_cdist_rows(monkeypatch)
+    exhaustive_rows = count_exhaustive_rows(monkeypatch)
     got = rarity_knn(pool, KnnParams(k=3))
-    assert sum(cdist_rows) == (pool.n if falls_back else 0)
+    assert sum(exhaustive_rows) == (pool.n if falls_back else 0)
     assert np.max(np.abs(got - brute_force_rarity(pool, 3))) <= 1e-9
+    if falls_back:
+        assert np.array_equal(got, scipy_rarity(pool, 3))
 
 
 def test_centroid_identical_embeddings_zero():
