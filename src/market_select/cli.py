@@ -10,7 +10,7 @@ builds one RunConfig from its flags, which parses and checks every
 setting, and builds its other configs, before pipeline.prepare reads the
 pool; so the shared flags mean the same everywhere, and a bad setting
 fails before a bad pool. MARKET_SELECT_THREADS serves as a fallback for
---threads.
+--threads, and the number of usable CPUs as the default of both.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
+from . import pool as pool_module
 from .errors import ConfigError, MarketSelectError, ValidationError
 from .pipeline import (
     CONFIG_KEYS,
@@ -91,9 +92,10 @@ def _add_signal_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--threads", type=int,
-        help="worker cap for the pool parse (one range of at least 1 MiB per worker, at most "
-             "one per usable CPU) and for the kNN's row-chunk work items, where OpenBLAS then "
-             "runs one thread per worker; results are byte-identical for any value",
+        help="worker cap (default: MARKET_SELECT_THREADS, else the number of usable CPUs) for "
+             "the pool parse (one range of at least 4 MiB per worker, at most one per usable "
+             "CPU) and for the kNN's row-chunk work items, where OpenBLAS then runs one thread "
+             "per worker; results are byte-identical for any value",
     )
 
 
@@ -237,11 +239,16 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _threads_of(args: argparse.Namespace) -> int:
-    """--threads, else MARKET_SELECT_THREADS, else 1: an integer >= 1."""
-    if args.threads is not None:
-        name, value = "--threads", args.threads
+    """--threads, else MARKET_SELECT_THREADS, else the number of usable
+    CPUs: an integer >= 1. A subcommand without --threads (explain)
+    follows the variable."""
+    flag = vars(args).get("threads")
+    if flag is not None:
+        name, value = "--threads", flag
+    elif "MARKET_SELECT_THREADS" in os.environ:
+        name, value = "MARKET_SELECT_THREADS", os.environ["MARKET_SELECT_THREADS"]
     else:
-        name, value = "MARKET_SELECT_THREADS", os.environ.get("MARKET_SELECT_THREADS", "1")
+        return pool_module._usable_cpus()
     try:
         threads = int(value)
     except ValueError:
@@ -419,7 +426,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    info = explain(args.run_dir, args.id, pool_path=args.pool)
+    info = explain(args.run_dir, args.id, pool_path=args.pool, threads=_threads_of(args))
     print(f"id: {info['id']}")
     print(f"topic: {info['topic']}")
     print(f"tokens: {info['tokens']}")

@@ -396,13 +396,17 @@ def format_price_rows(pool: Pool, state: MarketState) -> str:
 
 
 def explain(
-    run_dir: str | Path, example_id: str, pool_path: str | Path | None = None
+    run_dir: str | Path,
+    example_id: str,
+    pool_path: str | Path | None = None,
+    threads: int = 1,
 ) -> dict[str, Any]:
     """Break one example's run down: raw and standardized signals, share,
     price, score, and what happened to it during the selection scan.
 
     Recomputes the (deterministic) pipeline from the config embedded in
-    the run's report and cross-checks against the stored price dump.
+    the run's report, with ``threads`` as in ``execute``, and
+    cross-checks against the stored price dump.
     """
     run_dir = Path(run_dir)
     report_path = run_dir / REPORT_FILE
@@ -422,7 +426,7 @@ def explain(
         cfg = RunConfig.from_dict(cfg_data)
     except ConfigError as exc:
         raise ConfigError(f"{report_path}: {exc}") from None
-    result = execute(cfg, threads=1)
+    result = execute(cfg, threads=threads)
     pool = result.pool
     idx = pool.index_of(example_id)
     label = int(pool.label_codes[idx])

@@ -34,10 +34,11 @@ import pickle
 import signal
 import warnings
 from array import array
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
@@ -417,11 +418,13 @@ def token_sum(lengths: np.ndarray) -> int:
 
 
 # Bytes a range must hold, at least, to get a worker of its own. Forking
-# a worker from a process that has loaded numpy and taking its columns
-# back cost 5-8 ms on a 2-vCPU VM, where parsing 1 MiB of a 64-d
-# embedding pool took 40 ms; so a range below 1 MiB would save too
-# little, and a file below 2 MiB is parsed in one range.
-RANGE_FLOOR = 1 << 20
+# a worker takes 2-5 ms on a 2-vCPU VM, but there two ranges parsed at
+# once each ran up to 1.9x slower than one alone, so a split pays only
+# on larger files. Loading pools of 160-byte rows with 2 workers against
+# 1 (medians of 8): 2.4 MB 0.185 -> 0.188 s, 4.8 MB 0.36 -> 0.28 s,
+# 9.6 MB 0.71 -> 0.41 s, 32 MB 2.33 -> 1.37 s. Below 8 MiB a split saves
+# at most about 0.1 s and costs CPU time, so such a file is one range.
+RANGE_FLOOR = 4 << 20
 
 
 def load_pool(path: str | Path, workers: int = 1) -> Pool:
@@ -429,10 +432,9 @@ def load_pool(path: str | Path, workers: int = 1) -> Pool:
 
     The file is split into at most ``workers`` ranges that end on a
     newline, at most one per usable CPU and one per ``RANGE_FLOOR``
-    bytes. The calling process parses the first range; each other range
-    goes to a forked worker, which hands back its columns. A range whose
-    worker cannot start or dies, or every range where there is no
-    ``fork``, is parsed in-process. Within a range the lines are read
+    bytes. ``fork_map`` parses them: the calling process the first range,
+    a forked worker each other range, or the caller a range whose worker
+    cannot start or dies. Within a range the lines are read
     as text-mode files read them: universal newlines, blank lines
     skipped. Every row goes through the row checker that
     ``Pool.from_rows`` uses too, and ``_merge`` settles, in line order,
@@ -446,7 +448,7 @@ def load_pool(path: str | Path, workers: int = 1) -> Pool:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"pool file not found: {path}")
-    parts = _parse_ranges(path, _ranges(path, workers))
+    parts = fork_map(_parse_range, [(path, *r) for r in _ranges(path, workers)])
     for part in parts:
         if part.bad_utf8 is not None:
             raise ConfigError(f"pool file {path} is not valid UTF-8: {part.bad_utf8}")
@@ -481,19 +483,30 @@ def _ranges(path: Path, workers: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b] or [(0, size)]
 
 
-def _parse_ranges(path: Path, ranges: list[tuple[int, int]]) -> list[_Columns]:
-    """The columns of each range: the first parsed here, the others by
-    workers, or here when their worker fails. No worker outlives this."""
+T = TypeVar("T")
+
+
+def fork_map(task: Callable[..., T], args: Sequence[tuple]) -> list[T]:
+    """``[task(*a) for a in args]``, the tasks run side by side.
+
+    The calling process runs the first task; each other task runs in a
+    forked worker, which pipes back its pickled result. A task whose
+    worker cannot start or does not exit cleanly, or every task where
+    there is no ``fork``, runs in the calling process instead, so the
+    results do not depend on how many workers ran. A worker sees the
+    caller's memory as it was at the fork, so the arguments are not
+    copied. No worker outlives this.
+    """
     workers: list[tuple[int, io.BufferedReader] | None] = []
     try:
         # extend() appends one worker at a time, so a failure midway
         # still leaves the ones started to the cleanup below
-        workers.extend(_start_worker(path, *r) for r in ranges[1:])
-        parts = [_parse_range(path, *ranges[0])]
-        for i, r in enumerate(ranges[1:]):
+        workers.extend(_start_worker(task, a) for a in args[1:])
+        results = [task(*a) for a in args[:1]]
+        for i, a in enumerate(args[1:]):
             worker, workers[i] = workers[i], None  # _collect reaps it, whatever happens
-            part = None if worker is None else _collect(*worker)
-            parts.append(part if part is not None else _parse_range(path, *r))
+            data = None if worker is None else _collect(*worker)
+            results.append(pickle.loads(data) if data is not None else task(*a))
     finally:
         for worker in workers:  # still running only if this raised
             if worker is not None:
@@ -501,20 +514,20 @@ def _parse_ranges(path: Path, ranges: list[tuple[int, int]]) -> list[_Columns]:
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return parts
+    return results
 
 
-def _start_worker(path: Path, start: int, end: int) -> tuple[int, io.BufferedReader] | None:
-    """Fork a worker that parses bytes [start, end) of the file and
-    pipes back its pickled columns: (pid, read end of the pipe), or None
-    when no worker can start."""
+def _start_worker(task: Callable[..., object], args: tuple) -> tuple[int, io.BufferedReader] | None:
+    """Fork a worker that runs ``task(*args)`` and pipes back its pickled
+    result: (pid, read end of the pipe), or None when no worker can start."""
     if not hasattr(os, "fork"):
         return None
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns on fork() in a process with threads (BLAS
-            # has some); the worker only parses, so the warning is moot
+            # has some); a worker runs no threads of its own, so the
+            # warning is moot
             warnings.simplefilter("ignore")
             pid = os.fork()
     except OSError:
@@ -525,7 +538,7 @@ def _start_worker(path: Path, start: int, end: int) -> tuple[int, io.BufferedRea
         code = 1
         try:
             os.close(read_fd)
-            data = pickle.dumps(_parse_range(path, start, end), pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps(task(*args), pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as out:
                 out.write(data)
             code = 0
@@ -535,9 +548,9 @@ def _start_worker(path: Path, start: int, end: int) -> tuple[int, io.BufferedRea
     return pid, open(read_fd, "rb")
 
 
-def _collect(pid: int, pipe: io.BufferedReader) -> _Columns | None:
-    """A worker's columns, or None when it did not finish cleanly. The
-    worker is reaped in any case."""
+def _collect(pid: int, pipe: io.BufferedReader) -> bytes | None:
+    """A worker's pickled result, or None when it did not finish cleanly.
+    The worker is reaped in any case."""
     try:
         with pipe:
             data = pipe.read()
@@ -548,7 +561,7 @@ def _collect(pid: int, pipe: io.BufferedReader) -> _Columns | None:
         status = os.waitpid(pid, 0)[1]
     if os.waitstatus_to_exitcode(status) != 0:
         return None
-    return pickle.loads(data)
+    return data
 
 
 class _Span(io.RawIOBase):

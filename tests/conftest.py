@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +30,33 @@ def make_record(
 
 def make_pool(*rows: dict) -> Pool:
     return Pool.from_rows(rows)
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    """Every process a test forks or spawns is reaped by the time it ends."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("a child process outlived the test" + (f" (pid {pid})" if pid else ""))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers forked while the test runs."""
+    pids: list[int] = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
 
 @pytest.fixture

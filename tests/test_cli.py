@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import market_select
+from market_select import pipeline
+from market_select import pool as pool_module
 from market_select.cli import main
 from market_select.errors import ConfigError
 from market_select.pipeline import RunConfig, execute, explain, format_float, run_pipeline
@@ -615,23 +617,71 @@ def test_alpha_file_not_covering_topics_is_exit_2(pool_file, tmp_path, capsys):
     assert "beta" in capsys.readouterr().err  # the uncovered topic is named
 
 
+ARTIFACTS = ("report.json", "prices.jsonl", "selected.txt")
+
+
+def record_workers(monkeypatch) -> list[int]:
+    """The worker count of each pool load that pipeline.prepare makes."""
+    seen: list[int] = []
+    real = pipeline.load_pool
+
+    def load_pool(path, workers=1):
+        seen.append(workers)
+        return real(path, workers)
+
+    monkeypatch.setattr(pipeline, "load_pool", load_pool)
+    return seen
+
+
+def _select_artifacts(pool_file, out, *flags):
+    assert main(["select", "--pool", str(pool_file), "--signals", "rarity:k=3",
+                 "--budget-tokens", "100", *flags, "--out-dir", str(out)]) == 0
+    return {name: (out / name).read_bytes() for name in ARTIFACTS}
+
+
 def test_env_var_threads(pool_file, tmp_path, monkeypatch):
+    workers = record_workers(monkeypatch)
     monkeypatch.setenv("MARKET_SELECT_THREADS", "4")
-    out = tmp_path / "run"
-    code = main(
-        [
-            "select",
-            "--pool",
-            str(pool_file),
-            "--signals",
-            "rarity:k=3",
-            "--budget-tokens",
-            "100",
-            "--out-dir",
-            str(out),
-        ]
-    )
-    assert code == 0
+    four = _select_artifacts(pool_file, tmp_path / "four")
+    one = _select_artifacts(pool_file, tmp_path / "one", "--threads", "1")
+    assert workers == [4, 1]
+    assert four == one
+
+
+def test_without_flag_or_variable_every_usable_cpu_works(pool_file, tmp_path, monkeypatch,
+                                                         forks):
+    # a range floor of one byte: every parse worker past the first forks
+    monkeypatch.setattr(pool_module, "RANGE_FLOOR", 1)
+    monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 3)
+    monkeypatch.delenv("MARKET_SELECT_THREADS", raising=False)
+    workers = record_workers(monkeypatch)
+    one = _select_artifacts(pool_file, tmp_path / "one", "--threads", "1")
+    assert workers == [1] and forks == []
+    default = _select_artifacts(pool_file, tmp_path / "default")
+    assert workers == [1, 3]
+    assert len(forks) == 2
+    assert default == one
+
+
+def test_explain_takes_the_thread_count_of_the_other_commands(pool_file, tmp_path, monkeypatch,
+                                                              capsys):
+    run = tmp_path / "run"
+    _select_artifacts(pool_file, run, "--threads", "1")
+    monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 3)
+    monkeypatch.delenv("MARKET_SELECT_THREADS", raising=False)
+    workers = record_workers(monkeypatch)
+    outputs = []
+    for env in (None, "2", "1"):
+        if env is not None:
+            monkeypatch.setenv("MARKET_SELECT_THREADS", env)
+        capsys.readouterr()
+        assert main(["explain", "--run-dir", str(run), "ex004"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert workers == [3, 2, 1]
+    assert outputs[0] == outputs[1] == outputs[2]
+    monkeypatch.setenv("MARKET_SELECT_THREADS", "0")
+    assert main(["explain", "--run-dir", str(run), "ex004"]) == 2
+    assert capsys.readouterr().err == "error: MARKET_SELECT_THREADS must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize(

@@ -33,22 +33,6 @@ def many_ranges(monkeypatch):
     monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 3)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the workers forked while the test runs."""
-    pids: list[int] = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
 def _load(path, workers):
     return _outcome(lambda: load_pool(path, workers))
 
