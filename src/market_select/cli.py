@@ -39,20 +39,19 @@ from .pipeline import (
     fmt_float,
     format_price_rows,
     prepare,
-    price,
     read_float_map,
     read_json_file,
-    resolve_weights,
     run_pipeline,
     write_atomic,
 )
-from .market import DEFAULT_BETA
+from .market import DEFAULT_BETA, price_pool
 from .selection import DEFAULT_GAMMA
 from .standardize import DEFAULT_TAU
 from .tune import TuneConfig, load_dev_feedback, tune_weights
 from .verify import (
     CorruptionSweepConfig,
     RecoverySimConfig,
+    check_target_signal,
     recovery_grid,
     sweep_corruption,
     sweep_hyperparams,
@@ -93,9 +92,9 @@ def _add_signal_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads", type=int,
         help="worker cap (default: MARKET_SELECT_THREADS, else the number of usable CPUs) for "
-             "the pool parse (one range of at least 4 MiB per worker, at most one per usable "
-             "CPU) and for the kNN's row-chunk work items, where OpenBLAS then runs one thread "
-             "per worker; results are byte-identical for any value",
+             "the pool parse (one range of at least 4 MiB per worker) and for the kNN's "
+             "row-chunk work items, where OpenBLAS then runs one thread per worker; at most one "
+             "worker per usable CPU; results are byte-identical for any value",
     )
 
 
@@ -316,8 +315,8 @@ def _cmd_signals(args: argparse.Namespace) -> int:
 
 def _cmd_price(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
-    pool, table, std = prepare(cfg, _threads_of(args))
-    _, state = price(cfg, pool, table, std)
+    pool, _, std = prepare(cfg, _threads_of(args))
+    state = price_pool(pool, std, cfg.resolved_weights, cfg.market_config)
     out = Path(args.out)
     write_atomic([(out, format_price_rows(pool, state))])
     print(f"wrote prices for {pool.n} examples to {out}")
@@ -382,9 +381,10 @@ def _cmd_simulate_corruption(args: argparse.Namespace) -> int:
         tau=cfg.tau,
         betas=_parse_grid(args.beta_grid, "--beta-grid"),
     )
-    pool, table, std = prepare(cfg, _threads_of(args))
-    weights = resolve_weights(cfg.weights, list(table.columns))
-    rows = sweep_corruption(pool, std, weights, sweep_cfg)
+    check_target_signal(args.target_signal, [spec.name for spec in cfg.specs],
+                        cfg.resolved_weights)
+    pool, _, std = prepare(cfg, _threads_of(args))
+    rows = sweep_corruption(pool, std, cfg.resolved_weights, sweep_cfg)
     _write_csv(
         args.out,
         ["epsilon", "beta", "price_l1_change", "share_linf_change", "share_linf_bound"],
@@ -403,11 +403,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         replace(cfg, beta=beta)
     for gamma in gammas:
         replace(cfg, gamma=gamma)
-    pool, table, std = prepare(cfg, _threads_of(args))
-    weights = resolve_weights(cfg.weights, list(table.columns))
-    rows = sweep_hyperparams(
-        pool, std, weights, budget_tokens=cfg.budget_tokens, beta_grid=betas, gamma_grid=gammas
-    )
+    pool, _, std = prepare(cfg, _threads_of(args))
+    rows = sweep_hyperparams(pool, std, cfg.resolved_weights, budget_tokens=cfg.budget_tokens,
+                             beta_grid=betas, gamma_grid=gammas)
     _write_csv(
         args.out,
         [

@@ -14,7 +14,7 @@ liquidities as extreme as 1e-3 or 1e6 stay finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -46,6 +46,15 @@ class Weights:
     @property
     def names(self) -> list[str]:
         return list(self.w)
+
+    def require_columns(self, columns: Collection[str]) -> None:
+        """Every weighted name must be one of the signal columns."""
+        for name in self.w:
+            if name not in columns:
+                raise ValidationError(
+                    f"weight refers to unknown signal column {name!r}; "
+                    f"available: {sorted(columns)}"
+                )
 
     @staticmethod
     def equal(names: list[str]) -> "Weights":
@@ -129,13 +138,9 @@ def aggregate_shares(table: StandardizedTable, weights: Weights) -> np.ndarray:
     Every weighted name must exist as a table column; columns without a
     weight are simply not traded.
     """
+    weights.require_columns(table.columns)
     q = np.zeros(table.n, dtype=np.float64)
     for name, w in weights.w.items():
-        if name not in table.columns:
-            raise ValidationError(
-                f"weight refers to unknown signal column {name!r}; "
-                f"available: {sorted(table.columns)}"
-            )
         q += w * table.columns[name]
     return q
 

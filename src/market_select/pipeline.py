@@ -1,10 +1,10 @@
 """End-to-end wiring: signals -> standardize -> shares -> prices ->
 token-aware selection, plus artifact output and per-example explanation.
 
-Two shared stages own the chain and its defaults: ``prepare`` loads the
-pool, builds the signals and standardizes them, and ``price`` resolves
-the weights and prices the topic-separable market. ``execute`` (behind
-``select``) and every other pool command of the CLI go through them.
+One shared stage owns the chain and its defaults: ``prepare`` loads the
+pool, builds the signals and standardizes them. ``execute`` (behind
+``select``) and every other pool command of the CLI go through it, and
+price with the weights that RunConfig resolved before the pool was read.
 
 A run is fully described by its RunConfig; the written report embeds the
 resolved config, so identical configs reproduce byte-identical artifacts
@@ -22,7 +22,7 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -62,7 +62,8 @@ class RunConfig:
     an object; an ``alpha`` other than 'proportional' as a file; a
     ``label_floor`` string; and the ``standardize`` aliases. Then the
     stage configs are built from the fields, and their own checks run:
-    ``specs`` (the parsed signal specs), ``std_config``,
+    ``specs`` (the parsed signal specs), ``resolved_weights`` (over the
+    spec names, which are the signal table's columns), ``std_config``,
     ``market_config`` and ``selection_config``. A run without
     ``budget_tokens`` gets its budget from the pool in ``execute``.
     """
@@ -128,8 +129,7 @@ class RunConfig:
                     f"retention_rate must be in [0, 1], got {self.retention_rate}"
                 )
         self.specs = parse_signal_specs(self.signals)
-        if self.weights == "diverse" and not any(spec.name == "div" for spec in self.specs):
-            raise ConfigError("weights preset 'diverse' requires the 'div' signal")
+        self.resolved_weights = resolve_weights(self.weights, [spec.name for spec in self.specs])
         self.std_config = StandardizeConfig(method=self.standardize, tau=self.tau)
         self.market_config = MarketConfig(beta=self.beta, topic_budgets=self.alpha)
         # a budget that comes from the pool stands in as 1 until execute
@@ -205,6 +205,28 @@ def read_json_file(path: str | Path, what: str) -> Any:
         raise ConfigError(f"{what} file {path} is not valid UTF-8: {exc.reason}") from None
 
 
+def read_json_lines(path: str | Path, what: str) -> Iterator[tuple[int, Any]]:
+    """(line number, JSON value) for each non-blank line of a JSON Lines
+    file; ``what`` names the file's role in the error messages."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{what} file not found: {path}")
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    value = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(
+                        f"{what} file {path} line {lineno}: invalid JSON ({exc.msg})"
+                    ) from None
+                yield lineno, value
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file {path} is not valid UTF-8: {exc.reason}") from None
+
+
 def read_float_map(path: str | Path, what: str) -> dict[str, float]:
     """A settings file holding a JSON object of name -> number."""
     return float_map(read_json_file(path, what), f"{what} file {Path(path)}")
@@ -229,24 +251,26 @@ class PipelineResult:
     pool: Pool
     table: SignalTable
     std: StandardizedTable
-    weights: Weights
     state: MarketState
     selection: SelectionReport
     report: dict[str, Any] = field(default_factory=dict)
 
 
 def resolve_weights(spec: str | dict[str, float], columns: list[str]) -> Weights:
-    if isinstance(spec, dict):
-        return Weights({str(k): float(v) for k, v in spec.items()})
+    """The Weights of a parsed weights setting over the signal columns;
+    every weighted name must be one of them."""
     if spec == "equal":
-        return Weights.equal(columns)
-    if spec == "diverse":
+        weights = Weights.equal(columns)
+    elif spec == "diverse":
         # diversity-leaning preset: double weight on the combined
         # diversity column, unit weight elsewhere
         if "div" not in columns:
             raise ConfigError("weights preset 'diverse' requires the 'div' signal")
-        return Weights({name: (2.0 if name == "div" else 1.0) for name in columns})
-    raise ConfigError(f"unknown weights spec {spec!r}")
+        weights = Weights({name: (2.0 if name == "div" else 1.0) for name in columns})
+    else:  # a name -> weight map from parse_weights
+        weights = Weights(dict(spec))
+    weights.require_columns(columns)
+    return weights
 
 
 def prepare(
@@ -261,15 +285,6 @@ def prepare(
     return pool, table, std
 
 
-def price(
-    cfg: RunConfig, pool: Pool, table: SignalTable, std: StandardizedTable
-) -> tuple[Weights, MarketState]:
-    """Resolve the configured weights and price the topic-separable market."""
-    weights = resolve_weights(cfg.weights, list(table.columns))
-    state = price_pool(pool, std, weights, cfg.market_config)
-    return weights, state
-
-
 def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
     """Run the full pipeline in memory and assemble the report dict."""
     if cfg.budget_tokens is None and cfg.retention_rate is None:
@@ -278,7 +293,7 @@ def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         pool, table, std = prepare(cfg, threads)
-        weights, state = price(cfg, pool, table, std)
+        state = price_pool(pool, std, cfg.resolved_weights, cfg.market_config)
 
         budget = cfg.budget_tokens
         if budget is None:
@@ -302,7 +317,7 @@ def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
         **asdict(cfg),
         "pool": str(cfg.pool),
         "signals": list(cfg.signals),
-        "weights": dict(weights.w),
+        "weights": dict(cfg.resolved_weights.w),
         "budget_tokens": budget,
         "max_examples": max_examples,
     }
@@ -318,7 +333,6 @@ def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
         pool=pool,
         table=table,
         std=std,
-        weights=weights,
         state=state,
         selection=selection,
         report=report,
@@ -432,22 +446,15 @@ def explain(
     label = int(pool.label_codes[idx])
 
     dumped = None
-    try:
-        with prices_path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{prices_path} line {lineno}"
-                row = _parse_json(line, where)
-                if not isinstance(row, dict):
-                    raise ConfigError(f"{where}: expected a JSON object")
-                if row.get("id") == example_id:
-                    if not all(type(row.get(key)) in (int, float) for key in ("p", "q")):
-                        raise ConfigError(f"{where}: 'p' and 'q' must be numbers")
-                    dumped = row
-                    break
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"prices file {prices_path} is not valid UTF-8: {exc.reason}") from None
+    for lineno, row in read_json_lines(prices_path, "prices"):
+        where = f"{prices_path} line {lineno}"
+        if not isinstance(row, dict):
+            raise ConfigError(f"{where}: expected a JSON object")
+        if row.get("id") == example_id:
+            if not all(type(row.get(key)) in (int, float) for key in ("p", "q")):
+                raise ConfigError(f"{where}: 'p' and 'q' must be numbers")
+            dumped = row
+            break
     consistent = dumped is not None and (
         math.isclose(dumped["q"], result.state.shares[idx], rel_tol=1e-6, abs_tol=1e-9)
         and math.isclose(dumped["p"], result.state.prices[idx], rel_tol=1e-6, abs_tol=1e-9)
@@ -474,13 +481,6 @@ def explain(
         "scan_events": events,
         "price_dump_consistent": bool(consistent),
     }
-
-
-def _parse_json(text: str, where: str) -> Any:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{where}: invalid JSON ({exc.msg})") from None
 
 
 def fmt_float(x: float) -> float:

@@ -608,24 +608,27 @@ def _parse_range(path: Path, start: int, end: int) -> _Columns:
 
 
 def write_pool(pool: Pool, path: str | Path) -> None:
-    """Write a pool back to JSONL; load_pool(write_pool(p)) == p."""
+    """Write a pool back to JSONL, atomically; load_pool(write_pool(p)) == p."""
+    from .pipeline import write_atomic  # pipeline imports this module
+
     emb = pool.embeddings
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for i, rid in enumerate(pool.ids):
-            obj: dict[str, object] = {
-                "id": rid,
-                "topic": pool.topic_names[pool.topic_codes[i]],
-                "tokens": int(pool.token_lengths[i]),
-            }
-            label = pool.label_codes[i]
-            if label >= 0:
-                obj["label"] = pool.label_names[label]
-            if emb is not None and not np.isnan(emb[i, 0]):
-                obj["embedding"] = emb[i].tolist()
-            signals = {
-                name: float(col[i]) for name, col in pool.signals.items()
-                if not math.isnan(col[i])
-            }
-            if signals:
-                obj["signals"] = signals
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    lines = []
+    for i, rid in enumerate(pool.ids):
+        obj: dict[str, object] = {
+            "id": rid,
+            "topic": pool.topic_names[pool.topic_codes[i]],
+            "tokens": int(pool.token_lengths[i]),
+        }
+        label = pool.label_codes[i]
+        if label >= 0:
+            obj["label"] = pool.label_names[label]
+        if emb is not None and not np.isnan(emb[i, 0]):
+            obj["embedding"] = emb[i].tolist()
+        signals = {
+            name: float(col[i]) for name, col in pool.signals.items()
+            if not math.isnan(col[i])
+        }
+        if signals:
+            obj["signals"] = signals
+        lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
+    write_atomic([(Path(path), "".join(lines))])

@@ -28,6 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ConfigError, ValidationError
+from . import pool as pool_module
 from .pool import Pool
 
 DEFAULT_K = 10
@@ -309,7 +310,8 @@ def rarity_knn(
     clamped to (topic size - 1) for topics too small to supply k
     neighbors, with a warning; a singleton topic gets rarity 0 because it
     has no neighbors at all. The work is split into row-chunk items across
-    all topics, which up to ``threads`` workers share; results are placed
+    all topics, which up to ``threads`` workers share, at most one per
+    usable CPU and one per item; results are placed
     by position and warnings issued in sorted-topic order, so output is
     identical for any thread count. While more than one worker runs,
     numpy's bundled OpenBLAS is capped at one thread, so each worker's
@@ -349,8 +351,9 @@ def rarity_knn(
         index, start, stop, k_eff = item
         return index.chunk_mean_knn_distance(start, stop, k_eff)
 
-    if threads > 1 and len(work) > 1:
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as ex:
+    workers = min(threads, pool_module._usable_cpus(), len(work))
+    if workers > 1:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run, work))
     else:
         results = [_run(item) for item in work]

@@ -9,7 +9,6 @@ signals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError, require_finite
 from .market import Weights
+from .pipeline import read_json_lines
 from .pool import Pool
 from .standardize import StandardizedTable, average_ranks
 
@@ -52,32 +52,17 @@ class DevFeedback:
 
 def load_dev_feedback(path: str | Path) -> DevFeedback:
     """Read JSONL of {"id": ..., "utility": ...} rows."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"dev feedback file not found: {path}")
     utilities: dict[str, float] = {}
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-                if not isinstance(obj, dict) or "id" not in obj or "utility" not in obj:
-                    raise ConfigError(f"line {lineno}: expected keys 'id' and 'utility'")
-                utility = obj["utility"]
-                if type(utility) is not float and type(utility) is not int:
-                    raise ConfigError(
-                        f"line {lineno}: 'utility' must be a number, got {utility!r}"
-                    )
-                try:
-                    utilities[str(obj["id"])] = float(utility)
-                except OverflowError:  # an integer beyond the float range
-                    raise ValidationError(f"line {lineno}: utility is not finite") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"dev feedback file {path} is not valid UTF-8: {exc.reason}") from None
+    for lineno, obj in read_json_lines(path, "dev feedback"):
+        if not isinstance(obj, dict) or "id" not in obj or "utility" not in obj:
+            raise ConfigError(f"line {lineno}: expected keys 'id' and 'utility'")
+        utility = obj["utility"]
+        if type(utility) is not float and type(utility) is not int:
+            raise ConfigError(f"line {lineno}: 'utility' must be a number, got {utility!r}")
+        try:
+            utilities[str(obj["id"])] = float(utility)
+        except OverflowError:  # an integer beyond the float range
+            raise ValidationError(f"line {lineno}: utility is not finite") from None
     return DevFeedback(utilities=utilities)
 
 

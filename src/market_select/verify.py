@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
+from typing import Collection
 
 import numpy as np
 
@@ -156,6 +157,16 @@ class CorruptionSweepConfig:
         StandardizeConfig(tau=self.tau)
 
 
+def check_target_signal(target: str, columns: Collection[str], weights: Weights) -> None:
+    """The corrupted signal must be a signal column with a weight."""
+    if target not in columns:
+        raise ValidationError(
+            f"target signal {target!r} not in table; available: {sorted(columns)}"
+        )
+    if target not in weights.w:
+        raise ValidationError(f"target signal {target!r} carries no weight")
+
+
 def sweep_corruption(
     pool: Pool,
     table: StandardizedTable,
@@ -170,13 +181,7 @@ def sweep_corruption(
     clipping bound. Each row records the L1 price movement, the max-norm
     share movement, and its algebraic bound 2 * tau * eps * w.
     """
-    if cfg.target_signal not in table.columns:
-        raise ValidationError(
-            f"target signal {cfg.target_signal!r} not in table; "
-            f"available: {sorted(table.columns)}"
-        )
-    if cfg.target_signal not in weights.w:
-        raise ValidationError(f"target signal {cfg.target_signal!r} carries no weight")
+    check_target_signal(cfg.target_signal, table.columns, weights)
     z = table.columns[cfg.target_signal]
     if np.max(np.abs(z)) > cfg.tau:
         raise ValidationError(

@@ -3,11 +3,15 @@ single pass/fail line (run with -s to see them on success)."""
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+
+import market_select
 
 from market_select.market import (
     MarketConfig,
@@ -310,6 +314,9 @@ def test_criterion_10_cli_determinism(tmp_path):
         )
     pool_path = tmp_path / "pool.jsonl"
     write_pool_jsonl(pool_path, rows)
+    # the child imports the package from the same tree as this test
+    src = str(Path(market_select.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     outputs = []
     for threads in ("1", "8"):
         out_dir = tmp_path / f"run_t{threads}"
@@ -332,6 +339,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -1088,6 +1089,31 @@ def test_a_pool_or_dev_feedback_file_that_is_not_utf8_is_exit_2(
     assert not out.exists()
 
 
+def test_invalid_json_in_dev_feedback_or_prices_names_the_file_and_line(
+    pool_file, tmp_path, capsys
+):
+    dev = tmp_path / "dev.jsonl"
+    dev.write_text('{"id": "ex000", "utility": 0.5}\n\n{"id": \n', encoding="utf-8")
+    out = tmp_path / "weights.json"
+    assert main(["tune", "--pool", str(pool_file), "--signals", "nll",
+                 "--dev-feedback", str(dev), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: dev feedback file {dev} line 3: invalid JSON (Expecting value)\n"
+    )
+    run = tmp_path / "run"
+    assert main(["select", "--pool", str(pool_file), "--signals", "nll",
+                 "--budget-tokens", "60", "--out-dir", str(run)]) == 0
+    rid = read_json(run / "report.json")["selected"][0]
+    prices = run / "prices.jsonl"
+    prices.write_text("\n{oops}\n" + prices.read_text(encoding="utf-8"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["explain", "--run-dir", str(run), rid]) == 2
+    assert capsys.readouterr().err == (
+        f"error: prices file {prices} line 2: invalid JSON "
+        "(Expecting property name enclosed in double quotes)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -1148,6 +1174,16 @@ def test_select_without_a_budget_is_exit_2(pool_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_config_resolves_its_weights_at_construction(tmp_path):
+    ghost = str(tmp_path / "ghost.jsonl")
+    assert RunConfig(pool=ghost, signals="nll,s1").resolved_weights.w == {"nll": 0.5, "s1": 0.5}
+    cfg = RunConfig(pool=ghost, signals="nll,div", weights="diverse")
+    assert cfg.resolved_weights.w == {"nll": 1.0, "div": 2.0}
+    # the resolved weights are no field: the echo and a stored config keep the setting
+    assert asdict(cfg)["weights"] == "diverse" and "resolved_weights" not in asdict(cfg)
+    assert replace(cfg, weights={"div": 3.0}).resolved_weights.w == {"div": 3.0}
+
+
 def test_run_config_without_a_budget_fails_in_execute_before_the_pool_is_read(tmp_path):
     cfg = RunConfig(pool=str(tmp_path / "ghost.jsonl"), signals=["nll"])
     with pytest.raises(ConfigError, match="budget_tokens or retention_rate"):
@@ -1155,67 +1191,88 @@ def test_run_config_without_a_budget_fails_in_execute_before_the_pool_is_read(tm
 
 
 @pytest.mark.parametrize(
-    "argv, config, message",
+    "argv, config, code, message",
     [
-        (["--beta", "0"], None, "beta must be positive, got 0.0"),
-        (["--gamma", "-1"], None, "gamma must be >= 0, got -1.0"),
-        (["--tau", "0"], None, "tau must be positive, got 0.0"),
-        (["--budget-tokens", "0"], None, "budget_tokens must be >= 1, got 0"),
-        (["--mode", "balanced", "--label-floor", "-3"], None, "label_floor must be >= 0, got -3"),
-        ([], {"mode": "bogus"}, "mode must be one of ('greedy', 'balanced'), got 'bogus'"),
-        (["--signals", "rarity:k=0"], None, "k must be >= 1, got 0"),
-        (["--signals", "div:alpha_cent=-1"], None,
+        (["--beta", "0"], None, 2, "beta must be positive, got 0.0"),
+        (["--gamma", "-1"], None, 2, "gamma must be >= 0, got -1.0"),
+        (["--tau", "0"], None, 2, "tau must be positive, got 0.0"),
+        (["--budget-tokens", "0"], None, 2, "budget_tokens must be >= 1, got 0"),
+        (["--mode", "balanced", "--label-floor", "-3"], None, 2,
+         "label_floor must be >= 0, got -3"),
+        ([], {"mode": "bogus"}, 2, "mode must be one of ('greedy', 'balanced'), got 'bogus'"),
+        (["--signals", "rarity:k=0"], None, 2, "k must be >= 1, got 0"),
+        (["--signals", "div:alpha_cent=-1"], None, 2,
          "diversity combination weights must be nonnegative"),
-        (["--alpha", "NEG_ALPHA"], None, "alpha for topic 'alpha' must be >= 0, got -0.5"),
-        (["--weights", "diverse"], None, "weights preset 'diverse' requires the 'div' signal"),
-        (["--preset", "diverse"], None, "weights preset 'diverse' requires the 'div' signal"),
-        ([], {"weights": "diverse"}, "weights preset 'diverse' requires the 'div' signal"),
+        (["--alpha", "NEG_ALPHA"], None, 2, "alpha for topic 'alpha' must be >= 0, got -0.5"),
+        (["--weights", "diverse"], None, 2, "weights preset 'diverse' requires the 'div' signal"),
+        (["--preset", "diverse"], None, 2, "weights preset 'diverse' requires the 'div' signal"),
+        ([], {"weights": "diverse"}, 2, "weights preset 'diverse' requires the 'div' signal"),
+        (["--weights", "nll=nan"], None, 1, "weight for 'nll' must be finite and >= 0, got nan"),
+        (["--weights", "nll=-1"], None, 1, "weight for 'nll' must be finite and >= 0, got -1.0"),
+        (["--weights", "nll=0"], None, 1, "at least one weight must be positive"),
+        (["--weights", "foo=1"], None, 1,
+         "weight refers to unknown signal column 'foo'; available: ['nll']"),
+        (["--weights", "FOO_WEIGHTS"], None, 1,
+         "weight refers to unknown signal column 'foo'; available: ['nll']"),
     ],
     ids=["beta", "gamma", "tau", "budget", "label-floor", "mode", "rarity-k", "div-alpha",
-         "alpha-file", "weights-diverse", "preset-diverse", "config-diverse"],
+         "alpha-file", "weights-diverse", "preset-diverse", "config-diverse", "weight-nan",
+         "weight-negative", "weights-all-zero", "weight-unknown", "weights-file-unknown"],
 )
 def test_select_rejects_a_bad_setting_before_reading_the_pool(
-    tmp_path, capsys, argv, config, message
+    tmp_path, capsys, argv, config, code, message
 ):
     neg_alpha = tmp_path / "alpha.json"
     neg_alpha.write_text(json.dumps({"alpha": -0.5, "beta": 1.5}), encoding="utf-8")
-    argv = [str(neg_alpha) if a == "NEG_ALPHA" else a for a in argv]
+    foo_weights = tmp_path / "weights.json"
+    foo_weights.write_text(json.dumps({"weights": {"nll": 1, "foo": 2}}), encoding="utf-8")
+    subs = {"NEG_ALPHA": str(neg_alpha), "FOO_WEIGHTS": f"@{foo_weights}"}
+    argv = [subs.get(a, a) for a in argv]
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
         argv += ["--config", str(cfg_path)]
     out = tmp_path / "run"
     # the flags given later win, so a spec in argv replaces the default signals
-    code = main(["select", "--pool", str(tmp_path / "ghost.jsonl"), "--signals", "nll",
-                 "--budget-tokens", "60", *argv, "--out-dir", str(out)])
-    assert code == 2
+    assert main(["select", "--pool", str(tmp_path / "ghost.jsonl"), "--signals", "nll",
+                 "--budget-tokens", "60", *argv, "--out-dir", str(out)]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "command, argv, code, message",
     [
-        (["price", "--beta", "-1"], "beta must be positive, got -1.0"),
-        (["tune", "--dev-feedback", "dev.jsonl", "--eta", "0"], "eta must be positive, got 0.0"),
-        (["sweep", "--budget-tokens", "60", "--gamma-grid", "abc"],
+        ("price", ["--beta", "-1"], 2, "beta must be positive, got -1.0"),
+        ("tune", ["--dev-feedback", "dev.jsonl", "--eta", "0"], 2,
+         "eta must be positive, got 0.0"),
+        ("sweep", ["--budget-tokens", "60", "--gamma-grid", "abc"], 2,
          "--gamma-grid expects comma-separated numbers, got 'abc'"),
-        (["sweep", "--budget-tokens", "60", "--gamma-grid", "1.6,-1"],
+        ("sweep", ["--budget-tokens", "60", "--gamma-grid", "1.6,-1"], 2,
          "gamma must be >= 0, got -1.0"),
-        (["simulate", "corruption", "--target-signal", "nll", "--eps-grid", "2"],
+        ("simulate corruption", ["--target-signal", "nll", "--eps-grid", "2"], 2,
          "epsilon must be in [0, 1], got 2.0"),
-        (["simulate", "corruption", "--target-signal", "nll", "--beta-grid", "2,0"],
+        ("simulate corruption", ["--target-signal", "nll", "--beta-grid", "2,0"], 2,
          "beta must be positive, got 0.0"),
+        ("price", ["--weights", "nll=-2"], 1, "weight for 'nll' must be finite and >= 0, got -2.0"),
+        ("sweep", ["--budget-tokens", "60", "--weights", "foo=1"], 1,
+         "weight refers to unknown signal column 'foo'; available: ['nll']"),
+        ("simulate corruption", ["--target-signal", "foo"], 1,
+         "target signal 'foo' not in table; available: ['nll']"),
+        ("simulate corruption",
+         ["--signals", "nll,s1", "--weights", "nll=1", "--target-signal", "s1"], 1,
+         "target signal 's1' carries no weight"),
     ],
-    ids=["price", "tune", "sweep", "sweep-gamma-value", "corruption", "corruption-beta-value"],
+    ids=["price", "tune", "sweep", "sweep-gamma-value", "corruption", "corruption-beta-value",
+         "price-weight", "sweep-weight", "corruption-target", "corruption-target-unweighted"],
 )
 def test_pool_commands_reject_a_bad_setting_before_reading_the_pool(
-    tmp_path, capsys, argv, message
+    tmp_path, capsys, command, argv, code, message
 ):
     out = tmp_path / "out"
-    code = main(argv + ["--pool", str(tmp_path / "ghost.jsonl"), "--signals", "nll",
-                        "--out", str(out)])
-    assert code == 2
+    # the flags given later win, so a spec in argv replaces the default signals
+    assert main([*command.split(), "--pool", str(tmp_path / "ghost.jsonl"), "--signals", "nll",
+                 "--out", str(out), *argv]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

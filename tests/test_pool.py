@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from market_select.errors import ConfigError, MarketSelectError, ValidationError
 from market_select.pool import Pool, load_pool, topic_sizes, write_pool
 
 from conftest import make_pool, make_record, write_pool_jsonl
+
+GOLDEN_POOL = Path(__file__).resolve().parent / "golden" / "pool.jsonl"
 
 
 def assert_same_columns(a: Pool, b: Pool) -> None:
@@ -156,6 +161,46 @@ def test_round_trip(tmp_path):
     out = tmp_path / "out.jsonl"
     write_pool(pool, out)
     assert_same_columns(load_pool(out), pool)
+
+
+def test_write_pool_of_the_golden_pool_keeps_its_bytes(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the golden pool holds an unknown key
+        pool = load_pool(GOLDEN_POOL)
+    out = tmp_path / "pool.jsonl"
+    write_pool(pool, out)
+    # the sha256 of the bytes that the row-by-row writer gave before write_pool was atomic
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "579fbb5297d9ca8768843960de414abdbf7397da2f92ffb0044645f96497d750"
+    )
+
+
+def test_write_pool_failing_on_a_row_leaves_the_old_file(tmp_path, monkeypatch):
+    pool = make_pool(make_record("a"), make_record("b"), make_record("c"))
+    out = tmp_path / "pool.jsonl"
+    out.write_text("old\n", encoding="utf-8")
+    real = json.dumps
+    calls: list[object] = []
+
+    def failing(obj, **kwargs):
+        calls.append(obj)
+        if len(calls) == 2:
+            raise RuntimeError("row failed")
+        return real(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", failing)
+    with pytest.raises(RuntimeError, match="row failed"):
+        write_pool(pool, out)
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_write_pool_refuses_a_directory_target(tmp_path):
+    target = tmp_path / "pool.jsonl"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_pool(make_pool(make_record("a")), target)
+    assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
 
 def test_topic_sizes_sum_to_n():

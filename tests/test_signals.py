@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from market_select import pool as pool_module
 from market_select import signals
 from market_select.errors import ConfigError, ValidationError
 from market_select.signals import (
@@ -127,6 +128,31 @@ def test_rarity_threads_match_serial():
     serial = rarity_knn(pool, KnnParams(k=5), threads=1)
     for threads in (2, 8):
         assert np.array_equal(serial, rarity_knn(pool, KnnParams(k=5), threads=threads))
+
+
+def test_rarity_starts_at_most_one_thread_per_usable_cpu(monkeypatch):
+    rng = np.random.default_rng(8)
+    pool = topic_pool(rng, [700, 300], 4)
+    want = rarity_knn(pool, KnnParams(k=5), threads=1)
+    started: list[int] = []
+    real = signals.ThreadPoolExecutor
+
+    def recording(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(signals, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 2)
+    assert np.array_equal(rarity_knn(pool, KnnParams(k=5), threads=8), want)
+    assert started == [2]
+    # one usable CPU, or one work item, starts no thread at all
+    monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 1)
+    assert np.array_equal(rarity_knn(pool, KnnParams(k=5), threads=8), want)
+    monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 2)
+    small = topic_pool(rng, [40], 4)
+    assert np.array_equal(rarity_knn(small, KnnParams(k=5), threads=8),
+                          rarity_knn(small, KnnParams(k=5), threads=1))
+    assert started == [2]
 
 
 def test_rarity_workers_run_one_blas_thread_and_restore_the_count(monkeypatch):

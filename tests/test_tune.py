@@ -234,6 +234,9 @@ def test_load_dev_feedback(tmp_path):
     bad.write_text('{"id": "x"}\n')
     with pytest.raises(ConfigError, match="utility"):
         load_dev_feedback(bad)
+    bad.write_text('{"id": "x", "utility": 1}\n[\n')
+    with pytest.raises(ConfigError, match=f"^dev feedback file {bad} line 2: invalid JSON"):
+        load_dev_feedback(bad)
 
 
 def test_config_validation():
