@@ -175,8 +175,9 @@ def topic_prices(q: np.ndarray, pool: Pool, cfg: MarketConfig) -> np.ndarray:
     """Per-topic softmax scaled by the topic budget.
 
     Each topic's price mass equals its alpha_t exactly; a zero-budget
-    topic gets exactly zero price everywhere, so its examples can never
-    be selected.
+    topic gets exactly zero price everywhere. Its examples then score 0,
+    so the selection scan reaches them after every priced example: they
+    fill leftover budget last.
     """
     q = _check_shares(q, expected=pool.n)
     alphas = cfg.alphas(pool)

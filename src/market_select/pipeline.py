@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError, require_finite
 from .market import DEFAULT_BETA, MarketConfig, MarketState, Weights, price_pool
-from .pool import Pool, load_pool, token_sum
+from .pool import Pool, decode_json_line, load_pool, token_sum
 from .selection import (
     DEFAULT_GAMMA,
     SelectionConfig,
@@ -38,7 +38,7 @@ from .selection import (
     example_events,
     greedy_select,
 )
-from .signals import SignalTable, build_signal_table, parse_signal_specs
+from .signals import SignalTable, build_signal_table, parse_signal_specs, split_signal_specs
 from .standardize import DEFAULT_TAU, StandardizeConfig, StandardizedTable, standardize_table
 
 REPORT_FILE = "report.json"
@@ -58,14 +58,15 @@ class RunConfig:
     Construction is the one place where a run's settings become values
     and are checked, so a bad setting fails before the pool is read. The
     spec strings are parsed first: ``signals`` as a comma-separated
-    string; ``weights`` as 'equal', 'diverse', 'name=w,...', '@file' or
-    an object; an ``alpha`` other than 'proportional' as a file; a
-    ``label_floor`` string; and the ``standardize`` aliases. Then the
-    stage configs are built from the fields, and their own checks run:
-    ``specs`` (the parsed signal specs), ``resolved_weights`` (over the
-    spec names, which are the signal table's columns), ``std_config``,
-    ``market_config`` and ``selection_config``. A run without
-    ``budget_tokens`` gets its budget from the pool in ``execute``.
+    string (by ``split_signal_specs``); ``weights`` as 'equal',
+    'diverse', 'name=w,...', '@file' or an object; an ``alpha`` other
+    than 'proportional' as a file; a ``label_floor`` string; and the
+    ``standardize`` aliases. Then the stage configs are built from the
+    fields, and their own checks run: ``specs`` (the parsed signal
+    specs), ``resolved_weights`` (over the spec names, which are the
+    signal table's columns), ``std_config``, ``market_config`` and
+    ``selection_config``. A run without ``budget_tokens`` gets its
+    budget from the pool in ``execute``.
     """
 
     pool: str
@@ -86,7 +87,7 @@ class RunConfig:
         if not isinstance(self.pool, (str, os.PathLike)):
             raise ConfigError(f"pool must be a path string, got {self.pool!r}")
         if isinstance(self.signals, str):
-            self.signals = [s.strip() for s in self.signals.split(",") if s.strip()]
+            self.signals = split_signal_specs(self.signals)
         if not isinstance(self.signals, (list, tuple)) or not all(
             isinstance(s, str) for s in self.signals
         ):
@@ -217,7 +218,7 @@ def read_json_lines(path: str | Path, what: str) -> Iterator[tuple[int, Any]]:
                 if not line.strip():
                     continue
                 try:
-                    value = json.loads(line)
+                    value = decode_json_line(line)
                 except json.JSONDecodeError as exc:
                     raise ConfigError(
                         f"{what} file {path} line {lineno}: invalid JSON ({exc.msg})"
@@ -394,19 +395,56 @@ def write_atomic(files: list[tuple[Path, str]]) -> None:
         raise
 
 
+PRICE_ROW = '{"id": %s, "p": %.9g, "q": %.9g, "topic": %s}\n'
+PRICE_SLICE = 4096  # rows formatted by one % call
+
+
 def format_price_rows(pool: Pool, state: MarketState) -> str:
     """prices.jsonl text: one {"id", "p", "q", "topic"} object per example,
-    in id order, byte-identical to dump_json_line of each row."""
+    in id order, byte-identical to dump_json_line of each row.
+
+    A slice of rows is formatted by one ``%`` call on PRICE_ROW repeated,
+    whose ``%.9g`` is format_float's text for every value that
+    ``plain_g_text`` admits; a slice with any other value is formatted
+    row by row through format_float."""
     shares, prices = state.shares, state.prices
     if not (np.isfinite(shares).all() and np.isfinite(prices).all()):
         raise ValidationError("shares and prices must be finite")
+    plain = plain_g_text(shares) & plain_g_text(prices)
     topics = [encode_basestring(t) for t in pool.topic_names]
-    return "".join([
-        f'{{"id": {encode_basestring(rid)}, "p": {format_float(p)}, '
-        f'"q": {format_float(q)}, "topic": {topics[t]}}}\n'
-        for rid, t, q, p in zip(pool.ids, pool.topic_codes.tolist(), shares.tolist(),
-                                prices.tolist())
-    ])
+    chunks = []
+    for start in range(0, pool.n, PRICE_SLICE):
+        end = min(start + PRICE_SLICE, pool.n)
+        fields = [None] * (4 * (end - start))
+        fields[0::4] = map(encode_basestring, pool.ids[start:end])
+        fields[1::4] = prices[start:end].tolist()
+        fields[2::4] = shares[start:end].tolist()
+        fields[3::4] = map(topics.__getitem__, pool.topic_codes[start:end].tolist())
+        if plain[start:end].all():
+            chunks.append(PRICE_ROW * (end - start) % tuple(fields))
+        else:
+            chunks += [
+                f'{{"id": {rid}, "p": {format_float(p)}, "q": {format_float(q)}, '
+                f'"topic": {topic}}}\n'
+                for rid, p, q, topic in zip(fields[0::4], fields[1::4], fields[2::4], fields[3::4])
+            ]
+    return "".join(chunks)
+
+
+def plain_g_text(x: np.ndarray) -> np.ndarray:
+    """Where ``"%.9g" % x`` is certainly format_float(x)'s text.
+
+    ``%.9g`` differs from it in three ranges: an exponent from 1e9 on
+    (format_float writes repr's), a three-digit exponent below 1e-99,
+    zero included, and a value that rounds to an integer, where "%.9g"
+    drops the ".0". Each is flagged with a margin: |x| >= 1e8,
+    |x| < 1.1e-99, and |x| >= 0.99 within |x| * 1e-8 of an integer (9
+    significant digits round x to an integer only within half a unit of
+    the 9th digit, at most |x| * 5e-9).
+    """
+    a = np.abs(x)
+    near_integer = (a >= 0.99) & (np.abs(x - np.rint(x)) <= a * 1e-8)
+    return ~((a >= 1e8) | (a < 1.1e-99) | near_integer)
 
 
 def explain(

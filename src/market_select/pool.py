@@ -29,6 +29,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import os
 import pickle
 import signal
@@ -36,7 +37,7 @@ import warnings
 from array import array
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import TypeVar
 
@@ -333,7 +334,10 @@ def _merge(parts: list[_Columns]) -> dict[str, object]:
     parts = parts[: len(counts)]
 
     ids = list(chain.from_iterable(part.ids[:k] for part, k in zip(parts, counts)))
-    if len(set(ids)) < len(ids):
+    # ids that strictly ascend hold no duplicate and are already in id
+    # order; the check runs in C, well under the cost of the set and sort
+    ascending = all(map(operator.lt, ids, islice(ids, 1, None)))
+    if not ascending and len(set(ids)) < len(ids):
         first_seen: dict[str, int] = {}
         lines = np.concatenate([p.lines[:k] + o for p, k, o in zip(parts, counts, offsets)])
         for rid, n in zip(ids, lines.tolist()):
@@ -353,11 +357,12 @@ def _merge(parts: list[_Columns]) -> dict[str, object]:
         raise kind(f"{unit} {n}: {message}")
 
     n = len(ids)
-    order = sorted(range(n), key=ids.__getitem__)
     perm = None
-    if any(i != k for k, i in enumerate(order)):
-        perm = np.array(order, dtype=np.intp)
-        ids = [ids[i] for i in order]
+    if not ascending:
+        order = sorted(range(n), key=ids.__getitem__)
+        if any(i != k for k, i in enumerate(order)):
+            perm = np.array(order, dtype=np.intp)
+            ids = [ids[i] for i in order]
 
     def rows(column: np.ndarray) -> np.ndarray:
         return column if perm is None else column[perm]
@@ -581,6 +586,29 @@ class _Span(io.RawIOBase):
         return got
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+
+
+def decode_json_line(line: str) -> object:
+    """``json.loads(line)``: the same value, or the same JSONDecodeError.
+
+    A line that starts with its JSON value and ends in JSON whitespace
+    (the form every writer of a JSON Lines file gives it) is decoded by
+    one ``raw_decode`` call, which skips ``json.loads``'s own checks and
+    whitespace scans. Every other line (leading whitespace, a BOM,
+    trailing data, invalid JSON) goes to ``json.loads`` itself, so each
+    value and each error is exactly what it gives.
+    """
+    try:
+        value, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        return json.loads(line)
+    if end == len(line) or not line[end:].strip(_JSON_SPACE):
+        return value
+    return json.loads(line)
+
+
 def _parse_range(path: Path, start: int, end: int) -> _Columns:
     """Parse and check the lines in bytes [start, end) of a pool file."""
     columns = _Columns("line")
@@ -593,7 +621,7 @@ def _parse_range(path: Path, start: int, end: int) -> _Columns:
                 if line.isspace():
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj = decode_json_line(line)
                 except json.JSONDecodeError as exc:
                     columns.reject(n, ConfigError, f"invalid JSON ({exc.msg})")
                     break

@@ -152,27 +152,37 @@ def balanced_select(state: MarketState, pool: Pool, cfg: SelectionConfig) -> Sel
 
     cap = cfg.max_examples
     scan = _Scanner(pool, cfg.budget_tokens)
-    chosen: list[int] = []
+    chosen = [order[:0]]  # the admitted indices of each pass
+    count = 0
     # phase 1: top-scored examples per label until each floor is met
     order_labels = pool.label_codes[order]
     for code, label in enumerate(labels):
-        limit = floor if cap is None else min(floor, cap - len(chosen))
-        chosen += scan.run(f"floor:{label}", order[order_labels == code], limit)[0]
+        limit = floor if cap is None else min(floor, cap - count)
+        chosen.append(scan.run(f"floor:{label}", order[order_labels == code], limit)[0])
+        count += chosen[-1].size
 
     # phase 2: fill remaining capacity by global score
     in_set = np.zeros(pool.n, dtype=bool)
-    in_set[chosen] = True
-    limit = None if cap is None else cap - len(chosen)
-    chosen += scan.run("fill", order[~in_set[order]], limit)[0]
+    in_set[np.concatenate(chosen)] = True
+    limit = None if cap is None else cap - count
+    chosen.append(scan.run("fill", order[~in_set[order]], limit)[0])
 
-    in_set[chosen] = True
+    picked = np.concatenate(chosen)
+    in_set[picked] = True
     considered = np.zeros(pool.n, dtype=bool)
     for phase in scan.phases:
         considered[phase.visited] = True
     skipped = int(np.count_nonzero(considered & ~in_set))
-    report = _build_report(chosen, scan.tokens, skipped, state, pool, rho, order, scan.phases)
+    report = _build_report(picked, scan.tokens, skipped, state, pool, rho, order, scan.phases)
     report.diagnostics["resolved_label_floor"] = floor
     return report
+
+
+INT64_MAX = 2**63 - 1
+# The scan takes candidates in blocks: the first FIRST_BLOCK wide, each
+# block after one that rejected nothing twice as wide, up to LAST_BLOCK
+FIRST_BLOCK = 1024
+LAST_BLOCK = 4096
 
 
 class _Scanner:
@@ -180,42 +190,86 @@ class _Scanner:
     token count and a ScanPhase per pass."""
 
     def __init__(self, pool: Pool, budget: int):
-        self.lengths = pool.token_lengths.tolist()
+        self.lengths = pool.token_lengths
         self.budget = budget
         # once less than the shortest example's length is left, nothing fits
-        self.shortest = min(self.lengths, default=1)
+        self.shortest = int(self.lengths.min()) if pool.n else 1
         self.tokens = 0
         self.phases: list[ScanPhase] = []
         self.n = pool.n
 
-    def run(self, name: str, candidates: np.ndarray, limit: int | None) -> tuple[list[int], int]:
+    def run(self, name: str, candidates: np.ndarray, limit: int | None) -> tuple[np.ndarray, int]:
         """Visit candidates in order, admitting each that still fits.
 
         The pass stops before its next visit once it has admitted
         ``limit`` examples. Returns the admitted indices and the number
         of candidates visited.
+
+        The visits go a block of candidates at a time, and admit what
+        one-by-one visits would. The room left (budget less tokens) at
+        the start of a block decides which candidates fit on their own;
+        the others can only be rejected, since the room only shrinks.
+        The prefix of those that fit whose running sum stays within the
+        room is admitted at once. If one that fits on its own then no
+        longer fits, it is rejected, and the rest of the block's fitting
+        candidates are visited one by one, so a pass never does much
+        more interpreter work than a plain loop would.
+
+        The token count stays a Python int. The room is clamped to the
+        pass's token bound (candidates times the longest of them), which
+        no admitted prefix exceeds, and a block is at most
+        ``INT64_MAX // room`` wide, so no int64 block sum can wrap.
         """
-        lengths, budget, shortest = self.lengths, self.budget, self.shortest
+        lengths = self.lengths[candidates]
+        budget, shortest = self.budget, self.shortest
         tokens = start = self.tokens
-        cap = len(candidates) if limit is None else limit
-        picked: list[int] = []
-        visited = len(candidates)
-        for position, i in enumerate(candidates.tolist()):
-            if len(picked) >= cap:
-                visited = position
+        n = len(candidates)
+        cap = n if limit is None else limit
+        bound = min(n * int(lengths.max()) if n else 0, INT64_MAX)
+        picked: list[np.ndarray] = []
+        count = pos = 0
+        width = FIRST_BLOCK
+        while pos < n and count < cap:
+            room = budget - tokens
+            if room < shortest:
+                pos = n  # every later candidate is visited and rejected
                 break
-            length = lengths[i]
-            if tokens + length <= budget:
-                picked.append(i)
-                tokens += length
-                if budget - tokens < shortest and len(picked) < cap:
-                    break  # every later candidate is visited and rejected
+            room = min(room, bound)
+            stop = min(n, pos + width, pos + INT64_MAX // room)
+            block = lengths[pos:stop]
+            fits = np.flatnonzero(block <= room)
+            sums = np.cumsum(block[fits])
+            # the first candidate that fits on its own is admitted, if any
+            take = min(int(np.searchsorted(sums, room, side="right")), cap - count)
+            admit = fits[:take]
+            if take:
+                tokens += int(sums[take - 1])
+            if take < fits.size:  # fits[take] is rejected, or the limit is reached
+                more = []
+                rest = fits[take + 1 :]
+                for j, length in zip(rest.tolist(), block[rest].tolist()):
+                    if count + take + len(more) >= cap:
+                        break
+                    if tokens + length <= budget:
+                        more.append(j)
+                        tokens += length
+                if more:
+                    admit = np.concatenate([admit, more])
+                width = FIRST_BLOCK
+            else:
+                width = min(2 * width, LAST_BLOCK)
+            if admit.size:
+                picked.append(admit + pos)
+                count += admit.size
+            # a pass that reaches its limit visits nothing after that admission
+            pos = pos + int(admit[-1]) + 1 if count >= cap else stop
         self.tokens = tokens
+        admitted = candidates[np.concatenate(picked)] if picked else candidates[:0]
         taken = np.zeros(self.n, dtype=bool)
-        taken[picked] = True
-        seen = candidates[:visited]
+        taken[admitted] = True
+        seen = candidates[:pos]
         self.phases.append(ScanPhase(name, seen, taken[seen], start))
-        return picked, visited
+        return admitted, pos
 
 
 def example_events(report: SelectionReport, pool: Pool, index: int) -> list[dict[str, object]]:
@@ -246,7 +300,7 @@ def example_events(report: SelectionReport, pool: Pool, index: int) -> list[dict
 
 
 def _build_report(
-    selected_idx: list[int],
+    selected_idx: np.ndarray,
     tokens: int,
     skipped: int,
     state: MarketState,
@@ -272,8 +326,8 @@ def _build_report(
     score: float | None = None
     if pool.has_labels:
         per_label = _label_counts(pool, selected_idx)
-        if selected_idx:
-            score = _balance_from_counts(per_label, len(selected_idx))
+        if selected_idx.size:
+            score = _balance_from_counts(per_label, selected_idx.size)
 
     return SelectionReport(
         selected=[pool.ids[i] for i in ordered.tolist()],
@@ -287,7 +341,7 @@ def _build_report(
     )
 
 
-def _label_counts(pool: Pool, indices: list[int]) -> dict[str, int]:
+def _label_counts(pool: Pool, indices: np.ndarray | list[int]) -> dict[str, int]:
     labels = pool.labels()
     counts = np.bincount(pool.label_codes[indices], minlength=len(labels))
     return {label: int(c) for label, c in zip(labels, counts)}

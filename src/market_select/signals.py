@@ -464,6 +464,28 @@ def parse_signal_spec(text: str) -> SignalSpec:
     return spec
 
 
+def split_signal_specs(text: str) -> list[str]:
+    """The spec texts of a comma-separated list such as
+    ``nll,div:k=2,alpha_cent=0.5``.
+
+    A piece of the form ``key=value`` with no ``:`` continues the
+    arguments of the spec before it (a signal name holds no ``=``, so it
+    cannot start a spec); such a piece with no spec before it is an
+    error. Blank pieces are dropped and each piece is stripped.
+    """
+    specs: list[str] = []
+    for piece in (p.strip() for p in text.split(",")):
+        if not piece:
+            continue
+        if "=" in piece and ":" not in piece:
+            if not specs:
+                raise ConfigError(f"signal spec argument {piece!r} in {text!r} follows no signal")
+            specs[-1] += "," + piece
+        else:
+            specs.append(piece)
+    return specs
+
+
 def parse_signal_specs(requested: list[str | SignalSpec]) -> list[SignalSpec]:
     """Parse each requested spec (a SignalSpec is kept as it is) and
     reject an empty request or one that names a signal twice."""

@@ -54,15 +54,16 @@ def load_dev_feedback(path: str | Path) -> DevFeedback:
     """Read JSONL of {"id": ..., "utility": ...} rows."""
     utilities: dict[str, float] = {}
     for lineno, obj in read_json_lines(path, "dev feedback"):
+        where = f"dev feedback file {Path(path)} line {lineno}"
         if not isinstance(obj, dict) or "id" not in obj or "utility" not in obj:
-            raise ConfigError(f"line {lineno}: expected keys 'id' and 'utility'")
+            raise ConfigError(f"{where}: expected keys 'id' and 'utility'")
         utility = obj["utility"]
         if type(utility) is not float and type(utility) is not int:
-            raise ConfigError(f"line {lineno}: 'utility' must be a number, got {utility!r}")
+            raise ConfigError(f"{where}: 'utility' must be a number, got {utility!r}")
         try:
             utilities[str(obj["id"])] = float(utility)
         except OverflowError:  # an integer beyond the float range
-            raise ValidationError(f"line {lineno}: utility is not finite") from None
+            raise ValidationError(f"{where}: utility is not finite") from None
     return DevFeedback(utilities=utilities)
 
 

@@ -29,8 +29,10 @@ from hypothesis import strategies as st
 
 from market_select import pool as pool_module
 from market_select.cli import main
+from market_select.errors import ConfigError
 from market_select.pipeline import CONFIG_KEYS
 from market_select.pool import load_pool, write_pool
+from market_select.signals import split_signal_specs
 
 ARTIFACTS = ("report.json", "prices.jsonl", "selected.txt")
 # a non-finite number as JSON, CSV or Python prints it; the generated ids,
@@ -159,10 +161,11 @@ def float_flag(flag: str, good: st.SearchStrategy) -> st.SearchStrategy:
 
 INGESTED = ["nll", "nll,s1", "s1"]
 GEOMETRIC = ["rarity:k=2", "nll,rarity:k=1,div_cent", "div", "div:alpha_cent=0.25",
-             "s1,div_cent", "div,nll"]
-# a div spec with two arguments is cut in two by the comma-separated --signals
+             "s1,div_cent", "div,nll", "nll,div:k=2,alpha_cent=0.5",
+             "div:alpha_knn=0.75, k=1,s1"]
 BAD_SIGNALS = st.sampled_from(["rarity:k=0", "bogus", "nll,nll", ",", "rarity:k=x",
-                               "div:alpha_knn=nan", "foo", "div_cent", "div:k=2,alpha_cent=0.5"])
+                               "div:alpha_knn=nan", "foo", "div_cent", "k=2,nll",
+                               "div:k=2,alpha_cent=x"])
 BAD_WEIGHTS = st.sampled_from(["diverse", "nll=nan", "nll=-1", "nll=0", "foo=1", "nll=x", "nll",
                                "", "nll=1,s1=inf", "div=1,nll=0.5"])
 MAP_FILE = rarely(
@@ -201,6 +204,14 @@ GRID = rarely(st.sampled_from(["1,2", "0.5", "0.5,1,3", "2"]), BAD_GRID)
 EPS_GRID = rarely(st.sampled_from(["0,0.5,1", "0.25", "1"]), BAD_GRID)
 
 
+def spec_names(signals: str) -> list[str]:
+    """The names a --signals value requests, or ["nll"] when it requests none."""
+    try:
+        return [spec.split(":")[0] for spec in split_signal_specs(signals)] or ["nll"]
+    except ConfigError:
+        return ["nll"]
+
+
 @st.composite
 def command(draw, root: Path, embedded: bool) -> tuple[list[str], list[Path]]:
     """A CLI command over ``root/pool.jsonl``, and the outputs it may write."""
@@ -218,7 +229,7 @@ def command(draw, root: Path, embedded: bool) -> tuple[list[str], list[Path]]:
     argv = ["--pool", str(root / pool), "--signals", signals,
             "--threads", str(draw(st.integers(1, 3)))]
     if kind in ("select", "price", "sweep", "corruption"):
-        names = [spec.split(":")[0] for spec in signals.split(",")]
+        names = spec_names(signals)
         weight_map = st.dictionaries(st.sampled_from(names), st.floats(0.1, 3), min_size=1)
         weights = draw(rarely(
             st.sampled_from([None, "equal", "@W"])
@@ -286,8 +297,8 @@ def command(draw, root: Path, embedded: bool) -> tuple[list[str], list[Path]]:
         return ["sweep", *argv, "--budget-tokens", str(draw(rarely(st.integers(1, 200),
                                                                    st.just(0)))),
                 "--beta-grid", draw(GRID), "--gamma-grid", draw(GRID)], [out]
-    target = draw(rarely(st.sampled_from(signals.split(",")), st.just("foo")))
-    return ["simulate", "corruption", *argv, "--target-signal", target.split(":")[0],
+    target = draw(rarely(st.sampled_from(spec_names(signals)), st.just("foo")))
+    return ["simulate", "corruption", *argv, "--target-signal", target,
             "--eps-grid", draw(EPS_GRID), "--beta-grid", draw(GRID)], [out]
 
 
@@ -316,7 +327,8 @@ def select_flags(draw, rows: list[dict]) -> list[str]:
     """Flags of a select run that the pool of ``rows`` can satisfy."""
     names = ["nll", "s1"]
     if "embedding" in rows[0]:
-        names += draw(st.sampled_from([[], ["rarity:k=2"], ["div_cent"], ["div:k=1"]]))
+        names += draw(st.sampled_from([[], ["rarity:k=2"], ["div_cent"], ["div:k=1"],
+                                       ["div:k=1,alpha_cent=0.25"]]))
     signals = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
     flags = ["--signals", ",".join(signals),
              "--budget-tokens", str(draw(st.integers(1, 200))),
@@ -362,3 +374,34 @@ def test_select_artifacts_hold_across_threads_and_a_write_pool_round_trip(data):
         runs.append(select_in(root / "round-trip", flags, 1))
         assert runs[0][0] in (0, 1), runs[0]
         assert all(run == runs[0] for run in runs[1:])
+
+
+@st.composite
+def div_spec(draw) -> str:
+    """A div spec with two or three arguments, in any order."""
+    args = draw(st.lists(st.sampled_from(["alpha_cent=0.25", "alpha_knn=0.75", "k=2"]),
+                         min_size=2, max_size=3, unique=True))
+    return "div:" + ",".join(args)
+
+
+@settings(FUZZ, max_examples=30)
+@given(data=st.data())
+def test_a_multi_argument_div_spec_runs_from_the_flag_and_from_a_config_string(data):
+    rows = data.draw(clean_rows().filter(lambda rows: "embedding" in rows[0]), label="rows")
+    specs = data.draw(st.permutations(["nll", data.draw(div_spec(), label="div")]))
+    signals = ", ".join(specs) if data.draw(st.booleans()) else ",".join(specs)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "pool.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows),
+                                         encoding="utf-8")
+        argv = ["select", "--budget-tokens", "50", "--threads", "1", "--out-dir", str(root / "out")]
+        if data.draw(st.sampled_from(["flag", "config"])) == "flag":
+            argv += ["--pool", str(root / "pool.jsonl"), "--signals", signals]
+        else:
+            config = {"pool": str(root / "pool.jsonl"), "signals": signals}
+            (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(root / "config.json")]
+        code, out, err = run_cli(argv)
+        assert code == 0, err
+        report = json.loads((root / "out" / "report.json").read_text(encoding="utf-8"))
+        assert report["config"]["signals"] == specs

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from market_select.errors import ConfigError, MarketSelectError, ValidationError
-from market_select.pool import Pool, load_pool, topic_sizes, write_pool
+from market_select.pool import Pool, decode_json_line, load_pool, topic_sizes, write_pool
 
 from conftest import make_pool, make_record, write_pool_jsonl
 
@@ -375,3 +375,93 @@ def test_load_pool_and_from_rows_agree(tmp_path, rows):
     else:
         assert type(rows_error) is type(file_error)
         assert str(rows_error) == str(file_error).replace("line ", "row ")
+
+
+DECODER_LINES = [
+    '{"id": "a", "tokens": 2}\n',
+    '{"id": "a"}',  # no line end
+    ' {"id": "a"}\n',  # leading whitespace
+    '\t{"id": "a"}\n',
+    '\ufeff{"id": "a"}\n',  # a BOM
+    '{"id": "a"} x\n',  # trailing data
+    '{"id": "a"}{"id": "b"}\n',  # two values
+    "1 2\n",
+    "NaN\n",
+    "-Infinity\n",
+    "1\n",
+    "1e400\n",
+    '"s" \t\r\n',
+    '{"id": "a"}\x0c\n',  # a form feed is not JSON whitespace
+    '{"id": "a"}\u00a0\n',  # nor is a no-break space
+    '{"id": ',
+    "[1,\n",
+    "nul\n",
+    "\n",
+    "",
+    "-\n",
+]
+
+
+def _decoded(decode, line):
+    """The value as JSON text (NaN included), or the error's type, text and position."""
+    try:
+        return "value", json.dumps(decode(line))
+    except json.JSONDecodeError as exc:
+        return "error", exc.msg, exc.pos, str(exc)
+
+
+@pytest.mark.parametrize("line", DECODER_LINES)
+def test_decode_json_line_is_json_loads(line):
+    assert _decoded(decode_json_line, line) == _decoded(json.loads, line)
+
+
+def test_a_pool_line_decodes_as_json_loads_decodes_it(tmp_path):
+    rows = [make_record("a", tokens=2), make_record("b", tokens=3)]
+    path = tmp_path / "pool.jsonl"
+    path.write_text(" " + json.dumps(rows[0]) + "\r\n" + json.dumps(rows[1]) + " \t\n",
+                    encoding="utf-8")
+    assert_same_columns(load_pool(path), make_pool(*rows))
+    for text, reason in [
+        ("\ufeff" + json.dumps(rows[0]), "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (json.dumps(rows[0]) + json.dumps(rows[1]), "Extra data"),
+        (json.dumps(rows[0]) + "\x0c", "Extra data"),
+    ]:
+        path.write_text(json.dumps(rows[1]) + "\n" + text + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_pool(path)
+        assert str(err.value) == f"line 2: invalid JSON ({reason})"
+
+
+def _rows(ids):
+    return [make_record(rid, topic=f"t{i % 3}", tokens=i + 1, label=f"l{i % 2}",
+                        embedding=[i, -i], signals={"nll": i / 7}) for i, rid in enumerate(ids)]
+
+
+@pytest.mark.parametrize("ids", [
+    [f"e{i:02d}" for i in range(30)],  # ascending
+    [f"e{i:02d}" for i in reversed(range(30))],
+    [f"e{i:02d}" for i in (3, 1, 2, 0, 4)],
+    ["a", "b", "d", "c"],  # ascending but for the last pair
+    ["b", "é", "a", "Z"],  # code-point order, not locale order
+])
+def test_rows_in_any_id_order_give_the_id_sorted_pool(ids):
+    rows = _rows(ids)
+    pool = Pool.from_rows(rows)
+    by_id = sorted(rows, key=lambda row: row["id"])
+    assert pool.ids == [row["id"] for row in by_id]
+    assert pool.token_lengths.tolist() == [row["tokens"] for row in by_id]
+    assert [pool.topic_names[c] for c in pool.topic_codes] == [row["topic"] for row in by_id]
+    assert [pool.label_names[c] for c in pool.label_codes] == [row["label"] for row in by_id]
+    assert pool.embeddings.tolist() == [row["embedding"] for row in by_id]
+    assert pool.signals["nll"].tolist() == [row["signals"]["nll"] for row in by_id]
+
+
+@pytest.mark.parametrize("ids, error", [
+    (["a", "b", "b", "c"], "row 3: duplicate id 'b' (first seen on row 2)"),  # ascending, not strictly
+    (["c", "a", "b", "a", "c"], "row 4: duplicate id 'a' (first seen on row 2)"),
+    (["a", "a"], "row 2: duplicate id 'a' (first seen on row 1)"),
+])
+def test_the_first_duplicate_id_in_row_order_is_the_error(ids, error):
+    with pytest.raises(ValidationError) as err:
+        Pool.from_rows(_rows(ids))
+    assert str(err.value) == error

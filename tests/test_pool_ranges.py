@@ -255,3 +255,26 @@ def test_a_duplicate_id_comes_before_a_ragged_embedding_on_its_row(tmp_path, man
     with pytest.raises(ValidationError) as err:
         load_pool(path, workers)
     assert str(err.value) == "line 3: duplicate id 'a' (first seen on line 1)"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("ids", [
+    [f"r{i:02d}" for i in range(12)],  # ascending in every range and across them
+    [f"r{i:02d}" for i in (6, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5)],  # ascending per half
+    [f"r{i:02d}" for i in reversed(range(12))],
+])
+def test_ids_in_any_order_across_ranges_give_the_id_sorted_pool(tmp_path, many_ranges,
+                                                                  workers, ids):
+    rows = [{"id": rid, "topic": f"t{i % 2}", "tokens": i + 1, "signals": {"s": i / 3}}
+            for i, rid in enumerate(ids)]
+    path = tmp_path / "pool.jsonl"
+    write_pool_jsonl(path, rows)
+    pool = load_pool(path, workers)
+    by_id = sorted(rows, key=lambda row: row["id"])
+    assert pool.ids == [row["id"] for row in by_id]
+    assert pool.token_lengths.tolist() == [row["tokens"] for row in by_id]
+    assert pool.signals["s"].tolist() == [row["signals"]["s"] for row in by_id]
+    write_pool_jsonl(path, rows + [rows[3]])
+    with pytest.raises(ValidationError) as err:
+        load_pool(path, workers)
+    assert str(err.value) == f"line 13: duplicate id {ids[3]!r} (first seen on line 4)"

@@ -523,3 +523,57 @@ def test_scan_matches_visit_by_visit_reference():
             for e in example_events(report, pool, i):
                 if e["action"] == "admit":
                     assert e["tokens_after"] == e["tokens_before"] + pool.token_lengths[i]
+
+
+def reference_pass(lengths, budget, tokens, candidates, limit):
+    """One scan pass, visit by visit: the admitted indices, the number of
+    candidates visited and the tokens after the pass."""
+    cap = len(candidates) if limit is None else limit
+    picked = []
+    for position, i in enumerate(candidates):
+        if len(picked) >= cap:
+            return picked, position, tokens
+        if tokens + lengths[i] <= budget:
+            picked.append(i)
+            tokens += lengths[i]
+    return picked, len(candidates), tokens
+
+
+def pass_lengths(rng, kind, n):
+    if kind == "small":
+        return rng.integers(1, 20, n)
+    if kind == "near 2**62":
+        return 2**62 - rng.integers(0, 5, n)
+    if kind == "wide":  # half of them 1 token, the rest up to a million
+        return np.where(rng.random(n) < 0.5, 1, rng.integers(1, 10**6, n))
+    # each rejection is followed by a 1-token admission: the room shrinks by one per pair
+    return np.array([[1, 400 - j] for j in range((n + 1) // 2)], dtype=np.int64).ravel()[:n]
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 8), (1024, 4096)])
+@pytest.mark.parametrize("kind", ["small", "near 2**62", "wide", "alternating"])
+def test_block_scan_matches_a_visit_by_visit_pass(monkeypatch, blocks, kind):
+    monkeypatch.setattr(selection, "FIRST_BLOCK", blocks[0])
+    monkeypatch.setattr(selection, "LAST_BLOCK", blocks[1])
+    rng = np.random.default_rng([11, len(kind)])
+    for trial in range(40):
+        n = int(rng.integers(0, 300))
+        lengths = pass_lengths(rng, kind, n).astype(np.int64)
+        pool = make_pool(*[make_record(f"e{i:03d}", tokens=int(t)) for i, t in enumerate(lengths)])
+        lengths = lengths.tolist()
+        total = sum(lengths)
+        budget = int(rng.choice([1, 399, max(1, total // 3), max(1, total // 10), total,
+                                 2**63 - 1, 2**63, 2**64 + 7]))
+        scan = selection._Scanner(pool, budget)
+        tokens = 0
+        for phase in range(3):  # passes share the scanner's token count
+            candidates = rng.permutation(n)[: int(rng.integers(0, n + 1))] if n else np.arange(0)
+            limit = [None, 0, 1, 3, n // 2][int(rng.integers(5))]
+            picked, visited = scan.run(f"p{phase}", candidates, limit)
+            want, want_visited, tokens = reference_pass(
+                lengths, budget, tokens, candidates.tolist(), limit)
+            assert picked.tolist() == want and visited == want_visited, (trial, phase)
+            assert scan.tokens == tokens <= budget
+            record = scan.phases[-1]
+            assert record.visited.tolist() == candidates[:visited].tolist()
+            assert record.visited[record.admitted].tolist() == want

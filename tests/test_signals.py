@@ -9,6 +9,7 @@ import pytest
 from market_select import pool as pool_module
 from market_select import signals
 from market_select.errors import ConfigError, ValidationError
+from market_select.pipeline import RunConfig
 from market_select.signals import (
     DiversityParams,
     ExactNeighborIndex,
@@ -544,6 +545,29 @@ def test_parse_signal_specs():
         parse_signal_spec("rarity:k=oops")
     with pytest.raises(ConfigError):
         parse_signal_spec("div:bogus=1")
+
+
+@pytest.mark.parametrize("text, specs", [
+    ("nll,s1", ["nll", "s1"]),
+    (" nll , rarity:k=3 ,, div_cent ", ["nll", "rarity:k=3", "div_cent"]),
+    ("nll,div:k=2,alpha_cent=0.5", ["nll", "div:k=2,alpha_cent=0.5"]),
+    ("div:alpha_cent=0.25, alpha_knn=0.75 ,k=2,nll", ["div:alpha_cent=0.25,alpha_knn=0.75,k=2", "nll"]),
+    ("rarity,k=3", ["rarity,k=3"]),  # arguments follow a ':'; parse_signal_spec refuses it
+    ("", []),
+])
+def test_split_signal_specs_joins_the_arguments_of_a_spec(text, specs):
+    assert signals.split_signal_specs(text) == specs
+
+
+def test_a_multi_argument_div_spec_reaches_the_run_config():
+    cfg = RunConfig(pool="ghost.jsonl", signals="nll,div:k=2,alpha_cent=0.5,alpha_knn=0.5")
+    assert cfg.signals == ["nll", "div:k=2,alpha_cent=0.5,alpha_knn=0.5"]
+    assert [(s.name, s.k, s.alpha_cent) for s in cfg.specs] == [("nll", 10, 0.5), ("div", 2, 0.5)]
+    with pytest.raises(ConfigError) as err:
+        RunConfig(pool="ghost.jsonl", signals="k=2,nll")
+    assert str(err.value) == "signal spec argument 'k=2' in 'k=2,nll' follows no signal"
+    with pytest.raises(ConfigError, match=r"^malformed signal spec 'rarity,k=3'$"):
+        RunConfig(pool="ghost.jsonl", signals="nll,rarity,k=3")
 
 
 def test_build_table_ingested_only(tiny_pool):

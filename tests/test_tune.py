@@ -231,9 +231,17 @@ def test_load_dev_feedback(tmp_path):
     with pytest.raises(ConfigError):
         load_dev_feedback(tmp_path / "absent.jsonl")
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"id": "x"}\n')
-    with pytest.raises(ConfigError, match="utility"):
-        load_dev_feedback(bad)
+    for text, kind, error in [
+        ('{"id": "x"}\n', ConfigError, "expected keys 'id' and 'utility'"),
+        ('\n[1]\n', ConfigError, "expected keys 'id' and 'utility'"),
+        ('{"id": "x", "utility": "1"}\n', ConfigError, "'utility' must be a number, got '1'"),
+        ('{"id": "x", "utility": 1' + "0" * 400 + "}\n", ValidationError, "utility is not finite"),
+    ]:
+        bad.write_text(text)
+        with pytest.raises(kind) as err:
+            load_dev_feedback(bad)
+        lineno = 2 if text.startswith("\n") else 1
+        assert str(err.value) == f"dev feedback file {bad} line {lineno}: {error}"
     bad.write_text('{"id": "x", "utility": 1}\n[\n')
     with pytest.raises(ConfigError, match=f"^dev feedback file {bad} line 2: invalid JSON"):
         load_dev_feedback(bad)
