@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import pool as pool_module
-from .errors import ConfigError, MarketSelectError, ValidationError
+from .errors import ConfigError, MarketSelectError
 from .pipeline import (
     CONFIG_KEYS,
     PRICES_FILE,
@@ -464,16 +464,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MarketSelectError as exc:  # pragma: no cover - safety net
+    except MarketSelectError as exc:  # ValidationError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

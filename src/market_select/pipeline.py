@@ -329,7 +329,7 @@ def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
         "market_cost": state.cost,
     }
     diagnostics.update(selection.diagnostics)
-    report = {"config": echo, **selection.to_dict(), "diagnostics": diagnostics}
+    report = {"config": echo, **selection.to_dict(pool), "diagnostics": diagnostics}
     return PipelineResult(
         pool=pool,
         table=table,
@@ -364,7 +364,7 @@ def run_pipeline(
     write_atomic([
         (out_dir / REPORT_FILE, dump_json(result.report)),
         (out_dir / PRICES_FILE, format_price_rows(result.pool, result.state)),
-        (out_dir / SELECTED_FILE, "".join(rid + "\n" for rid in result.selection.selected)),
+        (out_dir / SELECTED_FILE, "".join(rid + "\n" for rid in result.report["selected"])),
     ])
     return result
 
@@ -501,8 +501,8 @@ def explain(
     events = example_events(result.selection, pool, idx)
     for ev in events:
         ev["budget_remaining"] = result.report["config"]["budget_tokens"] - ev.pop("tokens_before")
-    selected_ids = result.selection.selected
-    rank = selected_ids.index(example_id) + 1 if example_id in selected_ids else None
+    hits = np.flatnonzero(result.selection.selected == idx)
+    rank = int(hits[0]) + 1 if hits.size else None
 
     return {
         "id": example_id,

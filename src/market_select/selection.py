@@ -75,14 +75,15 @@ class ScanPhase:
 class SelectionReport:
     """Outcome of one selection run.
 
-    selected is ordered by descending score (ties by ascending id);
+    selected holds the pool indices of the selected examples (intp), in
+    descending score, ties by ascending id; to_dict turns them into ids.
     per_topic maps topic -> {count, tokens, price_mass}; balance_score
     is None when the pool is unlabeled or nothing was selected. rho is
     the score per pool index that ordered the scan, and phases records
     the scan passes in the order they ran.
     """
 
-    selected: list[str]
+    selected: np.ndarray
     tokens_used: int
     per_topic: dict[str, dict[str, float]]
     per_label: dict[str, int] | None
@@ -93,11 +94,12 @@ class SelectionReport:
     rho: np.ndarray | None = field(default=None, repr=False)
     phases: list[ScanPhase] = field(default_factory=list, repr=False)
 
-    def to_dict(self) -> dict[str, object]:
-        """Serializable outcome; excludes diagnostics, rho and the scan phases,
-        so a balanced run with floor 0 serializes identically to greedy."""
+    def to_dict(self, pool: Pool) -> dict[str, object]:
+        """Serializable outcome, with the selected ids of ``pool`` in report
+        order; excludes diagnostics, rho and the scan phases, so a balanced
+        run with floor 0 serializes identically to greedy."""
         return {
-            "selected": list(self.selected),
+            "selected": [pool.ids[i] for i in self.selected.tolist()],
             "tokens_used": self.tokens_used,
             "per_topic": self.per_topic,
             "per_label": self.per_label,
@@ -330,7 +332,7 @@ def _build_report(
             score = _balance_from_counts(per_label, selected_idx.size)
 
     return SelectionReport(
-        selected=[pool.ids[i] for i in ordered.tolist()],
+        selected=ordered,
         tokens_used=tokens,
         per_topic=per_topic,
         per_label=per_label,
@@ -341,7 +343,7 @@ def _build_report(
     )
 
 
-def _label_counts(pool: Pool, indices: np.ndarray | list[int]) -> dict[str, int]:
+def _label_counts(pool: Pool, indices: np.ndarray) -> dict[str, int]:
     labels = pool.labels()
     counts = np.bincount(pool.label_codes[indices], minlength=len(labels))
     return {label: int(c) for label, c in zip(labels, counts)}
@@ -359,10 +361,9 @@ def balance_score(report: SelectionReport, pool: Pool) -> float:
     L labels.
     """
     pool.labels()  # fails on an unlabeled pool
-    if not report.selected:
+    if not report.selected.size:
         raise ValidationError("balance score is undefined for an empty selection")
-    indices = [pool.index_of(rid) for rid in report.selected]
-    return _balance_from_counts(_label_counts(pool, indices), len(report.selected))
+    return _balance_from_counts(_label_counts(pool, report.selected), report.selected.size)
 
 
 @dataclass
@@ -373,15 +374,15 @@ class CoverageMetrics:
     covering_radius: float
 
 
-def coverage_report(selected_ids: list[str], pool: Pool) -> CoverageMetrics:
+def coverage_report(selected: np.ndarray, pool: Pool) -> CoverageMetrics:
     """Trace-of-covariance ratio selected/pool, and the covering radius
-    (largest distance from any pool point to its nearest selected point);
-    a figure that is not finite, from coordinates too large to square, is
-    a ValidationError."""
-    if not selected_ids:
+    (largest distance from any pool point to its nearest selected point),
+    for the selected pool indices; a figure that is not finite, from
+    coordinates too large to square, is a ValidationError."""
+    if not len(selected):
         raise ValidationError("coverage is undefined for an empty selection")
     emb = pool.embedding_matrix()
-    selected = emb[[pool.index_of(rid) for rid in selected_ids]]
+    selected = emb[selected]
     with np.errstate(over="ignore", invalid="ignore"):
         # traces of the population covariances
         pool_var, sel_var = float(emb.var(axis=0).sum()), float(selected.var(axis=0).sum())

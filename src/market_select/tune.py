@@ -52,18 +52,23 @@ class DevFeedback:
 
 def load_dev_feedback(path: str | Path) -> DevFeedback:
     """Read JSONL of {"id": ..., "utility": ...} rows."""
+    def where(lineno: int) -> str:  # built only for an error
+        return f"dev feedback file {Path(path)} line {lineno}"
+
     utilities: dict[str, float] = {}
     for lineno, obj in read_json_lines(path, "dev feedback"):
-        where = f"dev feedback file {Path(path)} line {lineno}"
         if not isinstance(obj, dict) or "id" not in obj or "utility" not in obj:
-            raise ConfigError(f"{where}: expected keys 'id' and 'utility'")
+            raise ConfigError(f"{where(lineno)}: expected keys 'id' and 'utility'")
         utility = obj["utility"]
         if type(utility) is not float and type(utility) is not int:
-            raise ConfigError(f"{where}: 'utility' must be a number, got {utility!r}")
+            raise ConfigError(f"{where(lineno)}: 'utility' must be a number, got {utility!r}")
         try:
-            utilities[str(obj["id"])] = float(utility)
+            value = float(utility)
         except OverflowError:  # an integer beyond the float range
-            raise ValidationError(f"{where}: utility is not finite") from None
+            value = math.inf
+        if not math.isfinite(value):  # NaN and Infinity are JSON to json.loads
+            raise ValidationError(f"{where(lineno)}: utility is not finite")
+        utilities[str(obj["id"])] = value
     return DevFeedback(utilities=utilities)
 
 

@@ -18,7 +18,6 @@ independent of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import product
 from typing import Collection
 
 import numpy as np
@@ -225,37 +224,37 @@ def sweep_hyperparams(
     if not beta_grid or not gamma_grid:
         raise ConfigError("beta and gamma grids must be nonempty")
 
-    def _select(beta: float, gamma: float) -> tuple[MarketState, list[str]]:
-        state = price_pool(pool, table, weights, MarketConfig(beta=beta))
-        report = greedy_select(
-            state, pool, SelectionConfig(budget_tokens=budget_tokens, gamma=gamma)
-        )
-        return state, report.selected
+    def _select(state: MarketState, gamma: float) -> np.ndarray:
+        return greedy_select(state, pool, SelectionConfig(budget_tokens, gamma=gamma)).selected
 
-    default_set = set(_select(DEFAULT_BETA, DEFAULT_GAMMA)[1])
+    def _price(beta: float) -> MarketState:
+        return price_pool(pool, table, weights, MarketConfig(beta=beta))
+
+    default = _select(_price(DEFAULT_BETA), DEFAULT_GAMMA)
+    in_default = np.zeros(pool.n, dtype=bool)
+    in_default[default] = True
     rows: list[dict[str, object]] = []
-    for beta, gamma in product(beta_grid, gamma_grid):
-        state, ordered = _select(beta, gamma)
-        chosen = set(ordered)
-        union = default_set | chosen
-        jaccard = 1.0 if not union else len(default_set & chosen) / len(union)
-        idx = [pool.index_of(rid) for rid in ordered]
-        lengths = pool.token_lengths[idx]
-        # summed one at a time in score order: np.sum would pair the terms
-        # differently and change the last bits of the written masses
-        mass = [0.0] * len(pool.topic_names)
-        for code, price in zip(pool.topic_codes[idx].tolist(), state.prices[idx].tolist()):
-            mass[code] += price
-        topic_mass = dict(zip(pool.topic_names, mass))
-        rows.append(
-            {
-                "beta": float(beta),
-                "gamma": float(gamma),
-                "jaccard_vs_default": float(jaccard),
-                "n_selected": len(ordered),
-                "tokens_used": token_sum(lengths),
-                "median_tokens": float(np.median(lengths)) if lengths.size else 0.0,
-                "topic_price_mass": topic_mass,
-            }
-        )
+    for beta in beta_grid:
+        state = _price(beta)
+        for gamma in gamma_grid:
+            idx = _select(state, gamma)
+            common = int(np.count_nonzero(in_default[idx]))
+            union = default.size + idx.size - common
+            lengths = pool.token_lengths[idx]
+            # bincount adds the weights one at a time, in score order, as a
+            # Python loop would, so the masses are bit-identical to that
+            # loop's; np.sum would pair the terms differently
+            mass = np.bincount(pool.topic_codes[idx], weights=state.prices[idx],
+                               minlength=len(pool.topic_names))
+            rows.append(
+                {
+                    "beta": float(beta),
+                    "gamma": float(gamma),
+                    "jaccard_vs_default": common / union if union else 1.0,
+                    "n_selected": idx.size,
+                    "tokens_used": token_sum(lengths),
+                    "median_tokens": float(np.median(lengths)) if lengths.size else 0.0,
+                    "topic_price_mass": dict(zip(pool.topic_names, mass.tolist())),
+                }
+            )
     return rows

@@ -166,7 +166,7 @@ def test_criterion_06_greedy_trace_and_budget_safety():
     )
     state = MarketState(shares=np.zeros(3), prices=np.array([0.5, 0.3, 0.2]), cost=0.0)
     report = greedy_select(state, pool, SelectionConfig(budget_tokens=70, gamma=0.0))
-    trace_ok = report.selected == ["a", "c"] and report.tokens_used == 60
+    trace_ok = [pool.ids[i] for i in report.selected] == ["a", "c"] and report.tokens_used == 60
 
     rng = np.random.default_rng(1006)
     budget_ok = True
@@ -291,7 +291,7 @@ def test_criterion_09_balanced_selection():
         SelectionConfig(budget_tokens=250, gamma=0.0, mode="balanced", label_floor=0),
     )
     greedy = greedy_select(state, pool, SelectionConfig(budget_tokens=250, gamma=0.0))
-    identical_ok = dump_json(floor0.to_dict()) == dump_json(greedy.to_dict())
+    identical_ok = dump_json(floor0.to_dict(pool)) == dump_json(greedy.to_dict(pool))
     check(
         9,
         "ceil(K/4) floors yield balance score 0.000; floor 0 is bit-identical to greedy",

@@ -35,6 +35,9 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("greedy",
      ["select", *SIGNALS_ALL, "--budget-tokens", "400", "--out-dir", "greedy"],
      ["greedy/report.json", "greedy/prices.jsonl", "greedy/selected.txt"]),
+    ("coverage",
+     ["select", *SIGNALS_ALL, "--budget-tokens", "400", "--coverage", "--out-dir", "coverage"],
+     ["coverage/report.json"]),
     ("balanced",
      ["select", *SIGNALS_INGESTED, "--mode", "balanced", "--budget-tokens", "400",
       "--out-dir", "balanced"],

@@ -27,6 +27,11 @@ def state_with_prices(prices) -> MarketState:
     return MarketState(shares=np.zeros_like(p), prices=p, cost=0.0)
 
 
+def ids_of(report, pool) -> list[str]:
+    """The selected ids, in report order."""
+    return [pool.ids[i] for i in report.selected]
+
+
 def test_rho_gamma_zero_is_raw_price(tiny_pool):
     state = state_with_prices([0.2, 0.5, 0.3])
     rho = score_rho(state, tiny_pool, gamma=0.0)
@@ -58,7 +63,7 @@ def test_greedy_hand_trace():
     )
     state = state_with_prices([0.5, 0.3, 0.2])
     report = greedy_select(state, pool, SelectionConfig(budget_tokens=70, gamma=0.0))
-    assert report.selected == ["a", "c"]
+    assert ids_of(report, pool) == ["a", "c"]
     assert report.tokens_used == 60
     assert report.skipped_for_budget == 1
 
@@ -71,7 +76,7 @@ def test_greedy_everything_fits():
     )
     state = state_with_prices([0.2, 0.5, 0.3])
     report = greedy_select(state, pool, SelectionConfig(budget_tokens=100, gamma=0.0))
-    assert report.selected == ["b", "c", "a"]  # descending score
+    assert ids_of(report, pool) == ["b", "c", "a"]  # descending score
     assert report.tokens_used == 18
     assert report.skipped_for_budget == 0
 
@@ -80,7 +85,7 @@ def test_greedy_budget_below_min_length():
     pool = make_pool(make_record("a", tokens=2), make_record("b", tokens=3))
     state = state_with_prices([0.6, 0.4])
     report = greedy_select(state, pool, SelectionConfig(budget_tokens=1, gamma=0.0))
-    assert report.selected == []
+    assert ids_of(report, pool) == []
     assert report.tokens_used == 0
     assert report.skipped_for_budget == 2
     assert report.balance_score is None
@@ -94,7 +99,7 @@ def test_greedy_tie_breaks_ascending_id():
     )
     state = state_with_prices([1.0 / 3] * 3)
     report = greedy_select(state, pool, SelectionConfig(budget_tokens=2, gamma=0.0))
-    assert report.selected == ["a", "m"]
+    assert ids_of(report, pool) == ["a", "m"]
 
 
 def test_budget_safety_randomized():
@@ -108,10 +113,8 @@ def test_budget_safety_randomized():
             state_with_prices(prices), pool, SelectionConfig(budget_tokens=budget, gamma=gamma)
         )
         assert report.tokens_used <= budget
-        assert report.tokens_used == sum(
-            int(pool.token_lengths[pool.index_of(rid)]) for rid in report.selected
-        )
-        assert len(set(report.selected)) == len(report.selected)
+        assert report.tokens_used == sum(int(pool.token_lengths[i]) for i in report.selected)
+        assert len(set(report.selected.tolist())) == len(report.selected)
 
 
 def test_greedy_dominance():
@@ -125,7 +128,7 @@ def test_greedy_dominance():
         cfg = SelectionConfig(budget_tokens=budget, gamma=1.0)
         report = greedy_select(state, pool, cfg)
         rho = score_rho(state, pool, cfg.gamma)
-        chosen = {pool.index_of(r) for r in report.selected}
+        chosen = set(report.selected.tolist())
         if not chosen:
             continue
         min_selected_rho = min(rho[i] for i in chosen)
@@ -158,7 +161,7 @@ def test_determinism_same_inputs():
     cfg = SelectionConfig(budget_tokens=60, gamma=1.6)
     r1 = greedy_select(state_with_prices(prices), pool, cfg)
     r2 = greedy_select(state_with_prices(prices.copy()), pool, cfg)
-    assert r1.to_dict() == r2.to_dict()
+    assert r1.to_dict(pool) == r2.to_dict(pool)
 
 
 def labeled_pool(rng, n=40, n_labels=4, tokens=10):
@@ -195,7 +198,7 @@ def test_balanced_floor_zero_reduces_to_greedy():
             state, pool, SelectionConfig(budget_tokens=budget, mode="balanced", label_floor=0)
         )
         greedy = greedy_select(state, pool, SelectionConfig(budget_tokens=budget))
-        assert balanced.to_dict() == greedy.to_dict()
+        assert balanced.to_dict(pool) == greedy.to_dict(pool)
 
 
 def test_balanced_perfect_balance_with_equal_floors():
@@ -232,38 +235,33 @@ def test_balance_score_arithmetic():
     rng = np.random.default_rng(84)
     pool = labeled_pool(rng, n=100, n_labels=4, tokens=1)
 
-    def report_for(ids):
+    def report_for(indices):
         from market_select.selection import SelectionReport
 
         return SelectionReport(
-            selected=ids,
-            tokens_used=len(ids),
+            selected=np.array(indices, dtype=np.intp),
+            tokens_used=len(indices),
             per_topic={},
             per_label=None,
             balance_score=None,
             skipped_for_budget=0,
         )
 
-    uniform = [f"e{i:03d}" for i in range(8)]  # labels cycle 0..3 evenly
+    # the ids e000, e001, ... ascend, so example i has pool index i
+    uniform = list(range(8))  # labels cycle 0..3 evenly
     assert balance_score(report_for(uniform), pool) == pytest.approx(0.0)
 
-    single_label = [f"e{i:03d}" for i in range(0, 40, 4)]  # all label l0
+    single_label = list(range(0, 40, 4))  # all label l0
     assert balance_score(report_for(single_label), pool) == pytest.approx(0.75)
 
-    # counts (30, 25, 25, 20) over 100 selected
-    mixed = (
-        [f"e{i:03d}" for i in range(0, 100, 4)][:30]
-        + [f"e{i:03d}" for i in range(1, 100, 4)][:25]
-        + [f"e{i:03d}" for i in range(2, 100, 4)][:25]
-        + [f"e{i:03d}" for i in range(3, 100, 4)][:20]
-    )
-    # fewer than 30 l0 examples exist in 100; rebuild with a bigger pool
+    # counts (30, 25, 25, 20) over 100 selected; fewer than 30 l0 examples
+    # exist in 100, so the pool is bigger
     pool_big = labeled_pool(rng, n=160, n_labels=4, tokens=1)
     mixed = (
-        [f"e{i:03d}" for i in range(0, 160, 4)][:30]
-        + [f"e{i:03d}" for i in range(1, 160, 4)][:25]
-        + [f"e{i:03d}" for i in range(2, 160, 4)][:25]
-        + [f"e{i:03d}" for i in range(3, 160, 4)][:20]
+        list(range(0, 160, 4))[:30]
+        + list(range(1, 160, 4))[:25]
+        + list(range(2, 160, 4))[:25]
+        + list(range(3, 160, 4))[:20]
     )
     assert balance_score(report_for(mixed), pool_big) == pytest.approx(0.05)
 
@@ -286,13 +284,13 @@ def test_max_examples_stop_condition():
     cfg = SelectionConfig(budget_tokens=100, gamma=0.0, max_examples=3)
     report = greedy_select(state_with_prices(prices), pool, cfg)
     assert len(report.selected) == 3
-    assert report.selected == ["e0", "e1", "e2"]
+    assert ids_of(report, pool) == ["e0", "e1", "e2"]
 
 
 def test_coverage_full_selection():
     rng = np.random.default_rng(85)
     pool = random_pool(rng, 20, n_topics=2, dim=3)
-    metrics = coverage_report(list(pool.ids), pool)
+    metrics = coverage_report(np.arange(pool.n), pool)
     assert metrics.variance_ratio == pytest.approx(1.0)
     assert metrics.covering_radius == 0.0
 
@@ -301,7 +299,7 @@ def test_coverage_single_point():
     pool = make_pool(
         make_record("a", embedding=[0.0]), make_record("b", embedding=[10.0])
     )
-    metrics = coverage_report(["a"], pool)
+    metrics = coverage_report(np.array([0]), pool)  # "a"
     assert metrics.covering_radius == pytest.approx(10.0)
     assert metrics.variance_ratio == 0.0
 
@@ -309,10 +307,9 @@ def test_coverage_single_point():
 def test_coverage_radius_matches_brute_force():
     rng = np.random.default_rng(86)
     pool = random_pool(rng, 60, n_topics=2, dim=4)
-    selected = list(np.array(pool.ids)[rng.choice(60, size=9, replace=False)])
-    metrics = coverage_report(selected, pool)
+    sel_idx = rng.choice(60, size=9, replace=False)
+    metrics = coverage_report(sel_idx, pool)
     emb = pool.embedding_matrix()
-    sel_idx = [pool.index_of(r) for r in selected]
     oracle = max(
         min(float(np.linalg.norm(emb[i] - emb[j])) for j in sel_idx)
         for i in range(pool.n)
@@ -425,10 +422,10 @@ def test_covering_radius_of_one_row_and_one_centre_equals_scipy():
 def test_coverage_errors():
     pool = make_pool(make_record("a", embedding=[0.0]))
     with pytest.raises(ValidationError, match="empty"):
-        coverage_report([], pool)
+        coverage_report(np.arange(0), pool)
     no_emb = make_pool(make_record("a"))
     with pytest.raises(ValidationError, match="embedding"):
-        coverage_report(["a"], no_emb)
+        coverage_report(np.array([0]), no_emb)
 
 
 def test_selection_through_real_pricing(tiny_pool):
@@ -511,7 +508,7 @@ def test_scan_matches_visit_by_visit_reference():
         report = select(state, pool, cfg)
         chosen, tokens, skipped, events = reference_selection(state, pool, cfg)
         rho = score_rho(state, pool, cfg.gamma)
-        assert report.selected == [
+        assert ids_of(report, pool) == [
             pool.ids[i] for i in sorted(chosen, key=lambda i: (-rho[i], pool.ids[i]))
         ]
         assert report.tokens_used == tokens <= cfg.budget_tokens

@@ -235,7 +235,8 @@ def test_load_dev_feedback(tmp_path):
         ('{"id": "x"}\n', ConfigError, "expected keys 'id' and 'utility'"),
         ('\n[1]\n', ConfigError, "expected keys 'id' and 'utility'"),
         ('{"id": "x", "utility": "1"}\n', ConfigError, "'utility' must be a number, got '1'"),
-        ('{"id": "x", "utility": 1' + "0" * 400 + "}\n", ValidationError, "utility is not finite"),
+        *[('{"id": "x", "utility": %s}\n' % utility, ValidationError, "utility is not finite")
+          for utility in ("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400)],
     ]:
         bad.write_text(text)
         with pytest.raises(kind) as err:
