@@ -11,6 +11,7 @@ setting, and builds its other configs, before pipeline.prepare reads the
 pool; so the shared flags mean the same everywhere, and a bad setting
 fails before a bad pool. MARKET_SELECT_THREADS serves as a fallback for
 --threads, and the number of usable CPUs as the default of both.
+OPENBLAS_THREAD_TIMEOUT defaults to 4 in a CLI process (see below).
 """
 
 from __future__ import annotations
@@ -24,6 +25,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
+
+# numpy's OpenBLAS spins each idle helper thread for 2**28 cycles (about
+# 0.1 s of CPU per process) before it sleeps, and no command keeps BLAS
+# busy between calls; at 4, the smallest exponent OpenBLAS takes, they
+# sleep at once and the thread count is unchanged. numpy reads the
+# variable when it loads, so it is set before the imports below load
+# numpy; a value the user set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from . import pool as pool_module
 from .errors import ConfigError, MarketSelectError

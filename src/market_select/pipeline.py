@@ -361,10 +361,11 @@ def run_pipeline(
         }
 
     out_dir = Path(out_dir)
+    ids = result.report["selected"]
     write_atomic([
         (out_dir / REPORT_FILE, dump_json(result.report)),
         (out_dir / PRICES_FILE, format_price_rows(result.pool, result.state)),
-        (out_dir / SELECTED_FILE, "".join(rid + "\n" for rid in result.report["selected"])),
+        (out_dir / SELECTED_FILE, "\n".join(ids) + "\n" if ids else ""),
     ])
     return result
 
@@ -556,9 +557,23 @@ def round_floats(obj: Any) -> Any:
 
 
 def dump_json(obj: Any) -> str:
-    return json.dumps(
-        round_floats(obj), sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False
-    ) + "\n"
+    """``obj`` as indented JSON text, floats rounded by fmt_float.
+
+    A top-level ``selected`` list of ids (the report's, one string per
+    selected example) skips round_floats and json's pure-Python indent
+    encoder: it is encoded in one join and spliced into the text of the
+    rest, with the same bytes.
+    """
+    ids = obj.get("selected") if isinstance(obj, dict) else None
+    if not isinstance(ids, list) or not ids:
+        return json.dumps(
+            round_floats(obj), sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False
+        ) + "\n"
+    # JSON strings hold no raw newline, so this text at indent 2 is the
+    # top-level key: found once, wherever sort_keys puts it
+    text = dump_json({**obj, "selected": []})
+    items = ",\n    ".join(map(encode_basestring, ids))
+    return text.replace('\n  "selected": []', '\n  "selected": [\n    ' + items + "\n  ]", 1)
 
 
 def dump_json_line(obj: Any) -> str:

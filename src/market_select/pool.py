@@ -180,8 +180,10 @@ class _Columns:
         self.label_codes: list[int] | np.ndarray = []
         self.signals: dict[str, list[float] | np.ndarray] = {}
         self.emb_rows: list[int] | np.ndarray = []  # rows that carry an embedding
-        self.emb_list: list[np.ndarray] = []
-        self.emb: np.ndarray | None = None  # emb_list stacked by seal()
+        self.emb_dim = 0  # the dimension of the range's first embedding
+        self.emb_list: list[list[float]] = []  # embeddings not yet in emb_blocks
+        self.emb_blocks: list[np.ndarray] = []
+        self.emb: np.ndarray | None = None  # emb_blocks joined by seal()
         self.ragged: tuple[int, int] | None = None  # (row, its embedding dimension)
         self.warnings: list[tuple[int, list[str]]] = []  # (n, unknown keys)
         self.stop: tuple[int, type[MarketSelectError], str] | None = None  # (n, class, message)
@@ -220,11 +222,15 @@ class _Columns:
                 return self.reject(n, ConfigError, "'embedding' must be a non-empty array")
             if not _NUMBER_TYPES.issuperset(map(type, embedding)):
                 return self.reject(n, ConfigError, "'embedding' must contain only numbers")
+            # From a float start, sum converts every integer to a float, so
+            # the sum is finite only if every value is; the values of a sum
+            # that overflows are checked one by one.
             try:
-                embedding = np.array(embedding, dtype=np.float64)
+                finite = math.isfinite(sum(embedding, 0.0)) or bool(
+                    np.isfinite(np.array(embedding, dtype=np.float64)).all())
             except OverflowError:  # an integer beyond the float range
-                return self.reject(n, ValidationError, "embedding has non-finite values")
-            if not np.isfinite(embedding).all():
+                finite = False
+            if not finite:
                 return self.reject(n, ValidationError, "embedding has non-finite values")
 
         raw_sig = obj.get("signals")
@@ -251,11 +257,14 @@ class _Columns:
         labels = self.labels
         self.label_codes.append(-1 if label is None else labels.setdefault(label, len(labels)))
         if embedding is not None:
-            if self.emb_list and embedding.size != self.emb_list[0].size:
-                self.ragged = (j, embedding.size)
+            if self.emb_rows and len(embedding) != self.emb_dim:
+                self.ragged = (j, len(embedding))
                 return False
+            self.emb_dim = len(embedding)
             self.emb_rows.append(j)
             self.emb_list.append(embedding)
+            if len(self.emb_list) * self.emb_dim >= EMB_BLOCK:
+                self.convert_embeddings()
         for name, value in raw_sig.items():
             col = self.signals.get(name)
             if col is None:
@@ -264,6 +273,11 @@ class _Columns:
                 col.extend([math.nan] * (j - len(col)))
             col.append(value)
         return True
+
+    def convert_embeddings(self) -> None:
+        """Move the pending embeddings into one float64 block."""
+        self.emb_blocks.append(np.array(self.emb_list, dtype=np.float64))
+        self.emb_list = []
 
     def reject(self, n: int, kind: type[MarketSelectError], message: str) -> bool:
         """Record row ``n`` as the one that ends the range."""
@@ -281,13 +295,18 @@ class _Columns:
             col.extend([math.nan] * (k - len(col)))
             self.signals[name] = np.array(col, dtype=np.float64)
         if self.emb_list:
-            self.emb = np.stack(self.emb_list)
-            self.emb_list = []
+            self.convert_embeddings()
+        if self.emb_blocks:
+            self.emb = np.concatenate(self.emb_blocks)
+            self.emb_blocks = []
         self.emb_rows = np.array(self.emb_rows, dtype=np.intp)
         return self
 
 
 _NUMBER_TYPES = frozenset((float, int))
+# Embedding values that one np.array call converts; bounds the Python
+# lists a range holds while it is parsed (about 2 MB of them).
+EMB_BLOCK = 1 << 16
 
 
 def _merge(parts: list[_Columns]) -> dict[str, object]:

@@ -230,14 +230,17 @@ def sweep_hyperparams(
     def _price(beta: float) -> MarketState:
         return price_pool(pool, table, weights, MarketConfig(beta=beta))
 
-    default = _select(_price(DEFAULT_BETA), DEFAULT_GAMMA)
+    # the grid's point at the defaults reuses their prices and selection
+    default_state = _price(DEFAULT_BETA)
+    default = _select(default_state, DEFAULT_GAMMA)
     in_default = np.zeros(pool.n, dtype=bool)
     in_default[default] = True
     rows: list[dict[str, object]] = []
     for beta in beta_grid:
-        state = _price(beta)
+        at_default = beta == DEFAULT_BETA
+        state = default_state if at_default else _price(beta)
         for gamma in gamma_grid:
-            idx = _select(state, gamma)
+            idx = default if at_default and gamma == DEFAULT_GAMMA else _select(state, gamma)
             common = int(np.count_nonzero(in_default[idx]))
             union = default.size + idx.size - common
             lengths = pool.token_lengths[idx]

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -877,11 +879,17 @@ def test_select_rejects_non_finite_config(pool_file, tmp_path, capsys, flags, co
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
-def _python_last_line(code: str) -> str:
+def _python_last_line(code: str, **env_vars: str | None) -> str:
     """Run ``code`` in a fresh interpreter that imports this package and
-    return the last line it prints."""
+    return the last line it prints. ``env_vars`` set (a string) or unset
+    (None) variables of its environment."""
     src = str(Path(market_select.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     return out.stdout.strip().splitlines()[-1]
@@ -890,6 +898,71 @@ def _python_last_line(code: str) -> str:
 def test_importing_the_cli_does_not_load_scipy():
     code = "import sys, market_select.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     assert _python_last_line(code) == "[]"
+
+
+# The package's public names, written out by the submodule that defines
+# each, so a change to the lazy table in __init__ shows here.
+EXPORTS = {
+    "errors": ["ConfigError", "MarketSelectError", "ValidationError"],
+    "market": ["MarketConfig", "MarketState", "Weights", "aggregate_shares", "lmsr_cost",
+               "lmsr_prices", "price_pool", "topic_prices"],
+    "pipeline": ["RunConfig", "execute", "explain", "run_pipeline"],
+    "pool": ["Pool", "load_pool", "topic_sizes", "write_pool"],
+    "selection": ["SelectionConfig", "SelectionReport", "balance_score", "balanced_select",
+                  "coverage_report", "greedy_select", "score_rho"],
+    "signals": ["DiversityParams", "KnnParams", "SignalTable", "build_signal_table",
+                "diversity_centroid", "diversity_combined", "rarity_knn"],
+    "standardize": ["StandardizeConfig", "StandardizedTable", "rank_normalize",
+                    "standardize_column", "standardize_table"],
+    "tune": ["DevFeedback", "TuneConfig", "eg_update", "signal_reward", "tune_weights"],
+    "verify": ["CorruptionSweepConfig", "RecoverySimConfig", "recovery_grid",
+               "simulate_recovery", "sweep_corruption", "sweep_hyperparams"],
+}
+
+# Prints what OPENBLAS_THREAD_TIMEOUT reads when numpy is first imported.
+SPY_ON_NUMPY = (
+    "import os, sys\n"
+    "class Spy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'numpy':\n"
+    "            print('numpy sees', os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+    "sys.meta_path.insert(0, Spy())\n"
+)
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "4"), ("7", "7")])
+def test_the_cli_sets_the_blas_thread_timeout_before_numpy_loads(preset, seen):
+    code = SPY_ON_NUMPY + "import market_select.cli"
+    assert _python_last_line(code, OPENBLAS_THREAD_TIMEOUT=preset) == f"numpy sees {seen}"
+
+
+def test_importing_the_package_loads_no_submodule_and_sets_nothing():
+    code = ("import os, sys, market_select\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'market_select')),"
+            " os.environ.get('OPENBLAS_THREAD_TIMEOUT'))")
+    assert _python_last_line(code, OPENBLAS_THREAD_TIMEOUT=None) == "['market_select'] None"
+    code = ("import sys\nfrom market_select import signals\n"
+            "print(signals is sys.modules['market_select.signals'])")
+    assert _python_last_line(code) == "True"
+
+
+def test_the_package_exports_each_submodules_own_objects():
+    assert market_select.__all__ == [name for names in EXPORTS.values() for name in names]
+    assert set(market_select.__all__) <= set(dir(market_select))
+    for module, names in EXPORTS.items():
+        submodule = importlib.import_module(f"market_select.{module}")
+        for name in names:
+            assert getattr(market_select, name) is getattr(submodule, name)
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        market_select.nope
+
+
+def test_the_readme_library_imports_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^from market_select import \(.*?^\)$", readme, re.M | re.S).group(0)
+    names: dict[str, object] = {}
+    exec(block, names)
+    assert names["run_pipeline"] is pipeline.run_pipeline
 
 
 def test_tune_and_rank_standardization_do_not_load_scipy_stats(tmp_path):

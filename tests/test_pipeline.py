@@ -1,5 +1,6 @@
-"""The price writer's template, a zero-budget topic through the whole run,
-the atomic writer's cleanup and explain's stale-dump warning."""
+"""The price writer's template, the report's spliced id list, a zero-budget
+topic through the whole run, the atomic writer's cleanup and explain's
+stale-dump warning."""
 
 from __future__ import annotations
 
@@ -20,11 +21,15 @@ from market_select.pipeline import (
     RunConfig,
     format_float,
     format_price_rows,
+    dump_json,
     plain_g_text,
+    round_floats,
     run_pipeline,
     write_atomic,
 )
 from market_select.pool import Pool
+
+from conftest import write_pool_jsonl
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -87,6 +92,20 @@ def test_price_rows_equal_the_row_by_row_text(monkeypatch, slice_rows):
         float(format_float(p)) for p in prices.tolist()]
 
 
+ODD_IDS = ['q"uote', "back\\slash", "ctl\x00\x1f\x7f\n\r\t\b\f", "line\u2028sep\u2029",
+           "ünïcødé €", "😀", "", "selected"]
+
+
+@pytest.mark.parametrize("ids", [[], ["a"], ODD_IDS], ids=["empty", "one", "odd"])
+def test_dump_json_splices_the_selected_ids_with_the_bytes_of_json_dumps(ids):
+    report = {"config": {"pool": "p.jsonl", "selected": ["nested"], "tau": 0.1 + 0.2},
+              "diagnostics": {"z": [1.5, None, True]}, "per_topic": {}, "selected": ids,
+              "tokens_used": 7}
+    for obj in (report, {"selected": ids}, {**report, "zz": "after"}):
+        assert dump_json(obj) == json.dumps(
+            round_floats(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
 def run_golden_select(tmp_path: Path, budget: int, alpha: dict[str, float]) -> Path:
     shutil.copyfile(GOLDEN / "pool.jsonl", tmp_path / "pool.jsonl")
     (tmp_path / "alpha.json").write_text(json.dumps(alpha), encoding="utf-8")
@@ -115,6 +134,19 @@ def test_a_zero_budget_topic_fills_leftover_budget_last(tmp_path):
     # a budget the priced examples use up leaves it out
     tight = run_golden_select(tmp_path, 400, alpha)
     assert "g039" not in (tight / "selected.txt").read_text(encoding="utf-8").split()
+
+
+@pytest.mark.parametrize("budget", [1, 9, 100])
+def test_selected_txt_holds_the_report_ids_one_per_line(tmp_path, budget):
+    rows = [{"id": rid, "topic": "t", "tokens": 2 + i, "signals": {"nll": i / 7}}
+            for i, rid in enumerate(ODD_IDS[:6])]
+    write_pool_jsonl(tmp_path / "pool.jsonl", rows)
+    cfg = RunConfig(pool=str(tmp_path / "pool.jsonl"), signals="nll", budget_tokens=budget)
+    run_pipeline(cfg, tmp_path / "run")
+    ids = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))["selected"]
+    assert bool(ids) == (budget > 1)  # no example fits in one token
+    assert (tmp_path / "run" / "selected.txt").read_bytes() == "".join(
+        rid + "\n" for rid in ids).encode("utf-8")
 
 
 def test_a_failed_write_removes_every_temporary_and_keeps_every_target(tmp_path, monkeypatch):

@@ -7,11 +7,13 @@ so that even a small file is parsed in up to three ranges."""
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from market_select import pool as pool_module
 from market_select.cli import main
 from market_select.errors import MarketSelectError, ValidationError
-from market_select.pool import load_pool
+from market_select.pool import Pool, load_pool
 
 from conftest import write_pool_jsonl
 from test_pool import _outcome, assert_same_columns
@@ -278,3 +280,40 @@ def test_ids_in_any_order_across_ranges_give_the_id_sorted_pool(tmp_path, many_r
     with pytest.raises(ValidationError) as err:
         load_pool(path, workers)
     assert str(err.value) == f"line 13: duplicate id {ids[3]!r} (first seen on line 4)"
+
+
+NON_FINITE = "embedding has non-finite values"
+EMBEDDING_FAULTS = {
+    "nan": ([0.5, math.nan], NON_FINITE),
+    "infinity": ([math.inf, 0.5], NON_FINITE),
+    "huge-int": ([10**400, -10**400], NON_FINITE),  # integers that sum to 0
+    "ragged": ([0.5, 0.5, 0.5], "embedding dimension 3 does not match dimension 2 from line 1"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("at", [4, 5, 9])  # the second, first and second of a block
+@pytest.mark.parametrize("fault", list(EMBEDDING_FAULTS))
+def test_embeddings_convert_in_blocks_and_a_bad_one_ends_the_load(tmp_path, many_ranges,
+                                                                   monkeypatch, workers, at,
+                                                                   fault):
+    monkeypatch.setattr(pool_module, "EMB_BLOCK", 4)  # two 2-d embeddings per block
+    rows = [{"id": f"r{i:02d}", "topic": f"t{i % 2}", "tokens": 1 + i} for i in range(12)]
+    for i in (0, 1, 2, 4, 5, 6, 7, 9, 10, 11):
+        rows[i]["embedding"] = [i / 4, 1e308 if i % 2 else -1e308]
+    path = tmp_path / "pool.jsonl"
+    bad, message = EMBEDDING_FAULTS[fault]
+    rows[at]["embedding"] = bad
+    write_pool_jsonl(path, rows)
+    with pytest.raises(ValidationError) as err:
+        load_pool(path, workers)
+    assert str(err.value) == f"line {at + 1}: {message}"
+    with pytest.raises(ValidationError) as err:
+        Pool.from_rows(rows)
+    assert str(err.value) == f"row {at + 1}: {message}".replace("from line", "from row")
+
+    rows[at]["embedding"] = [1e308, 1e308]  # finite, though its sum is not
+    write_pool_jsonl(path, rows)
+    expected = np.array([row.get("embedding", [math.nan] * 2) for row in rows])
+    for pool in (load_pool(path, workers), Pool.from_rows(rows)):
+        assert np.array_equal(pool.embeddings, expected, equal_nan=True)

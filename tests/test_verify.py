@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from market_select import verify
 from market_select.errors import ConfigError, ValidationError
 from market_select.market import Weights
 from market_select.standardize import StandardizedTable
@@ -221,6 +222,28 @@ def test_sweep_default_point_jaccard_one():
     assert rows[0]["jaccard_vs_default"] == 1.0
     assert rows[0]["tokens_used"] <= 100
     assert set(rows[0]["topic_price_mass"]) == set(pool.topics)
+
+
+@pytest.mark.parametrize("betas, gammas, pricings, selections", [
+    ([0.5, 1.0, 2.0, 5.0], [1.4, 1.6, 1.8], 4, 12),  # holds both defaults
+    ([0.5, 2.0], [1.4, 1.8], 2, 5),  # holds the default liquidity only
+    ([0.5, 1.0], [1.6], 3, 3),  # holds the default gamma only
+])
+def test_sweep_prices_and_selects_the_defaults_once(monkeypatch, betas, gammas, pricings,
+                                                     selections):
+    rng = np.random.default_rng(24)
+    pool = random_pool(rng, 40, n_topics=2, max_tokens=20)
+    table = clipped_table(rng, pool)
+    calls = {"price_pool": 0, "greedy_select": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(verify, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(verify, name, counted)
+    rows = sweep_hyperparams(pool, table, Weights({"s1": 0.5, "s2": 0.5}), budget_tokens=100,
+                             beta_grid=betas, gamma_grid=gammas)
+    assert [(row["beta"], row["gamma"]) for row in rows] == [(b, g) for b in betas for g in gammas]
+    assert calls == {"price_pool": pricings, "greedy_select": selections}
 
 
 def test_sweep_gamma_zero_is_raw_price_ranking():
