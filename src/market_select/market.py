@@ -7,12 +7,15 @@ topic's price mass to its budget alpha_t, so the global price vector
 stays a probability distribution while examples compete only within
 their own topic.
 
-All softmax / log-sum-exp paths subtract the running maximum first, so
-liquidities as extreme as 1e-3 or 1e6 stay finite.
+Each topic's prices and cost share one max-subtracted exp, so
+liquidities as extreme as 1e-3 or 1e6 stay finite. A liquidity whose
+prices or cost would leave the float range anyway (below about 1e-308,
+or near 1e308) is refused with a ValidationError naming it and the topic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Collection, Mapping
 
@@ -76,24 +79,19 @@ class MarketConfig:
     topic_budgets: str | Mapping[str, float] = "proportional"
 
     def __post_init__(self) -> None:
-        if isinstance(self.beta, Mapping):
-            for topic, b in self.beta.items():
-                require_finite(f"beta for topic {topic!r}", b)
-                if not b > 0:
-                    raise ConfigError(f"beta for topic {topic!r} must be positive, got {b}")
-        else:
-            require_finite("beta", self.beta)
-            if not self.beta > 0:
-                raise ConfigError(f"beta must be positive, got {self.beta}")
+        betas = self.beta.items() if isinstance(self.beta, Mapping) else [(None, self.beta)]
+        for topic, b in betas:
+            name = "beta" if topic is None else f"beta for topic {topic!r}"
+            require_finite(name, b)
+            if not b > 0:
+                raise ConfigError(f"{name} must be positive, got {b}")
         if isinstance(self.topic_budgets, Mapping):
             for topic, a in self.topic_budgets.items():
                 require_finite(f"alpha for topic {topic!r}", a)
                 if a < 0:
                     raise ConfigError(f"alpha for topic {topic!r} must be >= 0, got {a}")
         elif not isinstance(self.topic_budgets, str):
-            raise ConfigError(
-                f"alpha must be a name or a JSON object, got {self.topic_budgets!r}"
-            )
+            raise ConfigError(f"alpha must be a name or a JSON object, got {self.topic_budgets!r}")
         elif self.topic_budgets != "proportional":
             raise ConfigError(
                 f"topic_budgets must be a map or 'proportional', got {self.topic_budgets!r}"
@@ -117,9 +115,7 @@ class MarketConfig:
             alphas[topic] = float(self.topic_budgets[topic])
         total = sum(alphas.values())
         if abs(total - 1.0) > ALPHA_SUM_TOL:
-            raise ConfigError(
-                f"topic budgets over pool topics must sum to 1, got {total!r}"
-            )
+            raise ConfigError(f"topic budgets over pool topics must sum to 1, got {total!r}")
         return alphas
 
 
@@ -145,14 +141,13 @@ def aggregate_shares(table: StandardizedTable, weights: Weights) -> np.ndarray:
     return q
 
 
-def _stable_softmax(scaled: np.ndarray) -> np.ndarray:
-    e = np.exp(scaled - scaled.max())
-    return e / e.sum()
-
-
-def _stable_lse(scaled: np.ndarray) -> float:
+def _lmsr(q: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
+    """softmax(q / beta) and LSE(q / beta), from one exp of q / beta less its max."""
+    scaled = q / beta
     m = scaled.max()
-    return float(m + np.log(np.exp(scaled - m).sum()))
+    e = np.exp(scaled - m)
+    s = e.sum()
+    return e / s, float(m + np.log(s))
 
 
 def lmsr_cost(q: np.ndarray, beta: float) -> float:
@@ -160,7 +155,7 @@ def lmsr_cost(q: np.ndarray, beta: float) -> float:
     q = _check_shares(q)
     if not beta > 0:
         raise ConfigError(f"beta must be positive, got {beta}")
-    return beta * _stable_lse(q / beta)
+    return beta * _lmsr(q, beta)[1]
 
 
 def lmsr_prices(q: np.ndarray, beta: float) -> np.ndarray:
@@ -168,7 +163,34 @@ def lmsr_prices(q: np.ndarray, beta: float) -> np.ndarray:
     q = _check_shares(q)
     if not beta > 0:
         raise ConfigError(f"beta must be positive, got {beta}")
-    return _stable_softmax(q / beta)
+    return _lmsr(q, beta)[0]
+
+
+def _price_topics(q: np.ndarray, pool: Pool, cfg: MarketConfig) -> tuple[np.ndarray, float, dict]:
+    """Prices, total cost and per-topic costs in one pass over the topics.
+    A topic's prices are finite exactly when its LSE is, so a total cost
+    that is not finite is the one sign of a liquidity out of range."""
+    q = _check_shares(q, expected=pool.n)
+    alphas = cfg.alphas(pool)
+    p = np.zeros(pool.n, dtype=np.float64)
+    costs: dict[str, float] = {}
+    with np.errstate(all="ignore"):  # a result out of range is refused below
+        for topic, idx in pool.topics.items():
+            alpha = alphas[topic]
+            if alpha == 0.0:
+                costs[topic] = 0.0
+                continue
+            beta = cfg.beta_for(topic)
+            prices, lse = _lmsr(q[idx], beta)
+            p[idx] = alpha * prices
+            costs[topic] = alpha * beta * lse
+    total = sum(costs.values())
+    if not math.isfinite(total):
+        # the first topic whose cost is not finite, else the largest cost
+        topic = max(costs, key=lambda t: math.inf if math.isnan(costs[t]) else abs(costs[t]))
+        raise ValidationError(f"liquidity {cfg.beta_for(topic)!r} cannot price topic {topic!r}: "
+                              "its prices or the market cost leave the float range")
+    return p, total, costs
 
 
 def topic_prices(q: np.ndarray, pool: Pool, cfg: MarketConfig) -> np.ndarray:
@@ -179,47 +201,24 @@ def topic_prices(q: np.ndarray, pool: Pool, cfg: MarketConfig) -> np.ndarray:
     so the selection scan reaches them after every priced example: they
     fill leftover budget last.
     """
-    q = _check_shares(q, expected=pool.n)
-    alphas = cfg.alphas(pool)
-    p = np.zeros(pool.n, dtype=np.float64)
-    for topic, idx in pool.topics.items():
-        alpha = alphas[topic]
-        if alpha == 0.0:
-            continue
-        p[idx] = alpha * _stable_softmax(q[idx] / cfg.beta_for(topic))
-    return p
+    return _price_topics(q, pool, cfg)[0]
 
 
 def topic_cost(q: np.ndarray, pool: Pool, cfg: MarketConfig) -> tuple[float, dict[str, float]]:
     """Total and per-topic cost: sum_t alpha_t * beta_t * LSE(q_t / beta_t)."""
-    q = _check_shares(q, expected=pool.n)
-    alphas = cfg.alphas(pool)
-    per_topic: dict[str, float] = {}
-    for topic, idx in pool.topics.items():
-        alpha = alphas[topic]
-        if alpha == 0.0:
-            per_topic[topic] = 0.0
-            continue
-        beta = cfg.beta_for(topic)
-        per_topic[topic] = alpha * beta * _stable_lse(q[idx] / beta)
-    return sum(per_topic.values()), per_topic
+    _, total, costs = _price_topics(q, pool, cfg)
+    return total, costs
 
 
 def price_pool(
-    pool: Pool,
-    table: StandardizedTable,
-    weights: Weights,
-    cfg: MarketConfig | None = None,
+    pool: Pool, table: StandardizedTable, weights: Weights, cfg: MarketConfig | None = None
 ) -> MarketState:
     """Aggregate shares, then price the topic-separable market."""
     cfg = cfg or MarketConfig()
     if table.n != pool.n:
-        raise ValidationError(
-            f"table has {table.n} rows but pool has {pool.n} records"
-        )
+        raise ValidationError(f"table has {table.n} rows but pool has {pool.n} records")
     q = aggregate_shares(table, weights)
-    p = topic_prices(q, pool, cfg)
-    cost, _ = topic_cost(q, pool, cfg)
+    p, cost, _ = _price_topics(q, pool, cfg)
     return MarketState(shares=q, prices=p, cost=cost)
 
 

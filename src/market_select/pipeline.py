@@ -26,7 +26,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, require_finite
+from .errors import ConfigError, require_finite
 from .market import DEFAULT_BETA, MarketConfig, MarketState, Weights, price_pool
 from .pool import Pool, decode_json_line, load_pool, token_sum
 from .selection import (
@@ -371,23 +371,30 @@ def run_pipeline(
 
 
 def write_atomic(files: list[tuple[Path, str]]) -> None:
-    """Write each (path, text) pair, creating parent directories.
+    """Write each (path, text) pair as UTF-8, creating parent directories.
 
     Every text goes to ``<path>.tmp`` first; the temporaries are renamed
     into place only once all of them are written, and on any failure
-    every temporary is removed. A target that is a directory is refused
-    before anything is written.
+    every temporary is removed. A target that is a directory, or a text
+    that UTF-8 cannot encode (a lone surrogate), is refused before
+    anything is written.
     """
-    for path, _ in files:
+    encoded: list[tuple[Path, bytes]] = []
+    for path, text in files:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(path))
+        try:
+            encoded.append((path, text.encode("utf-8")))
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"cannot write {path}: its text is not valid UTF-8 "
+                              f"({exc.reason})") from None
     staged: list[tuple[Path, Path]] = []
     try:
-        for path, text in files:
+        for path, data in encoded:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(path.suffix + ".tmp")
             staged.append((tmp, path))
-            tmp.write_text(text, encoding="utf-8", newline="")
+            tmp.write_bytes(data)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:
@@ -409,8 +416,6 @@ def format_price_rows(pool: Pool, state: MarketState) -> str:
     ``plain_g_text`` admits; a slice with any other value is formatted
     row by row through format_float."""
     shares, prices = state.shares, state.prices
-    if not (np.isfinite(shares).all() and np.isfinite(prices).all()):
-        raise ValidationError("shares and prices must be finite")
     plain = plain_g_text(shares) & plain_g_text(prices)
     topics = [encode_basestring(t) for t in pool.topic_names]
     chunks = []

@@ -9,7 +9,8 @@ columns; nothing mutates them after load.
 A pool is built from rows. A row is a JSON object with keys ``id``
 (string), ``topic`` (string), ``tokens`` (positive int), and optional
 ``label`` (string), ``embedding`` (list of numbers), ``signals``
-(object name -> number). Unknown keys are ignored with a warning.
+(object name -> number). Unknown keys are ignored with a warning. An
+id, topic or label must encode as UTF-8, and an id holds no line break.
 ``load_pool`` reads the rows from a UTF-8 JSONL file, one per line;
 ``Pool.from_rows`` takes them from code. Both check each row with the
 same checker, so both accept and reject the same rows with the same
@@ -148,6 +149,16 @@ class Pool:
         return emb if emb is not None else np.empty((0, 0))
 
 
+def _encodes(text: str) -> bool:
+    """Whether UTF-8 encodes ``text``: it holds no lone surrogate, which a
+    JSON escape such as \\ud800 can give a decoded string."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 class _Columns:
     """The checked rows of one range of a pool, as columns.
 
@@ -204,8 +215,17 @@ class _Columns:
             return self.reject(n, ConfigError, f"missing required key {exc}")
         if type(rid) is not str:
             return self.reject(n, ConfigError, "'id' must be a string")
+        # a line break and a lone surrogate are both unprintable
+        if not rid.isprintable():
+            if "\n" in rid or "\r" in rid:  # selected.txt holds one id per line
+                return self.reject(n, ConfigError, "'id' must not hold '\\n' or '\\r'")
+            if not _encodes(rid):
+                return self.reject(n, ConfigError, "'id' is not UTF-8 text (a lone surrogate)")
         if type(topic) is not str:
             return self.reject(n, ConfigError, "'topic' must be a string")
+        topic_code = self.topics.get(topic)
+        if topic_code is None and not _encodes(topic):
+            return self.reject(n, ConfigError, "'topic' is not UTF-8 text (a lone surrogate)")
         if type(tokens) is not int:
             return self.reject(n, ConfigError, "'tokens' must be an integer")
         if tokens < 1:
@@ -213,8 +233,13 @@ class _Columns:
         if tokens > MAX_TOKENS:
             return self.reject(n, ValidationError, f"'tokens' must be < 2**63, got {tokens}")
         label = obj.get("label")
-        if label is not None and type(label) is not str:
-            return self.reject(n, ConfigError, "'label' must be a string")
+        label_code = -1
+        if label is not None:
+            if type(label) is not str:
+                return self.reject(n, ConfigError, "'label' must be a string")
+            label_code = self.labels.get(label)
+            if label_code is None and not _encodes(label):
+                return self.reject(n, ConfigError, "'label' is not UTF-8 text (a lone surrogate)")
 
         embedding = obj.get("embedding")
         if embedding is not None:
@@ -252,10 +277,13 @@ class _Columns:
         j = len(self.ids)
         self.lines.append(n)
         self.ids.append(rid)
-        self.topic_codes.append(self.topics.setdefault(topic, len(self.topics)))
+        if topic_code is None:
+            topic_code = self.topics[topic] = len(self.topics)
+        self.topic_codes.append(topic_code)
         self.tokens.append(tokens)
-        labels = self.labels
-        self.label_codes.append(-1 if label is None else labels.setdefault(label, len(labels)))
+        if label_code is None:
+            label_code = self.labels[label] = len(self.labels)
+        self.label_codes.append(label_code)
         if embedding is not None:
             if self.emb_rows and len(embedding) != self.emb_dim:
                 self.ragged = (j, len(embedding))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -142,12 +142,10 @@ def tune_weights(
     feedback: DevFeedback,
     pool: Pool,
     cfg: TuneConfig | None = None,
-    reward_fn: Callable[[StandardizedTable, DevFeedback, Pool], Mapping[str, float]] | None = None,
 ) -> TuneResult:
     """Run cfg.rounds exponentiated-gradient updates from equal weights.
 
-    The rewards come from reward_fn when one is given and from
-    signal_reward otherwise. They depend only on the table, the feedback
+    The rewards (signal_reward) depend only on the table, the feedback
     and the pool, none of which a round changes, so they are computed
     once per run, before the first round, and every round reuses them.
 
@@ -160,7 +158,7 @@ def tune_weights(
     trajectory: list[dict[str, object]] = []
     if cfg.rounds == 0:
         return TuneResult(weights=weights, trajectory=trajectory)
-    rewards = dict((reward_fn or signal_reward)(table, feedback, pool))
+    rewards = signal_reward(table, feedback, pool)
     for round_idx in range(cfg.rounds):
         weights = eg_update(weights, rewards, cfg.eta)
         trajectory.append(

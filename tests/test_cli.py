@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from market_select.errors import ConfigError
 from market_select.pipeline import RunConfig, execute, explain, format_float, run_pipeline
 
 from conftest import write_pool_jsonl
+
+GOLDEN_POOL = Path(__file__).resolve().parent / "golden" / "pool.jsonl"
 
 
 @pytest.fixture
@@ -1161,6 +1164,83 @@ def test_a_pool_or_dev_feedback_file_that_is_not_utf8_is_exit_2(
     assert not out.exists()
 
 
+INGESTED = ["--pool", str(GOLDEN_POOL), "--signals", "nll,s1"]
+
+
+@pytest.mark.parametrize(
+    "argv, beta",
+    [
+        (["select", *INGESTED, "--beta", "1e-320", "--budget-tokens", "400"], 1e-320),
+        (["select", *INGESTED, "--beta", "1e308", "--budget-tokens", "400"], 1e308),
+        (["sweep", *INGESTED, "--budget-tokens", "300", "--beta-grid", "1e-320"], 1e-320),
+        (["simulate", "corruption", *INGESTED, "--target-signal", "nll",
+          "--beta-grid", "1e-320"], 1e-320),
+        (["price", *INGESTED, "--beta", "1e-320"], 1e-320),
+    ],
+    ids=["select-tiny", "select-huge", "sweep", "corruption", "price"],
+)
+def test_a_liquidity_the_float_range_cannot_price_is_exit_1(tmp_path, capsys, argv, beta):
+    out = tmp_path / "out"
+    argv = argv + (["--out-dir", str(out)] if argv[0] == "select" else ["--out", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.fullmatch(rf"error: liquidity {re.escape(repr(beta))} cannot price topic '[^']+': "
+                        r"its prices or the market cost leave the float range\n", err), err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not out.exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize(
+    "command, field, value, message",
+    [
+        ("select", "id", "a\ud800", "'id' is not UTF-8 text (a lone surrogate)"),
+        ("select", "id", "a\nb", "'id' must not hold '\\n' or '\\r'"),
+        ("select", "id", "a\rb", "'id' must not hold '\\n' or '\\r'"),
+        ("signals", "topic", "t\udfff", "'topic' is not UTF-8 text (a lone surrogate)"),
+        ("select", "label", "l\udc80", "'label' is not UTF-8 text (a lone surrogate)"),
+    ],
+    ids=["id-surrogate", "id-newline", "id-return", "topic-surrogate", "label-surrogate"],
+)
+def test_a_pool_text_utf8_cannot_encode_or_an_id_with_a_line_break_is_exit_2(
+    pool_file, tmp_path, capsys, command, field, value, message
+):
+    lines = pool_file.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[4])
+    row[field] = value
+    lines[4] = json.dumps(row)  # a lone surrogate as a JSON escape
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, "--pool", str(bad), "--signals", "nll"]
+    argv += ["--budget-tokens", "60", "--out-dir", str(out)] if command == "select" else [
+        "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: line 5: {message}\n"
+    assert not out.exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_a_pool_path_utf8_cannot_encode_is_exit_2_and_writes_nothing(pool_file, tmp_path, capsys):
+    # a file name byte that is not UTF-8 decodes to a lone surrogate, which
+    # the report echoes as the config's pool
+    odd = Path(os.fsdecode(bytes(tmp_path) + b"/pool-\xff.jsonl"))
+    odd.write_bytes(pool_file.read_bytes())
+    out = tmp_path / "out"
+    code = main(["select", "--pool", str(odd), "--signals", "nll", "--budget-tokens", "60",
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out / 'report.json'}: its text is not valid UTF-8 "
+        "(surrogates not allowed)\n"
+    )
+    assert not out.exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 def test_invalid_json_in_dev_feedback_or_prices_names_the_file_and_line(
     pool_file, tmp_path, capsys
 ):
@@ -1436,7 +1516,6 @@ def test_explain_rejects_a_malformed_run(pool_file, tmp_path, capsys, corrupt):
     assert err.startswith("error:") and name in err
 
 
-GOLDEN_POOL = Path(__file__).resolve().parent / "golden" / "pool.jsonl"
 UNKNOWN_KEY_WARNING = "line 10: ignoring unknown keys ['note']"
 
 

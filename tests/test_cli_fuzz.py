@@ -51,6 +51,9 @@ NON_FINITE_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf])
 IDS = st.text(alphabet='abcé "\\\u2028', min_size=1, max_size=3)
 TOPICS = st.sampled_from(["x", "y", "zé", 'q"\\'])
 LABELS = st.sampled_from(["l0", "l1"])
+# a lone surrogate, which UTF-8 cannot encode, and ids with a line break
+TEXT_FLAWS = st.sampled_from(
+    [("id", "a\ud800"), ("id", "a\nb"), ("id", "\r"), ("topic", "x\udfff")])
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -110,7 +113,7 @@ def pool_line(draw, row: dict) -> str:
     """One pool line: the row, maybe broken in one place."""
     row = dict(row)
     flaw = draw(rarely(st.none(), st.sampled_from(
-        ["json", "not-object", "tokens", "id", "embedding", "signal", "unknown", "blank"]
+        ["json", "not-object", "tokens", "id", "text", "embedding", "signal", "unknown", "blank"]
     )))
     if flaw == "json":
         return draw(st.sampled_from(['{"id": ', "{'id': 1}", "nul", '{"id": "a"} x']))
@@ -118,6 +121,9 @@ def pool_line(draw, row: dict) -> str:
         return json.dumps(draw(st.sampled_from([[1], "row", 3, None])))
     if flaw == "blank":
         return "  \n" + json.dumps(row)
+    if flaw == "text":  # JSON escapes: a lone surrogate has no UTF-8 text to write
+        key, value = draw(TEXT_FLAWS)
+        return json.dumps({**row, key: value})
     if flaw == "tokens":
         row["tokens"] = draw(st.sampled_from([0, -2, 2.5, "7", None, True, 10**30]))
     elif flaw == "id":
@@ -152,6 +158,11 @@ def pool_file(draw) -> tuple[str, bool]:
 
 
 # ---- settings ----------------------------------------------------------------
+
+# finite liquidities at either end of the float range, which the market
+# refuses when its prices or cost leave the range
+EXTREME_BETAS = ["5e-324", "1e-320", "1e308"]
+
 
 def float_flag(flag: str, good: st.SearchStrategy) -> st.SearchStrategy:
     """``--flag=value``, so that argparse takes "-inf" as a value."""
@@ -202,6 +213,7 @@ DEV_ROW = rarely(
 BAD_GRID = st.sampled_from(["abc", "", "nan", "inf", "-1", "1e400", "2,0"])
 GRID = rarely(st.sampled_from(["1,2", "0.5", "0.5,1,3", "2"]), BAD_GRID)
 EPS_GRID = rarely(st.sampled_from(["0,0.5,1", "0.25", "1"]), BAD_GRID)
+BETA_GRID = rarely(GRID, st.sampled_from(EXTREME_BETAS + ["2,1e-320"]))
 
 
 def spec_names(signals: str) -> list[str]:
@@ -249,7 +261,8 @@ def command(draw, root: Path, embedded: bool) -> tuple[list[str], list[Path]]:
         argv += [draw(float_flag("--tau", st.floats(0.5, 5)))]
     if kind in ("select", "price"):
         if draw(st.booleans()):
-            argv += [draw(float_flag("--beta", st.floats(0.1, 5)))]
+            beta = rarely(st.floats(0.1, 5), st.sampled_from(EXTREME_BETAS).map(float))
+            argv += [draw(float_flag("--beta", beta))]
         if draw(st.booleans()):
             alpha = draw(st.sampled_from(["proportional", "@A", ""]))
             argv += ["--alpha", write("alpha.json", draw(MAP_FILE)) if alpha == "@A" else alpha]
@@ -296,10 +309,10 @@ def command(draw, root: Path, embedded: bool) -> tuple[list[str], list[Path]]:
     if kind == "sweep":
         return ["sweep", *argv, "--budget-tokens", str(draw(rarely(st.integers(1, 200),
                                                                    st.just(0)))),
-                "--beta-grid", draw(GRID), "--gamma-grid", draw(GRID)], [out]
+                "--beta-grid", draw(BETA_GRID), "--gamma-grid", draw(GRID)], [out]
     target = draw(rarely(st.sampled_from(spec_names(signals)), st.just("foo")))
     return ["simulate", "corruption", *argv, "--target-signal", target,
-            "--eps-grid", draw(EPS_GRID), "--beta-grid", draw(GRID)], [out]
+            "--eps-grid", draw(EPS_GRID), "--beta-grid", draw(BETA_GRID)], [out]
 
 
 @settings(FUZZ, max_examples=400)
@@ -318,6 +331,43 @@ def test_every_generated_command_meets_the_exit_code_contract(data):
             rid = data.draw(st.sampled_from(selected + ["zz"]), label="explain id")
             code, out, err = run_cli(["explain", "--run-dir", str(root / "out"), rid])
             assert_contract(code, out, err, [], root)
+
+
+@settings(FUZZ, max_examples=60)
+@given(data=st.data())
+def test_odd_texts_and_liquidities_at_the_ends_of_the_float_range_meet_the_contract(data):
+    """Commands valid but for one pool line's text or the liquidity."""
+    rows = data.draw(clean_rows(), label="rows")
+    lines = [json.dumps(row) for row in rows]
+    flawed = data.draw(st.booleans(), label="text flaw")
+    if flawed:
+        i = data.draw(st.integers(0, len(rows) - 1), label="flawed row")
+        key, value = data.draw(TEXT_FLAWS, label="flaw")
+        lines[i] = json.dumps({**rows[i], key: value})
+    beta = data.draw(st.sampled_from(EXTREME_BETAS + ["2"]), label="beta")
+    kind = data.draw(st.sampled_from(["select", "price", "signals", "sweep", "corruption"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "pool.jsonl").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        out = root / "out"
+        argv = ["--pool", str(root / "pool.jsonl"), "--signals", "nll,s1", "--threads", "1"]
+        if kind == "select":
+            argv = ["select", *argv, "--beta", beta, "--budget-tokens", "40", "--out-dir", str(out)]
+        elif kind == "price":
+            argv = ["price", *argv, "--beta", beta, "--out", str(out)]
+        elif kind == "signals":
+            argv = ["signals", *argv, "--out", str(out)]
+        elif kind == "sweep":
+            argv = ["sweep", *argv, "--budget-tokens", "40", "--beta-grid", beta,
+                    "--out", str(out)]
+        else:
+            argv = ["simulate", "corruption", *argv, "--target-signal", "nll",
+                    "--beta-grid", beta, "--out", str(out)]
+        code, stdout, err = run_cli(argv)
+        assert_contract(code, stdout, err, [out], root)
+        assert (code == 2) if flawed else (code in (0, 1)), err
+        if code:
+            assert not out.exists()
 
 
 # ---- metamorphic relations ---------------------------------------------------

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
+from market_select import market as market_module
 from market_select.errors import ConfigError, ValidationError
 from market_select.market import (
     MarketConfig,
@@ -290,3 +294,72 @@ def test_extreme_shares_stay_finite():
     assert np.isfinite(p).all()
     assert p.sum() == pytest.approx(1.0)
     assert np.isfinite(lmsr_cost(q, 1e-3))
+
+
+def test_the_topic_views_keep_the_arithmetic_of_one_softmax_and_lse_per_topic():
+    pool = random_pool(np.random.default_rng(3), 40, n_topics=4)
+    q = np.random.default_rng(4).normal(size=pool.n)
+    cfg = MarketConfig(beta={f"t{i}": 0.3 + i for i in range(4)},
+                       topic_budgets={"t0": 0.1, "t1": 0.0, "t2": 0.6, "t3": 0.3})
+    p = np.zeros(pool.n)
+    per_topic = {}
+    for topic, idx in pool.topics.items():
+        alpha, beta = cfg.alphas(pool)[topic], cfg.beta_for(topic)
+        scaled = q[idx] / beta
+        m = scaled.max()
+        e = np.exp(scaled - m)
+        s = e.sum()
+        if alpha:
+            p[idx] = alpha * (e / s)
+        per_topic[topic] = alpha * beta * (m + np.log(s)) if alpha else 0.0
+    assert np.array_equal(topic_prices(q, pool, cfg), p)
+    assert topic_cost(q, pool, cfg) == (sum(per_topic.values()), per_topic)
+    table = table_of(a=q)
+    state = price_pool(pool, table, Weights({"a": 1.0}), cfg)
+    assert np.array_equal(state.prices, p) and state.cost == sum(per_topic.values())
+
+
+def test_price_pool_runs_the_kernel_once_per_priced_topic(monkeypatch):
+    pool = random_pool(np.random.default_rng(5), 30, n_topics=3)
+    calls = []
+    kernel = market_module._lmsr
+
+    def counted(q, beta):
+        calls.append(beta)
+        return kernel(q, beta)
+
+    monkeypatch.setattr(market_module, "_lmsr", counted)
+    # the zero-budget topic has no liquidity: it is skipped before beta is looked up
+    cfg = MarketConfig(beta={"t0": 1.0, "t2": 3.0},
+                       topic_budgets={"t0": 0.25, "t1": 0.0, "t2": 0.75})
+    state = price_pool(pool, table_of(a=np.linspace(-1, 1, pool.n)), Weights({"a": 1.0}), cfg)
+    assert sorted(calls) == [1.0, 3.0]
+    assert not state.prices[pool.topics["t1"]].any()
+
+
+@pytest.mark.parametrize("beta", [5e-324, 1e-320, 1e308])
+def test_a_liquidity_the_float_range_cannot_price_is_refused(beta):
+    # at 1e308 each topic's cost is finite (alpha * beta * log 8 < 1.8e308)
+    # and only their total is not
+    pool = make_pool(*[make_record(f"{t}{i}", topic=t) for t in "xy" for i in range(8)])
+    q = np.linspace(-1.0, 1.0, pool.n)
+    cfg = MarketConfig(beta=beta)
+    table = table_of(a=q)
+    message = rf"^liquidity {re.escape(repr(beta))} cannot price topic '[xy]': its prices"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for price in (lambda: topic_prices(q, pool, cfg), lambda: topic_cost(q, pool, cfg),
+                      lambda: price_pool(pool, table, Weights({"a": 1.0}), cfg)):
+            with pytest.raises(ValidationError, match=message):
+                price()
+
+
+def test_a_tiny_liquidity_that_still_prices_gives_the_limit_without_a_warning():
+    pool = make_pool(make_record("a", topic="t"), make_record("b", topic="t"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # -1 / 1e-320 overflows to -inf, whose price is an exact 0
+        p = topic_prices(np.array([0.0, -1.0]), pool, MarketConfig(beta=1e-320))
+        assert topic_cost(np.array([0.0, -1.0]), pool, MarketConfig(beta=1e-320)) == (
+            0.0, {"t": 0.0})
+    assert p.tolist() == [1.0, 0.0]

@@ -138,8 +138,10 @@ def test_a_zero_budget_topic_fills_leftover_budget_last(tmp_path):
 
 @pytest.mark.parametrize("budget", [1, 9, 100])
 def test_selected_txt_holds_the_report_ids_one_per_line(tmp_path, budget):
+    # the row checker refuses an id with a line break, so those two go
+    ids = [rid.replace("\n", "").replace("\r", "") for rid in ODD_IDS[:6]]
     rows = [{"id": rid, "topic": "t", "tokens": 2 + i, "signals": {"nll": i / 7}}
-            for i, rid in enumerate(ODD_IDS[:6])]
+            for i, rid in enumerate(ids)]
     write_pool_jsonl(tmp_path / "pool.jsonl", rows)
     cfg = RunConfig(pool=str(tmp_path / "pool.jsonl"), signals="nll", budget_tokens=budget)
     run_pipeline(cfg, tmp_path / "run")
@@ -152,15 +154,15 @@ def test_selected_txt_holds_the_report_ids_one_per_line(tmp_path, budget):
 def test_a_failed_write_removes_every_temporary_and_keeps_every_target(tmp_path, monkeypatch):
     first, second = tmp_path / "a.txt", tmp_path / "sub" / "b.txt"
     first.write_text("old", encoding="utf-8")
-    real_write_text = Path.write_text
+    real_write_bytes = Path.write_bytes
 
-    def write_text(self, text, *args, **kwargs):
+    def write_bytes(self, data):
         if self.name == "b.txt.tmp":
-            real_write_text(self, text[:2], *args, **kwargs)  # a partial temporary
+            real_write_bytes(self, data[:2])  # a partial temporary
             raise OSError(28, "No space left on device")
-        return real_write_text(self, text, *args, **kwargs)
+        return real_write_bytes(self, data)
 
-    monkeypatch.setattr(Path, "write_text", write_text)
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)
     with pytest.raises(OSError, match="No space left"):
         write_atomic([(first, "new"), (second, "new")])
     assert first.read_text(encoding="utf-8") == "old"

@@ -254,10 +254,18 @@ def test_unknown_id_lookup():
         [{"id": "a", "topic": "t", "tokens": 1, "embedding": [10**400]}],
         [{"id": "b", "topic": "t", "tokens": 1}, {"id": "a", "topic": "t", "tokens": 1},
          {"id": "b", "topic": "u", "tokens": 2}],
+        # a lone surrogate, written to the file as a JSON escape
+        [{"id": "a", "topic": "t", "tokens": 1}, {"id": "b\ud800", "topic": "t", "tokens": 1}],
+        [{"id": "a\nb", "topic": "t", "tokens": 1}],
+        [{"id": "a\r", "topic": "t", "tokens": 1}],
+        [{"id": "a", "topic": "t", "tokens": 1}, {"id": "b", "topic": "\udc00", "tokens": 1}],
+        [{"id": "a", "topic": "t", "tokens": 1, "label": "p"},
+         {"id": "b", "topic": "t", "tokens": 1, "label": "p\udfff"}],
     ],
     ids=["tokens-float", "tokens-bool", "tokens-zero", "tokens-int64-overflow",
          "topic-int", "label-int", "signal-string", "signal-huge-int", "embedding-nan",
-         "embedding-huge-int", "duplicate-id"],
+         "embedding-huge-int", "duplicate-id", "id-surrogate", "id-newline", "id-return",
+         "topic-surrogate", "label-surrogate"],
 )
 def test_from_rows_rejects_what_load_pool_rejects(tmp_path, rows):
     path = tmp_path / "pool.jsonl"

@@ -48,7 +48,7 @@ def assert_same_outcome(a, b):
 
 
 FAULTS = ["bad-json", "not-object", "tokens", "signal", "unknown", "duplicate", "ragged",
-          "duplicate+ragged", "not-utf8"]
+          "duplicate+ragged", "not-utf8", "id-surrogate", "id-line-break", "topic-surrogate"]
 
 
 @st.composite
@@ -76,7 +76,9 @@ def pool_files(draw):
         else:
             if "duplicate" in fault:
                 rid = ids[draw(st.integers(0, n - 1))]
-            fields = [f'"id": "{rid}"', '"topic": "t"']
+            suffix = {"id-surrogate": "\\ud800", "id-line-break": "\\n"}.get(fault, "")
+            topic = "t\\udfff" if fault == "topic-surrogate" else "t"
+            fields = [f'"id": "{rid}{suffix}"', f'"topic": "{topic}"']
             fields.append(f'"tokens": {0 if fault == "tokens" else draw(st.integers(1, 9))}')
             if "ragged" in fault or draw(st.booleans()):
                 size = dim + ("ragged" in fault) + (switch is not None and i >= switch)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from market_select import tune as tune_module
 from market_select.errors import ConfigError, ValidationError
 from market_select.market import Weights
 from market_select.standardize import StandardizedTable
@@ -204,19 +205,18 @@ def test_tune_permutation_equivariance():
     assert forward.weights.w["b"] == pytest.approx(swapped.weights.w["b"], abs=1e-12)
 
 
-def test_tune_custom_reward_fn_used():
+def test_tune_computes_the_rewards_once_per_run(monkeypatch):
     pool = pool_with_ids(5)
     feedback = DevFeedback({rid: 0.0 for rid in pool.ids})
     table = std_table(pool, a=np.zeros(5), b=np.zeros(5))
     calls = []
 
-    def reward_fn(t, f, p):
+    def reward(t, f, p):
         calls.append((t, f, p))
         return {"a": 1.0, "b": 0.0}
 
-    result = tune_weights(
-        table, feedback, pool, TuneConfig(eta=1.0, rounds=5), reward_fn=reward_fn
-    )
+    monkeypatch.setattr(tune_module, "signal_reward", reward)
+    result = tune_weights(table, feedback, pool, TuneConfig(eta=1.0, rounds=5))
     assert result.weights.w["a"] > result.weights.w["b"]
     # the rewards depend only on unchanging inputs: one call serves every round
     assert calls == [(table, feedback, pool)]
