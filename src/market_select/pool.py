@@ -23,6 +23,18 @@ one range at a time, and one merge settles in line order what spans
 rows and ranges (duplicate ids, the embedding dimension, which error
 comes first, the warnings). A code row list is a single range. So the
 result does not depend on the number of workers.
+
+``load_pool`` keeps a copy of every pool that passes its checks in a
+cache, keyed by the sha256 of this module's source followed by the pool
+file's bytes. A later load of the same bytes by the same checker reads
+the columns back from one uncompressed ``.npz`` file, replays the load's
+warnings and skips the parse. The cache lives in
+``$XDG_CACHE_HOME/market-select/pools``, or ``~/.cache/market-select/pools``
+when that variable is unset or not an absolute path; the directory is
+made with mode 0700, since it holds a copy of each pool's columns. It
+holds at most ``CACHE_CAP`` bytes: past that, the files least recently
+written or hit go first. Deleting the directory is always safe; a
+missing, unreadable or damaged entry is parsed again and rewritten.
 """
 
 from __future__ import annotations
@@ -34,7 +46,11 @@ import operator
 import os
 import pickle
 import signal
+import stat
+import tempfile
+import threading
 import warnings
+import zipfile
 from array import array
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
@@ -111,7 +127,12 @@ class Pool:
         for n, row in enumerate(rows, start=1):
             if not columns.add(row, n):
                 break
-        return cls(**_merge([columns.seal()]))
+        texts: list[str] = []
+        try:
+            return cls(**_merge([columns.seal()], texts))
+        finally:
+            for text in texts:
+                warnings.warn(text, stacklevel=2)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -337,7 +358,7 @@ _NUMBER_TYPES = frozenset((float, int))
 EMB_BLOCK = 1 << 16
 
 
-def _merge(parts: list[_Columns]) -> dict[str, object]:
+def _merge(parts: list[_Columns], texts: list[str]) -> dict[str, object]:
     """The keyword arguments of Pool(): the rows of every range, in id
     order, once the checks that span rows or ranges have passed.
 
@@ -345,8 +366,9 @@ def _merge(parts: list[_Columns]) -> dict[str, object]:
     shifted by the lines of the ranges before it. The first error in
     line order wins: a rejected row, a duplicate id, or an embedding
     whose dimension differs from the first embedding's (a row's
-    duplicate id comes before its dimension). The unknown-key warnings
-    of the lines up to that error are emitted first, in line order.
+    duplicate id comes before its dimension). The unknown-key warning
+    texts of the lines up to that error are appended to ``texts`` first,
+    in line order, for the caller to emit.
     """
     unit = parts[0].unit
     offsets: list[int] = []
@@ -398,7 +420,7 @@ def _merge(parts: list[_Columns]) -> dict[str, object]:
         for n, keys in part.warnings:
             if error is not None and o + n > error[0]:
                 break
-            warnings.warn(f"{unit} {o + n}: ignoring unknown keys {keys}", stacklevel=3)
+            texts.append(f"{unit} {o + n}: ignoring unknown keys {keys}")
     if error is not None:
         n, kind, message = error
         raise kind(f"{unit} {n}: {message}")
@@ -496,15 +518,175 @@ def load_pool(path: str | Path, workers: int = 1) -> Pool:
     Errors name the offending line; duplicate ids and ragged embedding
     dimensions name both lines involved. A file that is not valid UTF-8
     is refused as such, whatever other errors it holds.
+
+    A regular file is first looked up in the pool cache (see the module
+    docstring) by the sha256 of this module's source and of its bytes.
+    On a hit the columns come from the cache and the warnings the first
+    load gave are replayed, with the same text and location; on a miss
+    the file is parsed as above, and a pool that passes its checks is
+    stored, unless the file's inode, size or mtime changed meanwhile.
+    The cache never changes a result: any failure to read or write it
+    just means a parse.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"pool file not found: {path}")
-    parts = fork_map(_parse_range, [(path, *r) for r in _ranges(path, workers)])
-    for part in parts:
-        if part.bad_utf8 is not None:
-            raise ConfigError(f"pool file {path} is not valid UTF-8: {part.bad_utf8}")
-    return Pool(**_merge(parts))
+    entry = _cache_entry(path)
+    texts: list[str] = []
+    try:
+        columns = _read_entry(entry[0], texts) if entry is not None else None
+        if columns is None:
+            parts = fork_map(_parse_range, [(path, *r) for r in _ranges(path, workers)])
+            for part in parts:
+                if part.bad_utf8 is not None:
+                    raise ConfigError(f"pool file {path} is not valid UTF-8: {part.bad_utf8}")
+            columns = _merge(parts, texts)
+            if entry is not None:
+                _write_entry(*entry, path, columns, texts)
+    finally:
+        for text in texts:
+            warnings.warn(text, stacklevel=2)
+    return Pool(**columns)
+
+
+CACHE_CAP = 1 << 30  # bytes the pool cache directory may hold
+
+
+def _cache_entry(path: Path) -> tuple[Path, tuple[int, int, int]] | None:
+    """The cache file of the bytes of the pool file at ``path``, and the
+    file's (inode, size, mtime) taken before they were hashed. None for
+    a file that is not regular, or when the file cannot be read or there
+    is no home directory."""
+    import hashlib  # on first use: importing the CLI does not load it
+
+    try:
+        before = path.stat()
+        if not stat.S_ISREG(before.st_mode):
+            return None
+        digest = hashlib.sha256(Path(__file__).read_bytes())
+        chunk = bytearray(1 << 20)
+        with path.open("rb", buffering=0) as fh:
+            while size := fh.readinto(chunk):
+                digest.update(memoryview(chunk)[:size])
+        return _cache_dir() / f"{digest.hexdigest()}.npz", _identity(before)
+    except OSError:
+        return None
+
+
+def _identity(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/market-select/pools``, or ``~/.cache/...`` when
+    that variable is unset or relative (as the XDG spec says); OSError
+    when there is no home directory."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        try:
+            base = Path.home() / ".cache"
+        except RuntimeError as exc:  # no home directory
+            raise OSError("no home directory") from exc
+    return Path(base) / "market-select" / "pools"
+
+
+def _read_entry(entry: Path, texts: list[str]) -> dict[str, object] | None:
+    """The keyword arguments of Pool() cached in ``entry``, its warning
+    texts appended to ``texts``; None, a miss, when the entry is missing,
+    does not load, or holds arrays of the wrong dtype or length."""
+    try:
+        with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        header = json.loads(arrays["header"].tobytes())
+        n = len(arrays["topic_codes"])
+        ids = arrays["ids"].tobytes().decode("utf-8").split("\n") if n else []
+        emb = arrays.get("embeddings")
+        expected = {
+            "topic_codes": (np.intp, (n,)),
+            "token_lengths": (np.int64, (n,)),
+            "label_codes": (np.intp, (n,)),
+            "signals": (np.float64, (len(header["signals"]), n)),
+        }
+        if emb is not None:  # n rows of any one width
+            expected["embeddings"] = (np.float64, (n, emb.shape[1] if emb.ndim == 2 else -1))
+        if len(ids) != n or any(arrays[name].dtype != dtype or arrays[name].shape != shape
+                                for name, (dtype, shape) in expected.items()):
+            return None
+    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
+        return None
+    try:
+        os.utime(entry)  # a hit keeps the entry from eviction longest
+    except OSError:
+        pass
+    texts.extend(header["warnings"])
+    return dict(
+        ids=ids,
+        topic_codes=arrays["topic_codes"],
+        token_lengths=arrays["token_lengths"],
+        label_codes=arrays["label_codes"],
+        topic_names=header["topics"],
+        label_names=header["labels"],
+        embeddings=emb,
+        signals=dict(zip(header["signals"], arrays["signals"])),
+    )
+
+
+def _write_entry(entry: Path, before: tuple[int, int, int], path: Path,
+                 columns: dict[str, object], texts: list[str]) -> None:
+    """Cache the checked columns of the pool file at ``path`` in ``entry``,
+    through a temporary file in the cache directory; then remove the
+    oldest files of the directory while it holds more than ``CACHE_CAP``
+    bytes. Nothing is stored when the file changed since it was hashed
+    (``before``), or when the entry alone would exceed the cap; an
+    OSError stores nothing either."""
+    ids, signals, emb = columns["ids"], columns["signals"], columns["embeddings"]
+    header = {"topics": columns["topic_names"], "labels": columns["label_names"],
+              "signals": list(signals), "warnings": texts}
+    signal_rows = np.array(list(signals.values()), dtype=np.float64)
+    arrays = {
+        "header": np.frombuffer(json.dumps(header).encode("ascii"), dtype=np.uint8),
+        "topic_codes": columns["topic_codes"],
+        "token_lengths": columns["token_lengths"],
+        "label_codes": columns["label_codes"],
+        "signals": signal_rows.reshape(len(signals), len(ids)),
+    }
+    if ids:  # "".split("\n") would be one empty id
+        arrays["ids"] = np.frombuffer("\n".join(ids).encode("utf-8"), dtype=np.uint8)
+    if emb is not None:
+        arrays["embeddings"] = emb
+    try:
+        if (_identity(path.stat()) != before
+                or sum(a.nbytes for a in arrays.values()) > CACHE_CAP):
+            return
+        entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
+        try:
+            with open(fd, "wb") as fh:
+                np.savez(fh, **arrays)
+            os.replace(tmp, entry)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
+        _evict(entry.parent)
+    except OSError:
+        pass
+
+
+def _evict(directory: Path) -> None:
+    """Remove the files of ``directory``, oldest mtime first, until they
+    hold at most ``CACHE_CAP`` bytes."""
+    files = []
+    with os.scandir(directory) as scan:
+        for item in scan:
+            if item.is_file(follow_symlinks=False):
+                st = item.stat(follow_symlinks=False)
+                files.append((st.st_mtime_ns, item.path, st.st_size))
+    total = sum(size for _, _, size in files)
+    for _, name, size in sorted(files):
+        if total <= CACHE_CAP:
+            break
+        Path(name).unlink(missing_ok=True)  # another process may have removed it
+        total -= size
 
 
 def _usable_cpus() -> int:
@@ -542,36 +724,38 @@ def fork_map(task: Callable[..., T], args: Sequence[tuple]) -> list[T]:
     """``[task(*a) for a in args]``, the tasks run side by side.
 
     The calling process runs the first task; each other task runs in a
-    forked worker, which pipes back its pickled result. A task whose
-    worker cannot start or does not exit cleanly, or every task where
-    there is no ``fork``, runs in the calling process instead, so the
-    results do not depend on how many workers ran. A worker sees the
+    forked worker, which pipes back its pickled result. Once every
+    worker has forked, a thread per worker drains its pipe while the
+    caller runs its own task, so no worker stalls on a full pipe. A task
+    whose worker cannot start or does not exit cleanly, or every task
+    where there is no ``fork``, runs in the calling process instead, so
+    the results do not depend on how many workers ran. A worker sees the
     caller's memory as it was at the fork, so the arguments are not
     copied. No worker outlives this.
     """
-    workers: list[tuple[int, io.BufferedReader] | None] = []
+    workers: list[_Worker | None] = []
     try:
         # extend() appends one worker at a time, so a failure midway
         # still leaves the ones started to the cleanup below
         workers.extend(_start_worker(task, a) for a in args[1:])
+        for worker in workers:
+            if worker is not None:
+                worker.drain()
         results = [task(*a) for a in args[:1]]
         for i, a in enumerate(args[1:]):
-            worker, workers[i] = workers[i], None  # _collect reaps it, whatever happens
-            data = None if worker is None else _collect(*worker)
+            worker, workers[i] = workers[i], None  # collect() reaps it, whatever happens
+            data = None if worker is None else worker.collect()
             results.append(pickle.loads(data) if data is not None else task(*a))
     finally:
         for worker in workers:  # still running only if this raised
             if worker is not None:
-                pid, pipe = worker
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                worker.kill()
     return results
 
 
-def _start_worker(task: Callable[..., object], args: tuple) -> tuple[int, io.BufferedReader] | None:
+def _start_worker(task: Callable[..., object], args: tuple) -> _Worker | None:
     """Fork a worker that runs ``task(*args)`` and pipes back its pickled
-    result: (pid, read end of the pipe), or None when no worker can start."""
+    result, or None when no worker can start."""
     if not hasattr(os, "fork"):
         return None
     read_fd, write_fd = os.pipe()
@@ -597,23 +781,61 @@ def _start_worker(task: Callable[..., object], args: tuple) -> tuple[int, io.Buf
         finally:
             os._exit(code)
     os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    return _Worker(pid, open(read_fd, "rb"))
 
 
-def _collect(pid: int, pipe: io.BufferedReader) -> bytes | None:
-    """A worker's pickled result, or None when it did not finish cleanly.
-    The worker is reaped in any case."""
-    try:
-        with pipe:
-            data = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if os.waitstatus_to_exitcode(status) != 0:
-        return None
-    return data
+class _Worker:
+    """A forked worker, the read end of its pipe, and the thread that
+    drains the pipe."""
+
+    def __init__(self, pid: int, pipe: io.BufferedReader) -> None:
+        self.pid = pid
+        self.pipe = pipe
+        self.data: bytes | None = None
+        self.reader: threading.Thread | None = None
+
+    def drain(self) -> None:
+        """Read the pipe on a thread from now on. Called only once every
+        worker has forked: a fork copies the locks a running thread may
+        hold, and not the thread. Without a thread, ``collect`` reads."""
+        reader = threading.Thread(target=self._read, daemon=True)
+        try:
+            reader.start()
+        except RuntimeError:  # no thread can start
+            return
+        self.reader = reader
+
+    def _read(self) -> None:
+        try:
+            self.data = self.pipe.read()
+        except OSError:
+            self.data = None
+
+    def collect(self) -> bytes | None:
+        """The worker's pickled result, or None when it did not finish
+        cleanly. The worker is reaped in any case."""
+        try:
+            if self.reader is None:
+                self._read()
+            else:
+                self.reader.join()
+        except BaseException:  # an interrupt
+            self.kill()
+            raise
+        return self.data if self._reap() == 0 else None
+
+    def kill(self) -> None:
+        """Kill the worker; join the reader, which then meets the end of
+        the pipe, before the pipe closes; reap the worker."""
+        os.kill(self.pid, signal.SIGKILL)
+        if self.reader is not None:
+            self.reader.join()
+        self._reap()
+
+    def _reap(self) -> int:
+        """Close the pipe and wait for the worker; its exit code."""
+        self.pipe.close()
+        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
 class _Span(io.RawIOBase):

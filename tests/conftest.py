@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from market_select import pool as pool_module
 from market_select.pool import Pool
 
 
@@ -41,6 +42,22 @@ def no_child_outlives_the_test():
     except ChildProcessError:
         return
     pytest.fail("a child process outlived the test" + (f" (pid {pid})" if pid else ""))
+
+
+@pytest.fixture(autouse=True)
+def pool_cache(tmp_path_factory, monkeypatch):
+    """An empty pool cache of the test's own; CLI subprocesses inherit it,
+    so no test reads or writes the user's cache."""
+    cache = tmp_path_factory.mktemp("cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache / "market-select" / "pools"
+
+
+@pytest.fixture
+def cold_cache(monkeypatch, tmp_path_factory):
+    """Every pool load in the test gets a fresh, empty cache directory, so
+    a second load of the same bytes still parses (and forks) as the first."""
+    monkeypatch.setattr(pool_module, "_cache_dir", lambda: tmp_path_factory.mktemp("cold"))
 
 
 @pytest.fixture

@@ -654,6 +654,7 @@ def test_env_var_threads(pool_file, tmp_path, monkeypatch):
     assert four == one
 
 
+@pytest.mark.usefixtures("cold_cache")
 def test_without_flag_or_variable_every_usable_cpu_works(pool_file, tmp_path, monkeypatch,
                                                          forks):
     # a range floor of one byte: every parse worker past the first forks

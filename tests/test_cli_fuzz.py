@@ -403,6 +403,7 @@ def select_in(directory: Path, flags: list[str], threads: int) -> tuple[int, str
     return code, err, [(directory / "run" / name).read_bytes() for name in ARTIFACTS]
 
 
+@pytest.mark.usefixtures("cold_cache")
 @settings(FUZZ, max_examples=60)
 @given(data=st.data())
 def test_select_artifacts_hold_across_threads_and_a_write_pool_round_trip(data):

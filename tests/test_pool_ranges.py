@@ -97,6 +97,7 @@ def pool_files(draw):
     return text.encode("utf-8").replace("\xff".encode("utf-8"), b"\xff")
 
 
+@pytest.mark.usefixtures("cold_cache")
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=pool_files())
@@ -137,6 +138,7 @@ def test_a_file_below_the_floor_is_one_range(tmp_path, monkeypatch):
     assert len(pool_module._ranges(path, 3)) == 2
 
 
+@pytest.mark.usefixtures("cold_cache")
 def test_no_worker_outlives_a_load(tmp_path, monkeypatch, many_ranges, forks):
     good = tmp_path / "good.jsonl"
     good.write_bytes(GOLDEN_POOL.read_bytes())
@@ -182,6 +184,7 @@ def _failed_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
 
 
+@pytest.mark.usefixtures("cold_cache")
 @pytest.mark.parametrize("failure", [
     pytest.param(_killed_worker, id="worker-dies"),
     pytest.param(_failed_fork, id="fork-fails"),
@@ -212,6 +215,7 @@ def two_ranges(monkeypatch):
     monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 2)
 
 
+@pytest.mark.usefixtures("cold_cache")
 def test_select_threads_2_parses_in_ranges_with_the_same_bytes(tmp_path, two_ranges, forks):
     one = _select(tmp_path, 1, "one")
     assert forks == []
@@ -221,6 +225,7 @@ def test_select_threads_2_parses_in_ranges_with_the_same_bytes(tmp_path, two_ran
     assert b"line 10: ignoring unknown keys" in two["report.json"]
 
 
+@pytest.mark.usefixtures("cold_cache")
 def test_a_warning_from_starting_a_worker_stays_out_of_the_report(tmp_path, monkeypatch,
                                                                   two_ranges, forks):
     fork = os.fork
