@@ -286,6 +286,12 @@ def prepare(
     return pool, table, std
 
 
+def _own_warning(w: warnings.WarningMessage) -> bool:
+    """Whether a warning is one the package raises itself for the report:
+    a plain UserWarning attributed to a line of the package."""
+    return w.category is UserWarning and os.path.dirname(w.filename) == os.path.dirname(__file__)
+
+
 def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
     """Run the full pipeline in memory and assemble the report dict."""
     if cfg.budget_tokens is None and cfg.retention_rate is None:
@@ -306,7 +312,11 @@ def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
         sel_cfg = replace(cfg.selection_config, budget_tokens=budget, max_examples=max_examples)
         select = balanced_select if sel_cfg.mode == "balanced" else greedy_select
         selection = select(state, pool, sel_cfg)
-        captured = [str(w.message) for w in caught]
+    for w in caught:
+        if _own_warning(w):
+            captured.append(str(w.message))
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
 
     fallbacks = [
         f"{signal}/{topic}: scale source {st.scale_source}"

@@ -38,6 +38,13 @@ _CHUNK_ROWS = 256
 _EXTRA_CANDIDATES = 6
 # float64 elements in one piece of exact_sq_distances' differences (512 KiB)
 _DIFF_BUFFER = 1 << 16
+# The candidate tournament (nearest_columns): columns per group, the most
+# levels of group minima, and the fewest groups per level, in units of the
+# c + 1 groups a level keeps. An index pads its rows to a multiple of
+# _GROUP ** _LEVELS, so every level of a padded block divides.
+_GROUP = 8
+_LEVELS = 2
+_MIN_GROUPS = 4
 
 
 @dataclass
@@ -96,10 +103,16 @@ class ExactNeighborIndex:
     a power of two is exact and keeps the float32 copies of the rows
     clear of overflow. For each chunk, one float32 BLAS matrix product
     gives approximate squared distances |a|^2 + |b|^2 - 2 a.b (the
-    brute-force formulation of FAISS, Johnson, Douze & Jegou 2017), and
-    the k + _EXTRA_CANDIDATES smallest per row become candidates, whose
-    exact_sq_distances re-rank them. A row is accepted only when
-    rounding_bound (u = 2^-24 for the float32 product, in the scaled
+    brute-force formulation of FAISS, Johnson, Douze & Jegou 2017).
+    nearest_columns finds each row's k + _EXTRA_CANDIDATES smallest
+    entries, the candidates, and the next one, the threshold, by a
+    tournament of group minima that partitions a small slice of the block
+    (a block too narrow for it is partitioned whole); the rows are padded
+    once per dtype with zero rows of +inf squared norm, so every level of
+    the tournament divides. exact_sq_distances re-ranks the candidates.
+    A work item holds one block of chunk_rows x padded n in the product's
+    dtype, and the group minima, an eighth of it. A row is accepted only
+    when rounding_bound (u = 2^-24 for the float32 product, in the scaled
     units) proves that no non-candidate can be nearer than its k-th
     re-ranked neighbor. Rows that fail get a second, float64 product
     (u = 2^-53), whose much smaller bound certifies most of what float32
@@ -123,20 +136,13 @@ class ExactNeighborIndex:
         # 2^-exponent scales the largest norm into [1/2, 1); frexp(0) gives
         # 0, so a set of identical points is left unscaled
         self.exponent = int(np.frexp(norms.max(initial=0.0))[1])
-        scaled = np.ldexp(centred, -self.exponent, out=centred).astype(np.float32)
-        self._scaled = {np.float32: (scaled, np.einsum("ij,ij->i", scaled, scaled))}
+        self._scaled = {np.float32: self._padded(centred, np.float32)}
         self.norms = np.ldexp(norms, -self.exponent)
         self.float32_first = True
 
-    def mean_knn_distance(self, k: int) -> np.ndarray:
-        n = self._check_k(k)
-        return np.concatenate([
-            self.chunk_mean_knn_distance(start, min(start + self.chunk_rows, n), k)
-            for start in range(0, n, self.chunk_rows)
-        ])
-
     def chunk_mean_knn_distance(self, start: int, stop: int, k: int) -> np.ndarray:
-        """mean_knn_distance for rows start:stop (one work item)."""
+        """Each of rows start:stop's (one work item) mean distance to its
+        k nearest other points, added in ascending order."""
         n = self._check_k(k)
         todo = np.arange(start, stop)
         out = np.empty(todo.size)
@@ -165,10 +171,9 @@ class ExactNeighborIndex:
         block = (-2.0 * scaled[rows]) @ scaled.T
         block += sq_norms
         block[i, rows] = np.inf
-        order = np.argpartition(block, c, axis=1)
-        candidates = order[:, :c].copy()
-        threshold = block[i, order[:, c]] + sq_norms[rows].astype(np.float64)
-        del block, order
+        candidates, threshold = nearest_columns(block, c)
+        threshold = threshold + sq_norms[rows].astype(np.float64)
+        del block
 
         sq = exact_sq_distances(self.coords[:, rows].T, self.coords, candidates)
         sq.sort(axis=1)
@@ -194,14 +199,80 @@ class ExactNeighborIndex:
         return n
 
     def _scaled_rows(self, dtype: type) -> tuple[np.ndarray, np.ndarray]:
-        """The scaled centred rows in ``dtype`` and their squared norms;
-        the float64 ones are made on first use. Threads that race here
-        compute the same arrays, so the first to store them wins."""
+        """The padded scaled centred rows in ``dtype`` and their squared
+        norms; the float64 ones are made on first use. Threads that race
+        here compute the same arrays, so the first to store them wins."""
         if dtype not in self._scaled:
             centred = np.subtract(self.coords.T, self.mean, order="C")
-            scaled = np.ldexp(centred, -self.exponent, out=centred)
-            self._scaled.setdefault(dtype, (scaled, np.einsum("ij,ij->i", scaled, scaled)))
+            self._scaled.setdefault(dtype, self._padded(centred, dtype))
         return self._scaled[dtype]
+
+    def _padded(self, centred: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+        """``centred`` scaled by 2^-exponent (in place) and cast to ``dtype``,
+        with zero rows appended up to a multiple of _GROUP ** _LEVELS, and
+        the squared norms, +inf on the appended rows: their product
+        columns come out as 0 + inf, never a candidate."""
+        n, d = centred.shape
+        step = _GROUP**_LEVELS
+        rows = np.zeros((-(-n // step) * step, d), dtype=dtype)
+        rows[:n] = np.ldexp(centred, -self.exponent, out=centred)
+        sq_norms = np.full(len(rows), np.inf, dtype=dtype)
+        sq_norms[:n] = np.einsum("ij,ij->i", rows[:n], rows[:n])
+        return rows, sq_norms
+
+
+def nearest_columns(block: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ``block`` (m x w, w > c): the columns of its c
+    smallest entries, in no order, and its (c+1)-th smallest entry.
+
+    A tournament replaces a partition of every entry. Column j belongs to
+    group j mod (w / _GROUP), so one ``min`` over a (m, _GROUP, w / _GROUP)
+    view gives every group's minimum. The c + 1 groups with the smallest
+    minima hold the row's c + 1 smallest entries: an entry outside them is
+    at least its group's minimum, hence at least the largest chosen
+    minimum, which is itself at least the row's (c+1)-th smallest entry.
+    So gathering those groups' (c + 1) _GROUP columns and partitioning
+    them gives the same (c+1)-th value and the same values for the c
+    candidates; only ties may pick other columns of equal value. While a
+    row of minima is wide enough, its c + 1 smallest are found the same
+    way, from the minima of its own groups, up to _LEVELS levels. A level
+    needs a width that _GROUP divides and at least _MIN_GROUPS (c + 1)
+    groups, so a narrow block is partitioned whole.
+    """
+    rows = np.arange(len(block))
+    minima = [block]
+    while (len(minima) <= _LEVELS and minima[-1].shape[1] % _GROUP == 0
+           and minima[-1].shape[1] >= _GROUP * _MIN_GROUPS * (c + 1)):
+        minima.append(minima[-1].reshape(len(block), _GROUP, -1).min(axis=1))
+    top = minima.pop()
+    if not minima:  # too narrow for a tournament
+        kept = np.argpartition(block, c, axis=1)[:, : c + 1].copy()
+    else:
+        kept = _smallest(top, np.arange(top.shape[1]), c)
+    for level in reversed(minima):
+        groups = level.shape[1] // _GROUP
+        ids = (kept[:, :, None] + groups * np.arange(_GROUP)).reshape(len(block), -1)
+        kept = _smallest(np.take(level, ids + rows[:, None] * level.shape[1]), ids, c)
+    return kept[:, :c], block[rows, kept[:, c]]
+
+
+def _smallest(values: np.ndarray, ids: np.ndarray, c: int) -> np.ndarray:
+    """Per row, the ``ids`` (m x w, or one row for all; each below 2^32)
+    of the c + 1 smallest ``values`` (m x w), the (c+1)-th smallest last."""
+    if values.dtype == np.float32:
+        # One int64 key per entry, the float32 bits made order-preserving
+        # (negative values have their magnitude bits flipped) above the id,
+        # so a partition of values alone carries the ids along; -0.0 sorts
+        # before +0.0, which refines the float order without changing it.
+        bits = values.view(np.int32)
+        keys = (bits ^ ((bits >> 31) & 0x7FFFFFFF)).astype(np.int64)
+        keys <<= 32
+        keys |= ids
+        kept = np.partition(keys, c, axis=1)[:, : c + 1]
+        kept &= 0xFFFFFFFF
+        return kept
+    order = np.argpartition(values, c, axis=1)[:, : c + 1]
+    return np.take_along_axis(np.broadcast_to(ids, values.shape), order, axis=1)
 
 
 def rounding_bound(d: int, dtype: type, norm_sum: np.ndarray) -> tuple[np.ndarray, float, float]:

@@ -20,9 +20,11 @@ import contextlib
 import io
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
+import market_select
 from market_select.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -108,6 +110,38 @@ def test_outputs_match_golden_bytes(tmp_path):
     assert sorted(outputs) == sorted(p.name for p in EXPECTED.iterdir())
     for name, data in outputs.items():
         assert data == (EXPECTED / name).read_bytes(), name
+
+
+def test_warnings_from_outside_the_package_reach_stderr_not_the_report(tmp_path):
+    # A stage that raises a ResourceWarning and a DeprecationWarning, the
+    # second attributed to the package's own line as numpy's would be:
+    # report.json keeps only the pool's unknown-key warning, and both
+    # foreign warnings are printed.
+    shutil.copyfile(GOLDEN / "pool.jsonl", tmp_path / "pool.jsonl")
+    name, argv, files = COMMANDS[0]
+    code = (
+        "import sys, warnings\n"
+        "from market_select import pipeline\n"
+        "from market_select.cli import main\n"
+        "real = pipeline.standardize_table\n"
+        "def noisy(*args, **kwargs):\n"
+        "    warnings.warn('unclosed file <stand-in>', ResourceWarning)\n"
+        "    warnings.warn('a deprecated call', DeprecationWarning, stacklevel=2)\n"
+        "    return real(*args, **kwargs)\n"
+        "pipeline.standardize_table = noisy\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(market_select.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for rel in files:
+        assert (tmp_path / rel).read_bytes() == (EXPECTED / f"{name}.{Path(rel).name}").read_bytes()
+    assert "ResourceWarning: unclosed file <stand-in>" in proc.stderr
+    assert "DeprecationWarning: a deprecated call" in proc.stderr
+    assert "unknown keys" not in proc.stderr
 
 
 if __name__ == "__main__":

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from market_select import pool as pool_module
 from market_select import signals
@@ -18,6 +20,7 @@ from market_select.signals import (
     diversity_centroid,
     diversity_combined,
     exact_sq_distances,
+    nearest_columns,
     parse_signal_spec,
     rarity_knn,
 )
@@ -271,13 +274,22 @@ def test_rarity_certified_gemm_path_matches_oracle(dim, monkeypatch):
     assert np.max(np.abs(got - brute_force_rarity(pool, k))) <= 1e-9
 
 
+def chunked_mean(index: ExactNeighborIndex, k: int) -> np.ndarray:
+    """Every row's mean k-nearest distance, one work item per row chunk."""
+    n = index.coords.shape[1]
+    return np.concatenate([
+        index.chunk_mean_knn_distance(start, min(start + index.chunk_rows, n), k)
+        for start in range(0, n, index.chunk_rows)
+    ])
+
+
 def test_neighbor_index_chunks_match_oracle():
     rng = np.random.default_rng(8)
     points = rng.normal(size=(60, 3))
     pool = embedded_pool(points)
     want = brute_force_rarity(pool, 3)
     for chunk_rows in (1, 7, 60):
-        got = ExactNeighborIndex(points, chunk_rows=chunk_rows).mean_knn_distance(3)
+        got = chunked_mean(ExactNeighborIndex(points, chunk_rows=chunk_rows), 3)
         assert np.max(np.abs(got - want)) <= 1e-9
 
 
@@ -366,6 +378,18 @@ def count_gemm_rows(monkeypatch) -> dict[str, list[int]]:
     return seen
 
 
+def gaussian_points(rng, dim, size):
+    return rng.normal(size=(size, dim)) + 2.0
+
+
+def near_tie_points(rng, dim, size):
+    """Row 0 sees every other row at a radius 1 + j 1e-11: float32 cannot order them."""
+    directions = rng.normal(size=(size - 1, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = 1.0 + 1e-11 * rng.permutation(size - 1)
+    return np.vstack([np.zeros(dim), directions * radii[:, None]])
+
+
 def test_rarity_near_ties_below_float32_precision_certify_in_float64(monkeypatch):
     # Row 0 sees 40 points at radii 1 + j 1e-11: float32 products cannot
     # order them, so its candidates are arbitrary and only the certificate
@@ -374,10 +398,7 @@ def test_rarity_near_ties_below_float32_precision_certify_in_float64(monkeypatch
     # tier.
     rng = np.random.default_rng(13)
     k = 4
-    directions = rng.normal(size=(40, 8))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = 1.0 + 1e-11 * rng.permutation(40)
-    points = np.vstack([np.zeros(8), directions * radii[:, None]])
+    points = near_tie_points(rng, 8, 41)
     gemm_rows = count_gemm_rows(monkeypatch)
     exhaustive_rows = count_exhaustive_rows(monkeypatch)
     got = rarity_knn(embedded_pool(points), KnnParams(k=k))
@@ -390,9 +411,9 @@ def test_rarity_near_ties_below_float32_precision_certify_in_float64(monkeypatch
     assert np.array_equal(got, np.sort(dist, axis=1)[:, :k].mean(axis=1))
 
 
-def far_outlier_points(rng, dim):
+def far_outlier_points(rng, dim, size=300):
     """A Gaussian cloud with one point at 300x the typical centred norm."""
-    points = rng.normal(size=(300, dim)) + 2.0
+    points = gaussian_points(rng, dim, size)
     points[0] = 2.0 + 300.0 * (points[0] - 2.0)
     return points
 
@@ -417,13 +438,107 @@ def test_rarity_float64_candidates_certify_what_float32_cannot(make_points, dim,
     gemm_rows = count_gemm_rows(monkeypatch)
     exhaustive_rows = count_exhaustive_rows(monkeypatch)
     index = ExactNeighborIndex(points, chunk_rows=32)
-    got = index.mean_knn_distance(k)
+    got = chunked_mean(index, k)
     assert exhaustive_rows == []
     assert gemm_rows["float64"][1] == gemm_rows["float64"][0] > 0
     # the first chunk that mostly failed in float32 was the last to try it
     assert not index.float32_first
     assert gemm_rows["float32"][0] < len(points)
     assert np.max(np.abs(got - brute_force_rarity(embedded_pool(points), k))) <= 1e-9
+
+
+def tournament_width(c: int, levels: int) -> int:
+    """The narrowest block width on which nearest_columns plays ``levels`` levels."""
+    return signals._GROUP**levels * signals._MIN_GROUPS * (c + 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    c=st.integers(1, 20),
+    levels=st.integers(0, 2),
+    shift=st.sampled_from([0, -1, 1, -signals._GROUP, signals._GROUP, 3, signals._GROUP**2]),
+    rows=st.integers(1, 4),
+    distinct=st.sampled_from([1, 2, 3, 40, 10**6]),
+    inf_share=st.sampled_from([0.0, 0.05, 0.97]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nearest_columns_match_a_full_partition(dtype, c, levels, shift, rows, distinct,
+                                                inf_share, seed):
+    # Widths at each level's cut and a little either side of it, many of
+    # them not a multiple of _GROUP; heavy ties, so that many groups share
+    # their minimum; +inf entries, as the self column and the padding give;
+    # signed zeros, negative values and a row of one value when distinct is 1.
+    width = max(c + 1, tournament_width(c, levels) + shift if levels else c + 1 + abs(shift))
+    rng = np.random.default_rng(seed)
+    block = (rng.integers(-distinct // 2, distinct - distinct // 2, size=(rows, width))
+             * 0.375).astype(dtype)
+    block[rng.random(block.shape) < 0.05] = -0.0
+    block[rng.random(block.shape) < inf_share] = np.inf
+    candidates, threshold = nearest_columns(block, c)
+    want = np.partition(block, c, axis=1)
+    assert candidates.shape == (rows, c) and threshold.dtype == dtype
+    assert np.array_equal(threshold, want[:, c])
+    for row, cols, smallest in zip(block, candidates, want[:, :c]):
+        assert len(set(cols.tolist())) == c and 0 <= cols.min() and cols.max() < width
+        assert np.array_equal(np.sort(row[cols]), np.sort(smallest))
+
+
+def count_tournament_levels(monkeypatch) -> list[int]:
+    """Wrap signals._smallest, which only the tournament calls, recording
+    the width of each set of values it chooses from."""
+    widths: list[int] = []
+    real = signals._smallest
+
+    def counted(values, ids, c):
+        widths.append(values.shape[1])
+        return real(values, ids, c)
+
+    monkeypatch.setattr(signals, "_smallest", counted)
+    return widths
+
+
+def identical_cluster_points(rng, dim, size):
+    """A Gaussian cloud whose first 40 rows are one point."""
+    points = gaussian_points(rng, dim, size)
+    points[:40] = points[0]
+    return points
+
+
+@pytest.mark.parametrize("make_topic, size", [
+    (gaussian_points, 3000), (identical_cluster_points, 1500),
+    (near_tie_points, 1500), (far_outlier_points, 1500),
+])
+def test_rarity_on_topics_wide_enough_for_the_tournament(make_topic, size, monkeypatch):
+    # The padded block of a 1,500-row topic plays one tournament level at
+    # k = 4 and a 3,000-row one two; the small second topic is partitioned
+    # whole. Every column must equal the exhaustive cdist reference.
+    rng = np.random.default_rng(size)
+    k = 4
+    c = k + signals._EXTRA_CANDIDATES
+    points = np.vstack([make_topic(rng, 8, size), gaussian_points(rng, 8, 60)])
+    pool = embedded_pool(points, topics=["wide"] * size + ["narrow"] * 60)
+    widths = count_tournament_levels(monkeypatch)
+    gemm_rows = count_gemm_rows(monkeypatch)
+    exhaustive_rows = count_exhaustive_rows(monkeypatch)
+    got = rarity_knn(pool, KnnParams(k=k), threads=1)
+    assert np.array_equal(got, rarity_knn(pool, KnnParams(k=k), threads=2))
+    assert np.max(np.abs(got - scipy_rarity(pool, k))) <= 1e-9
+    if make_topic is not identical_cluster_points:
+        # the cluster's rows, and those whose nearest point is the cluster,
+        # see more than c + 1 equal distances, which no GEMM certifies
+        assert exhaustive_rows == []
+    # the last level of every tournament chooses from (c + 1) groups
+    assert widths.count((c + 1) * signals._GROUP) >= 2 * -(-size // signals._CHUNK_ROWS)
+    padded = -(-size // signals._GROUP**signals._LEVELS) * signals._GROUP**signals._LEVELS
+    levels = 2 if padded >= tournament_width(c, 2) else 1
+    assert padded // signals._GROUP**levels in widths  # the top level's minima
+    if make_topic is identical_cluster_points:
+        assert np.all(got[:40] == 0.0) and np.all(got[40:] > 0.0)
+    if make_topic in (near_tie_points, far_outlier_points):
+        # rows float32 cannot certify are decided by the float64 product
+        float64_rows, float64_certified = gemm_rows["float64"]
+        assert float64_rows == float64_certified > 0
 
 
 @pytest.mark.parametrize("shifted_share, falls_back", [(1.0, False), (0.5, True)])
