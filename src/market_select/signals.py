@@ -244,11 +244,8 @@ def nearest_columns(block: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     while (len(minima) <= _LEVELS and minima[-1].shape[1] % _GROUP == 0
            and minima[-1].shape[1] >= _GROUP * _MIN_GROUPS * (c + 1)):
         minima.append(minima[-1].reshape(len(block), _GROUP, -1).min(axis=1))
-    top = minima.pop()
-    if not minima:  # too narrow for a tournament
-        kept = np.argpartition(block, c, axis=1)[:, : c + 1].copy()
-    else:
-        kept = _smallest(top, np.arange(top.shape[1]), c)
+    top = minima.pop()  # the block itself when it is too narrow for a level
+    kept = _smallest(top, np.arange(top.shape[1]), c)
     for level in reversed(minima):
         groups = level.shape[1] // _GROUP
         ids = (kept[:, :, None] + groups * np.arange(_GROUP)).reshape(len(block), -1)
@@ -257,20 +254,8 @@ def nearest_columns(block: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _smallest(values: np.ndarray, ids: np.ndarray, c: int) -> np.ndarray:
-    """Per row, the ``ids`` (m x w, or one row for all; each below 2^32)
-    of the c + 1 smallest ``values`` (m x w), the (c+1)-th smallest last."""
-    if values.dtype == np.float32:
-        # One int64 key per entry, the float32 bits made order-preserving
-        # (negative values have their magnitude bits flipped) above the id,
-        # so a partition of values alone carries the ids along; -0.0 sorts
-        # before +0.0, which refines the float order without changing it.
-        bits = values.view(np.int32)
-        keys = (bits ^ ((bits >> 31) & 0x7FFFFFFF)).astype(np.int64)
-        keys <<= 32
-        keys |= ids
-        kept = np.partition(keys, c, axis=1)[:, : c + 1]
-        kept &= 0xFFFFFFFF
-        return kept
+    """Per row, the ``ids`` (m x w, or one row for all) of the c + 1
+    smallest ``values`` (m x w), the (c+1)-th smallest last."""
     order = np.argpartition(values, c, axis=1)[:, : c + 1]
     return np.take_along_axis(np.broadcast_to(ids, values.shape), order, axis=1)
 

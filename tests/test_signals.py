@@ -485,8 +485,9 @@ def test_nearest_columns_match_a_full_partition(dtype, c, levels, shift, rows, d
 
 
 def count_tournament_levels(monkeypatch) -> list[int]:
-    """Wrap signals._smallest, which only the tournament calls, recording
-    the width of each set of values it chooses from."""
+    """Wrap signals._smallest, recording the width of each set of values
+    it chooses from: a block too narrow for a level is one set of its own
+    width, and each level of the tournament adds sets of other widths."""
     widths: list[int] = []
     real = signals._smallest
 
