@@ -35,6 +35,11 @@ made with mode 0700, since it holds a copy of each pool's columns. It
 holds at most ``CACHE_CAP`` bytes: past that, the files least recently
 written or hit go first. Deleting the directory is always safe; a
 missing, unreadable or damaged entry is parsed again and rewritten.
+
+A pool loaded from a file carries the file's cache key (``Pool.key``), so
+that a column derived from the pool alone, such as the kNN rarity, can be
+kept in the same directory under the same cap (``column_entry``,
+``read_column``, ``write_column``) and computed once per pool.
 """
 
 from __future__ import annotations
@@ -83,6 +88,10 @@ class Pool:
     ``topics`` maps each topic, in sorted order, to its ascending row
     indices. All downstream tie-breaks rely on ascending-id order.
 
+    ``key`` is the pool cache's key of the bytes the pool was loaded from
+    (see ``load_pool``), or None: for a pool built in code, or one whose
+    file may have changed while it loaded.
+
     The constructor takes columns that are already sorted and checked;
     build a pool with ``load_pool`` or ``Pool.from_rows``.
     """
@@ -97,7 +106,9 @@ class Pool:
         label_names: list[str],
         embeddings: np.ndarray | None,
         signals: dict[str, np.ndarray],
+        key: str | None = None,
     ) -> None:
+        self.key = key
         self.ids = ids
         self.topic_codes = topic_codes
         self.token_lengths = token_lengths
@@ -527,6 +538,11 @@ def load_pool(path: str | Path, workers: int = 1) -> Pool:
     stored, unless the file's inode, size or mtime changed meanwhile.
     The cache never changes a result: any failure to read or write it
     just means a parse.
+
+    The pool's ``key`` is that sha256, as hex, on a hit or on a miss whose
+    file kept its inode, size and mtime; otherwise it is None, so a
+    column cached under the key always belongs to the bytes the pool
+    holds.
     """
     path = Path(path)
     if not path.exists():
@@ -541,12 +557,14 @@ def load_pool(path: str | Path, workers: int = 1) -> Pool:
                 if part.bad_utf8 is not None:
                     raise ConfigError(f"pool file {path} is not valid UTF-8: {part.bad_utf8}")
             columns = _merge(parts, texts)
-            if entry is not None:
-                _write_entry(*entry, path, columns, texts)
+            if entry is not None and _unchanged(path, entry[1]):
+                _write_entry(entry[0], columns, texts)
+            else:
+                entry = None
     finally:
         for text in texts:
             warnings.warn(text, stacklevel=2)
-    return Pool(**columns)
+    return Pool(**columns, key=None if entry is None else entry[0].stem)
 
 
 CACHE_CAP = 1 << 30  # bytes the pool cache directory may hold
@@ -575,6 +593,15 @@ def _cache_entry(path: Path) -> tuple[Path, tuple[int, int, int]] | None:
 
 def _identity(st: os.stat_result) -> tuple[int, int, int]:
     return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _unchanged(path: Path, before: tuple[int, int, int]) -> bool:
+    """Whether the file at ``path`` still has the (inode, size, mtime)
+    ``before`` that was taken before its bytes were hashed."""
+    try:
+        return _identity(path.stat()) == before
+    except OSError:
+        return False
 
 
 def _cache_dir() -> Path:
@@ -631,14 +658,8 @@ def _read_entry(entry: Path, texts: list[str]) -> dict[str, object] | None:
     )
 
 
-def _write_entry(entry: Path, before: tuple[int, int, int], path: Path,
-                 columns: dict[str, object], texts: list[str]) -> None:
-    """Cache the checked columns of the pool file at ``path`` in ``entry``,
-    through a temporary file in the cache directory; then remove the
-    oldest files of the directory while it holds more than ``CACHE_CAP``
-    bytes. Nothing is stored when the file changed since it was hashed
-    (``before``), or when the entry alone would exceed the cap; an
-    OSError stores nothing either."""
+def _write_entry(entry: Path, columns: dict[str, object], texts: list[str]) -> None:
+    """Cache a pool file's checked columns and warning texts in ``entry``."""
     ids, signals, emb = columns["ids"], columns["signals"], columns["embeddings"]
     header = {"topics": columns["topic_names"], "labels": columns["label_names"],
               "signals": list(signals), "warnings": texts}
@@ -654,15 +675,74 @@ def _write_entry(entry: Path, before: tuple[int, int, int], path: Path,
         arrays["ids"] = np.frombuffer("\n".join(ids).encode("utf-8"), dtype=np.uint8)
     if emb is not None:
         arrays["embeddings"] = emb
+    _store(entry, sum(a.nbytes for a in arrays.values()), lambda fh: np.savez(fh, **arrays))
+
+
+def column_entry(pool: Pool, source: str | Path, *parts: bytes) -> Path | None:
+    """The cache file of a column computed from ``pool`` alone by the code
+    in the file ``source``, given ``parts``: every other input the column
+    depends on (library versions, parameters). Its name is the sha256 of
+    the pool's key, the source's bytes and each part, each length-prefixed
+    so that no two lists share a name. None when the pool has no key, the
+    source cannot be read or there is no cache directory."""
+    if pool.key is None:
+        return None
+    import hashlib  # on first use: importing the CLI does not load it
+
+    digest = hashlib.sha256(pool.key.encode("ascii"))
     try:
-        if (_identity(path.stat()) != before
-                or sum(a.nbytes for a in arrays.values()) > CACHE_CAP):
-            return
+        for part in (Path(source).read_bytes(), *parts):
+            digest.update(len(part).to_bytes(8, "little"))
+            digest.update(part)
+        return _cache_dir() / f"{digest.hexdigest()}.npy"
+    except OSError:
+        return None
+
+
+def read_column(entry: Path, n: int) -> np.ndarray | None:
+    """The column cached in ``entry``: float64, of shape (n,), finite and
+    >= 0. None, a miss, when the entry is missing, does not load, or holds
+    anything else. The header is checked before any data is read, so a
+    damaged one cannot make the load allocate what it claims."""
+    try:
+        with open(entry, "rb") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):  # np.save's version for a column
+                return None
+            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+            if shape != (n,) or dtype != np.float64:
+                return None
+            fh.seek(0)
+            column = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if not (np.isfinite(column).all() and (column >= 0).all()):
+        return None
+    try:
+        os.utime(entry)  # a hit keeps the entry from eviction longest
+    except OSError:
+        pass
+    return column
+
+
+def write_column(entry: Path, column: np.ndarray) -> None:
+    """Cache ``column`` in ``entry``, to be read back by ``read_column``."""
+    _store(entry, column.nbytes, lambda fh: np.save(fh, column, allow_pickle=False))
+
+
+def _store(entry: Path, nbytes: int, save: Callable[[io.BufferedWriter], None]) -> None:
+    """Write a cache entry of about ``nbytes``: ``save`` fills a temporary
+    file in the cache directory, which then replaces ``entry``; then the
+    oldest files of the directory go while it holds more than
+    ``CACHE_CAP`` bytes. Nothing is stored when the entry alone would
+    exceed the cap; an OSError stores nothing either."""
+    if nbytes > CACHE_CAP:
+        return
+    try:
         entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
         try:
             with open(fd, "wb") as fh:
-                np.savez(fh, **arrays)
+                save(fh)
             os.replace(tmp, entry)
         except BaseException:
             Path(tmp).unlink(missing_ok=True)

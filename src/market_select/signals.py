@@ -114,7 +114,8 @@ class ExactNeighborIndex:
     dtype, and the group minima, an eighth of it. A row is accepted only
     when rounding_bound (u = 2^-24 for the float32 product, in the scaled
     units) proves that no non-candidate can be nearer than its k-th
-    re-ranked neighbor. Rows that fail get a second, float64 product
+    re-ranked neighbor, or when that neighbor is exactly 0 away, since
+    no distance is smaller. Rows that fail get a second, float64 product
     (u = 2^-53), whose much smaller bound certifies most of what float32
     cannot: sets with a point far outside the rest, or clusters of
     near-duplicates. The float64 rows are made on the first such row, and
@@ -181,7 +182,8 @@ class ExactNeighborIndex:
         # the test is in scaled units (squared distances times 2^-2e); a
         # k-th distance that overflows when rescaled becomes inf and fails
         kth = sq[:, k - 1] * (1.0 + widen) + floor
-        certified = np.ldexp(kth, -2 * self.exponent) < threshold - err
+        # a k-th distance of 0 needs no bound: no distance is smaller
+        certified = (np.ldexp(kth, -2 * self.exponent) < threshold - err) | (sq[:, k - 1] == 0)
         return np.sqrt(sq[:, :k]).mean(axis=1), certified
 
     def _exhaustive_mean(self, rows: np.ndarray, k: int) -> np.ndarray:
@@ -376,13 +378,18 @@ def rarity_knn(
     leaves BLAS its own threads. The count belongs to the whole process:
     other threads using BLAS meanwhile are capped too, and concurrent
     calls with ``threads > 1`` run one at a time.
+
+    The column depends only on the pool's bytes, this module's source,
+    the numpy version and k, so a pool loaded from a file (one with a
+    ``key``) keeps it in the pool cache (``pool.column_entry``): after
+    the warnings, and before any index is built, a valid cached column is
+    returned as it is, and a computed one is stored when any work item
+    ran. The column is exact and the same for any thread count, so a hit
+    returns the bits a computation would.
     """
     params = params or KnnParams()
     emb = _require_embeddings(pool, "rarity")
-    out = np.zeros(pool.n, dtype=np.float64)
-
-    positions: list[np.ndarray] = []
-    work: list[tuple[ExactNeighborIndex, int, int, int]] = []
+    topics: list[np.ndarray] = []
     for topic, idx in pool.topics.items():
         if idx.size == 1:
             warnings.warn(
@@ -396,6 +403,18 @@ def rarity_knn(
                 f"{params.k} to {idx.size - 1}",
                 stacklevel=2,
             )
+        topics.append(idx)
+
+    entry = pool_module.column_entry(pool, __file__, np.__version__.encode(),
+                                     str(params.k).encode())
+    if entry is not None:
+        cached = pool_module.read_column(entry, pool.n)
+        if cached is not None:
+            return cached
+
+    positions: list[np.ndarray] = []
+    work: list[tuple[ExactNeighborIndex, int, int, int]] = []
+    for idx in topics:
         index = ExactNeighborIndex(emb[idx])
         k_eff = min(params.k, idx.size - 1)
         for start in range(0, idx.size, index.chunk_rows):
@@ -413,8 +432,11 @@ def rarity_knn(
             results = list(ex.map(_run, work))
     else:
         results = [_run(item) for item in work]
+    out = np.zeros(pool.n, dtype=np.float64)
     for pos, res in zip(positions, results):
         out[pos] = res
+    if entry is not None and work:
+        pool_module.write_column(entry, out)
     return out
 
 
@@ -423,8 +445,8 @@ def diversity_centroid(pool: Pool) -> np.ndarray:
     emb = _require_embeddings(pool, "div_cent")
     out = np.empty(pool.n, dtype=np.float64)
     for idx in pool.topics.values():
-        centroid = emb[idx].mean(axis=0)
-        out[idx] = np.linalg.norm(emb[idx] - centroid, axis=1)
+        rows = emb[idx]
+        out[idx] = np.linalg.norm(rows - rows.mean(axis=0), axis=1)
     return out
 
 

@@ -55,8 +55,9 @@ def pool_cache(tmp_path_factory, monkeypatch):
 
 @pytest.fixture
 def cold_cache(monkeypatch, tmp_path_factory):
-    """Every pool load in the test gets a fresh, empty cache directory, so
-    a second load of the same bytes still parses (and forks) as the first."""
+    """Every pool load and every cached-column lookup in the test gets a
+    fresh, empty cache directory, so a second load of the same bytes still
+    parses (and forks) as the first, and computes the kNN rarity again."""
     monkeypatch.setattr(pool_module, "_cache_dir", lambda: tmp_path_factory.mktemp("cold"))
 
 

@@ -339,7 +339,8 @@ def test_criterion_10_cli_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
-            env=env,
+            # a cache of its own: each run computes the kNN rather than reading the other's
+            env={**env, "XDG_CACHE_HOME": str(tmp_path / f"cache_t{threads}")},
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(

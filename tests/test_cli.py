@@ -193,6 +193,7 @@ def test_failed_run_leaves_no_partial_outputs(pool_file, tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.usefixtures("cold_cache")
 def test_threads_do_not_change_bytes(pool_file, tmp_path):
     out1 = tmp_path / "run1"
     out8 = tmp_path / "run8"
@@ -217,6 +218,7 @@ def test_threads_do_not_change_bytes(pool_file, tmp_path):
         assert (out1 / name).read_bytes() == (out8 / name).read_bytes()
 
 
+@pytest.mark.usefixtures("cold_cache")
 def test_repeated_runs_are_byte_identical(pool_file, tmp_path):
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
@@ -645,6 +647,7 @@ def _select_artifacts(pool_file, out, *flags):
     return {name: (out / name).read_bytes() for name in ARTIFACTS}
 
 
+@pytest.mark.usefixtures("cold_cache")
 def test_env_var_threads(pool_file, tmp_path, monkeypatch):
     workers = record_workers(monkeypatch)
     monkeypatch.setenv("MARKET_SELECT_THREADS", "4")
@@ -670,6 +673,7 @@ def test_without_flag_or_variable_every_usable_cpu_works(pool_file, tmp_path, mo
     assert default == one
 
 
+@pytest.mark.usefixtures("cold_cache")
 def test_explain_takes_the_thread_count_of_the_other_commands(pool_file, tmp_path, monkeypatch,
                                                               capsys):
     run = tmp_path / "run"

@@ -250,6 +250,20 @@ def count_exhaustive_rows(monkeypatch) -> list[int]:
     return rows
 
 
+def record_exhaustive_rows(monkeypatch) -> list[tuple[int, np.ndarray]]:
+    """Wrap ExactNeighborIndex._exhaustive_mean, recording for each call
+    its index's size and the rows (within that index) it was given."""
+    calls: list[tuple[int, np.ndarray]] = []
+    real = ExactNeighborIndex._exhaustive_mean
+
+    def recorded(self, todo, k):
+        calls.append((self.coords.shape[1], todo.copy()))
+        return real(self, todo, k)
+
+    monkeypatch.setattr(ExactNeighborIndex, "_exhaustive_mean", recorded)
+    return calls
+
+
 def topic_pool(rng, sizes, dim, offsets=None):
     """Pool with topics of the given sizes; row i of topic t is shifted by offsets[t][i]."""
     points, topics = [], []
@@ -521,14 +535,17 @@ def test_rarity_on_topics_wide_enough_for_the_tournament(make_topic, size, monke
     pool = embedded_pool(points, topics=["wide"] * size + ["narrow"] * 60)
     widths = count_tournament_levels(monkeypatch)
     gemm_rows = count_gemm_rows(monkeypatch)
-    exhaustive_rows = count_exhaustive_rows(monkeypatch)
+    exhaustive = record_exhaustive_rows(monkeypatch)
     got = rarity_knn(pool, KnnParams(k=k), threads=1)
     assert np.array_equal(got, rarity_knn(pool, KnnParams(k=k), threads=2))
     assert np.max(np.abs(got - scipy_rarity(pool, k))) <= 1e-9
     if make_topic is not identical_cluster_points:
-        # the cluster's rows, and those whose nearest point is the cluster,
-        # see more than c + 1 equal distances, which no GEMM certifies
-        assert exhaustive_rows == []
+        assert exhaustive == []
+    else:
+        # a cluster row's k-th distance is exactly 0, which certifies it;
+        # a row whose nearest point is the cluster sees more than c + 1
+        # equal distances, which no GEMM certifies
+        assert not any(n == size and np.any(rows < 40) for n, rows in exhaustive)
     # the last level of every tournament chooses from (c + 1) groups
     assert widths.count((c + 1) * signals._GROUP) >= 2 * -(-size // signals._CHUNK_ROWS)
     padded = -(-size // signals._GROUP**signals._LEVELS) * signals._GROUP**signals._LEVELS
