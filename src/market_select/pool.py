@@ -24,22 +24,10 @@ rows and ranges (duplicate ids, the embedding dimension, which error
 comes first, the warnings). A code row list is a single range. So the
 result does not depend on the number of workers.
 
-``load_pool`` keeps a copy of every pool that passes its checks in a
-cache, keyed by the sha256 of this module's source followed by the pool
-file's bytes. A later load of the same bytes by the same checker reads
-the columns back from one uncompressed ``.npz`` file, replays the load's
-warnings and skips the parse. The cache lives in
-``$XDG_CACHE_HOME/market-select/pools``, or ``~/.cache/market-select/pools``
-when that variable is unset or not an absolute path; the directory is
-made with mode 0700, since it holds a copy of each pool's columns. It
-holds at most ``CACHE_CAP`` bytes: past that, the files least recently
-written or hit go first. Deleting the directory is always safe; a
-missing, unreadable or damaged entry is parsed again and rewritten.
-
-A pool loaded from a file carries the file's cache key (``Pool.key``), so
-that a column derived from the pool alone, such as the kNN rarity, can be
-kept in the same directory under the same cap (``column_entry``,
-``read_column``, ``write_column``) and computed once per pool.
+``load_pool`` keeps every pool that passes its checks in the cache (see
+``cache``). A pool loaded from a file carries its entry's name
+(``Pool.key``), so that a column derived from the pool alone, such as
+the kNN rarity, is cached under a name that the pool's bytes are part of.
 """
 
 from __future__ import annotations
@@ -52,10 +40,8 @@ import os
 import pickle
 import signal
 import stat
-import tempfile
 import threading
 import warnings
-import zipfile
 from array import array
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
@@ -65,6 +51,7 @@ from typing import TypeVar
 
 import numpy as np
 
+from . import cache
 from .errors import ConfigError, MarketSelectError, ValidationError
 
 KNOWN_KEYS = {"id", "topic", "tokens", "label", "embedding", "signals"}
@@ -88,9 +75,9 @@ class Pool:
     ``topics`` maps each topic, in sorted order, to its ascending row
     indices. All downstream tie-breaks rely on ascending-id order.
 
-    ``key`` is the pool cache's key of the bytes the pool was loaded from
-    (see ``load_pool``), or None: for a pool built in code, or one whose
-    file may have changed while it loaded.
+    ``key`` is the name of the cache entry of the bytes the pool was loaded
+    from (see ``load_pool``), or None: for a pool built in code, or one
+    whose file may have changed while it loaded.
 
     The constructor takes columns that are already sorted and checked;
     build a pool with ``load_pool`` or ``Pool.from_rows``.
@@ -530,17 +517,16 @@ def load_pool(path: str | Path, workers: int = 1) -> Pool:
     dimensions name both lines involved. A file that is not valid UTF-8
     is refused as such, whatever other errors it holds.
 
-    A regular file is first looked up in the pool cache (see the module
-    docstring) by the sha256 of this module's source and of its bytes.
-    On a hit the columns come from the cache and the warnings the first
-    load gave are replayed, with the same text and location; on a miss
-    the file is parsed as above, and a pool that passes its checks is
-    stored, unless the file's inode, size or mtime changed meanwhile.
-    The cache never changes a result: any failure to read or write it
-    just means a parse.
+    A regular file is first looked up in the cache under the name of
+    this module's source and its bytes (``cache.entry``). On a hit the
+    columns come from the entry and the warnings the first load gave are
+    replayed, with the same text and location; a missing, damaged or
+    wrong entry is a miss, which parses the file as above and stores a
+    pool that passes its checks, unless the file's inode, size or mtime
+    changed meanwhile. The cache never changes a result.
 
-    The pool's ``key`` is that sha256, as hex, on a hit or on a miss whose
-    file kept its inode, size and mtime; otherwise it is None, so a
+    The pool's ``key`` is that name, a hex sha256, on a hit or on a miss
+    whose file kept its inode, size and mtime; otherwise it is None, so a
     column cached under the key always belongs to the bytes the pool
     holds.
     """
@@ -550,14 +536,16 @@ def load_pool(path: str | Path, workers: int = 1) -> Pool:
     entry = _cache_entry(path)
     texts: list[str] = []
     try:
-        columns = _read_entry(entry[0], texts) if entry is not None else None
-        if columns is None:
+        hit = cache.read(entry[0], _decode) if entry is not None else None
+        if hit is not None:
+            columns, texts = hit
+        else:
             parts = fork_map(_parse_range, [(path, *r) for r in _ranges(path, workers)])
             for part in parts:
                 if part.bad_utf8 is not None:
                     raise ConfigError(f"pool file {path} is not valid UTF-8: {part.bad_utf8}")
             columns = _merge(parts, texts)
-            if entry is not None and _unchanged(path, entry[1]):
+            if entry is not None and _identity(path) == entry[1]:
                 _write_entry(entry[0], columns, texts)
             else:
                 entry = None
@@ -567,95 +555,55 @@ def load_pool(path: str | Path, workers: int = 1) -> Pool:
     return Pool(**columns, key=None if entry is None else entry[0].stem)
 
 
-CACHE_CAP = 1 << 30  # bytes the pool cache directory may hold
+def _cache_entry(path: Path) -> tuple[Path, tuple[int, ...]] | None:
+    """The cache entry of this module's source and the bytes of the pool file at
+    ``path``, and the file's ``_identity`` taken before they were hashed. None
+    for a file that is not regular, or when there is no cache entry to name."""
+    before = _identity(path)
+    if before is None or not stat.S_ISREG(before[0]):
+        return None
+    entry = cache.entry(cache.POOL, Path(__file__), path)
+    return None if entry is None else (entry, before)
 
 
-def _cache_entry(path: Path) -> tuple[Path, tuple[int, int, int]] | None:
-    """The cache file of the bytes of the pool file at ``path``, and the
-    file's (inode, size, mtime) taken before they were hashed. None for
-    a file that is not regular, or when the file cannot be read or there
-    is no home directory."""
-    import hashlib  # on first use: importing the CLI does not load it
-
+def _identity(path: Path) -> tuple[int, ...] | None:
+    """The (mode, inode, size, mtime) of the file at ``path``, or None."""
     try:
-        before = path.stat()
-        if not stat.S_ISREG(before.st_mode):
-            return None
-        digest = hashlib.sha256(Path(__file__).read_bytes())
-        chunk = bytearray(1 << 20)
-        with path.open("rb", buffering=0) as fh:
-            while size := fh.readinto(chunk):
-                digest.update(memoryview(chunk)[:size])
-        return _cache_dir() / f"{digest.hexdigest()}.npz", _identity(before)
+        st = path.stat()
     except OSError:
         return None
+    return st.st_mode, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def _identity(st: os.stat_result) -> tuple[int, int, int]:
-    return st.st_ino, st.st_size, st.st_mtime_ns
+# a pool entry's arrays that are Pool() arguments as they are, and their dtypes
+_CODES = {"topic_codes": np.intp, "token_lengths": np.int64, "label_codes": np.intp}
 
 
-def _unchanged(path: Path, before: tuple[int, int, int]) -> bool:
-    """Whether the file at ``path`` still has the (inode, size, mtime)
-    ``before`` that was taken before its bytes were hashed."""
-    try:
-        return _identity(path.stat()) == before
-    except OSError:
-        return False
-
-
-def _cache_dir() -> Path:
-    """``$XDG_CACHE_HOME/market-select/pools``, or ``~/.cache/...`` when
-    that variable is unset or relative (as the XDG spec says); OSError
-    when there is no home directory."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        try:
-            base = Path.home() / ".cache"
-        except RuntimeError as exc:  # no home directory
-            raise OSError("no home directory") from exc
-    return Path(base) / "market-select" / "pools"
-
-
-def _read_entry(entry: Path, texts: list[str]) -> dict[str, object] | None:
-    """The keyword arguments of Pool() cached in ``entry``, its warning
-    texts appended to ``texts``; None, a miss, when the entry is missing,
-    does not load, or holds arrays of the wrong dtype or length."""
-    try:
-        with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        header = json.loads(arrays["header"].tobytes())
-        n = len(arrays["topic_codes"])
-        ids = arrays["ids"].tobytes().decode("utf-8").split("\n") if n else []
-        emb = arrays.get("embeddings")
-        expected = {
-            "topic_codes": (np.intp, (n,)),
-            "token_lengths": (np.int64, (n,)),
-            "label_codes": (np.intp, (n,)),
-            "signals": (np.float64, (len(header["signals"]), n)),
-        }
-        if emb is not None:  # n rows of any one width
-            expected["embeddings"] = (np.float64, (n, emb.shape[1] if emb.ndim == 2 else -1))
-        if len(ids) != n or any(arrays[name].dtype != dtype or arrays[name].shape != shape
-                                for name, (dtype, shape) in expected.items()):
-            return None
-    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
-        return None
-    try:
-        os.utime(entry)  # a hit keeps the entry from eviction longest
-    except OSError:
-        pass
-    texts.extend(header["warnings"])
-    return dict(
-        ids=ids,
-        topic_codes=arrays["topic_codes"],
-        token_lengths=arrays["token_lengths"],
-        label_codes=arrays["label_codes"],
-        topic_names=header["topics"],
-        label_names=header["labels"],
-        embeddings=emb,
-        signals=dict(zip(header["signals"], arrays["signals"])),
-    )
+def _decode(arrays: dict[str, np.ndarray]) -> tuple[dict[str, object], list[str]]:
+    """The keyword arguments of Pool() and the warning texts of a pool's cache
+    entry; raises on a field missing or of the wrong type, dtype, length or range."""
+    header = json.loads(arrays["header"].tobytes())
+    topics, labels, names, texts = (header[field]
+                                    for field in ("topics", "labels", "signals", "warnings"))
+    if not all(type(v) is list and all(type(s) is str for s in v)
+               for v in (topics, labels, names, texts)):
+        raise TypeError("a header field is not a list of strings")
+    n = len(arrays["topic_codes"])
+    ids = arrays["ids"].tobytes().decode("utf-8").split("\n") if n else []
+    emb = arrays.get("embeddings")
+    expected = {name: (dtype, (n,)) for name, dtype in _CODES.items()}
+    expected["signals"] = (np.float64, (len(names), n))
+    if emb is not None:  # n rows of any one width
+        expected["embeddings"] = (np.float64, (n, emb.shape[1] if emb.ndim == 2 else -1))
+    topic_codes, label_codes = arrays["topic_codes"], arrays["label_codes"]
+    if len(ids) != n or any(arrays[name].dtype != dtype or arrays[name].shape != shape
+                            for name, (dtype, shape) in expected.items()) or n and not (
+            0 <= topic_codes.min() <= topic_codes.max() < len(topics)
+            and -1 <= label_codes.min() <= label_codes.max() < len(labels)):
+        raise ValueError("not a pool entry")
+    return dict(ids=ids, topic_names=topics, label_names=labels, embeddings=emb,
+                signals=dict(zip(names, arrays["signals"])),
+                **{name: arrays[name] for name in _CODES}), texts
 
 
 def _write_entry(entry: Path, columns: dict[str, object], texts: list[str]) -> None:
@@ -663,110 +611,14 @@ def _write_entry(entry: Path, columns: dict[str, object], texts: list[str]) -> N
     ids, signals, emb = columns["ids"], columns["signals"], columns["embeddings"]
     header = {"topics": columns["topic_names"], "labels": columns["label_names"],
               "signals": list(signals), "warnings": texts}
-    signal_rows = np.array(list(signals.values()), dtype=np.float64)
-    arrays = {
-        "header": np.frombuffer(json.dumps(header).encode("ascii"), dtype=np.uint8),
-        "topic_codes": columns["topic_codes"],
-        "token_lengths": columns["token_lengths"],
-        "label_codes": columns["label_codes"],
-        "signals": signal_rows.reshape(len(signals), len(ids)),
-    }
+    arrays = {name: columns[name] for name in _CODES}
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("ascii"), dtype=np.uint8)
+    arrays["signals"] = np.array([*signals.values()], np.float64).reshape(len(signals), len(ids))
     if ids:  # "".split("\n") would be one empty id
         arrays["ids"] = np.frombuffer("\n".join(ids).encode("utf-8"), dtype=np.uint8)
     if emb is not None:
         arrays["embeddings"] = emb
-    _store(entry, sum(a.nbytes for a in arrays.values()), lambda fh: np.savez(fh, **arrays))
-
-
-def column_entry(pool: Pool, source: str | Path, *parts: bytes) -> Path | None:
-    """The cache file of a column computed from ``pool`` alone by the code
-    in the file ``source``, given ``parts``: every other input the column
-    depends on (library versions, parameters). Its name is the sha256 of
-    the pool's key, the source's bytes and each part, each length-prefixed
-    so that no two lists share a name. None when the pool has no key, the
-    source cannot be read or there is no cache directory."""
-    if pool.key is None:
-        return None
-    import hashlib  # on first use: importing the CLI does not load it
-
-    digest = hashlib.sha256(pool.key.encode("ascii"))
-    try:
-        for part in (Path(source).read_bytes(), *parts):
-            digest.update(len(part).to_bytes(8, "little"))
-            digest.update(part)
-        return _cache_dir() / f"{digest.hexdigest()}.npy"
-    except OSError:
-        return None
-
-
-def read_column(entry: Path, n: int) -> np.ndarray | None:
-    """The column cached in ``entry``: float64, of shape (n,), finite and
-    >= 0. None, a miss, when the entry is missing, does not load, or holds
-    anything else. The header is checked before any data is read, so a
-    damaged one cannot make the load allocate what it claims."""
-    try:
-        with open(entry, "rb") as fh:
-            if np.lib.format.read_magic(fh) != (1, 0):  # np.save's version for a column
-                return None
-            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-            if shape != (n,) or dtype != np.float64:
-                return None
-            fh.seek(0)
-            column = np.load(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError):
-        return None
-    if not (np.isfinite(column).all() and (column >= 0).all()):
-        return None
-    try:
-        os.utime(entry)  # a hit keeps the entry from eviction longest
-    except OSError:
-        pass
-    return column
-
-
-def write_column(entry: Path, column: np.ndarray) -> None:
-    """Cache ``column`` in ``entry``, to be read back by ``read_column``."""
-    _store(entry, column.nbytes, lambda fh: np.save(fh, column, allow_pickle=False))
-
-
-def _store(entry: Path, nbytes: int, save: Callable[[io.BufferedWriter], None]) -> None:
-    """Write a cache entry of about ``nbytes``: ``save`` fills a temporary
-    file in the cache directory, which then replaces ``entry``; then the
-    oldest files of the directory go while it holds more than
-    ``CACHE_CAP`` bytes. Nothing is stored when the entry alone would
-    exceed the cap; an OSError stores nothing either."""
-    if nbytes > CACHE_CAP:
-        return
-    try:
-        entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
-        try:
-            with open(fd, "wb") as fh:
-                save(fh)
-            os.replace(tmp, entry)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
-        _evict(entry.parent)
-    except OSError:
-        pass
-
-
-def _evict(directory: Path) -> None:
-    """Remove the files of ``directory``, oldest mtime first, until they
-    hold at most ``CACHE_CAP`` bytes."""
-    files = []
-    with os.scandir(directory) as scan:
-        for item in scan:
-            if item.is_file(follow_symlinks=False):
-                st = item.stat(follow_symlinks=False)
-                files.append((st.st_mtime_ns, item.path, st.st_size))
-    total = sum(size for _, _, size in files)
-    for _, name, size in sorted(files):
-        if total <= CACHE_CAP:
-            break
-        Path(name).unlink(missing_ok=True)  # another process may have removed it
-        total -= size
+    cache.write(entry, arrays)
 
 
 def _usable_cpus() -> int:

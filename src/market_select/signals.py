@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from . import pool as pool_module
+from . import cache, pool as pool_module
 from .pool import Pool
 
 DEFAULT_K = 10
@@ -379,13 +379,13 @@ def rarity_knn(
     other threads using BLAS meanwhile are capped too, and concurrent
     calls with ``threads > 1`` run one at a time.
 
-    The column depends only on the pool's bytes, this module's source,
-    the numpy version and k, so a pool loaded from a file (one with a
-    ``key``) keeps it in the pool cache (``pool.column_entry``): after
-    the warnings, and before any index is built, a valid cached column is
-    returned as it is, and a computed one is stored when any work item
-    ran. The column is exact and the same for any thread count, so a hit
-    returns the bits a computation would.
+    The column depends only on the pool's bytes, this module's source, the
+    numpy version and k, so a pool loaded from a file (one with a ``key``)
+    keeps it in a cache entry named by those inputs (see ``cache``): after
+    the warnings, and before any index is built, an entry of one finite
+    value >= 0 per row is returned as it is, and a computed column is stored
+    only when a work item ran. The column is exact and the same for any
+    thread count, so a hit returns the bits a computation would.
     """
     params = params or KnnParams()
     emb = _require_embeddings(pool, "rarity")
@@ -405,10 +405,11 @@ def rarity_knn(
             )
         topics.append(idx)
 
-    entry = pool_module.column_entry(pool, __file__, np.__version__.encode(),
-                                     str(params.k).encode())
+    entry = None if pool.key is None else cache.entry(
+        cache.COLUMN, pool.key.encode(), Path(__file__), np.__version__.encode(),
+        str(params.k).encode())
     if entry is not None:
-        cached = pool_module.read_column(entry, pool.n)
+        cached = cache.read(entry, functools.partial(_rarity_column, n=pool.n))
         if cached is not None:
             return cached
 
@@ -436,8 +437,17 @@ def rarity_knn(
     for pos, res in zip(positions, results):
         out[pos] = res
     if entry is not None and work:
-        pool_module.write_column(entry, out)
+        cache.write(entry, {"rarity": out})
     return out
+
+
+def _rarity_column(arrays: dict[str, np.ndarray], n: int) -> np.ndarray:
+    """A rarity entry's column; raises unless it is n finite float64 >= 0."""
+    column = arrays["rarity"]
+    if not (column.dtype == np.float64 and column.shape == (n,)
+            and np.isfinite(column).all() and (column >= 0).all()):
+        raise ValueError("not a rarity column")
+    return column
 
 
 def diversity_centroid(pool: Pool) -> np.ndarray:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from market_select import pool as pool_module
+from market_select import cache as cache_module
 from market_select.pool import Pool
 
 
@@ -58,7 +58,7 @@ def cold_cache(monkeypatch, tmp_path_factory):
     """Every pool load and every cached-column lookup in the test gets a
     fresh, empty cache directory, so a second load of the same bytes still
     parses (and forks) as the first, and computes the kNN rarity again."""
-    monkeypatch.setattr(pool_module, "_cache_dir", lambda: tmp_path_factory.mktemp("cold"))
+    monkeypatch.setattr(cache_module, "_cache_dir", lambda: tmp_path_factory.mktemp("cold"))
 
 
 @pytest.fixture

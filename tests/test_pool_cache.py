@@ -6,6 +6,7 @@ changed mid-load, the size cap) gives the parse's result."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import market_select
+from market_select import cache as cache_module
 from market_select import pool as pool_module
 from market_select.cli import main
 from market_select.pool import fork_map, load_pool
@@ -137,6 +139,14 @@ def _one_id_short(entry: Path) -> None:
         np.savez(fh, **arrays)
 
 
+def _topic_code_out_of_range(entry: Path) -> None:
+    with np.load(entry) as npz:
+        arrays = dict(npz)
+    arrays["topic_codes"][0] = len(json.loads(arrays["header"].tobytes())["topics"])
+    with open(entry, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 DAMAGE = {
     "garbage": lambda entry: entry.write_bytes(b"not a cache entry\n" * 50),
     "empty": lambda entry: entry.write_bytes(b""),
@@ -146,6 +156,7 @@ DAMAGE = {
         (lambda b: b[:2000] + bytes([b[2000] ^ 0xFF]) + b[2001:])(entry.read_bytes())),
     "wrong-dtype": _wrong_dtype,
     "one-id-short": _one_id_short,
+    "topic-code-out-of-range": _topic_code_out_of_range,
 }
 
 
@@ -175,6 +186,29 @@ def test_a_damaged_entry_gives_no_traceback_to_the_cli(tmp_path, pool_cache):
     )
     assert proc.returncode == 0 and proc.stderr == b""
     assert {name: (out / name).read_bytes() for name in ARTIFACTS} == first
+
+
+def test_an_entry_whose_header_lacks_a_field_is_a_miss_for_the_cli(tmp_path, pool_cache):
+    first = _select(tmp_path / "first", threads=1)
+    (entry,) = entries(pool_cache)
+    good = entry.read_bytes()
+    with np.load(entry) as npz:
+        arrays = dict(npz)
+    header = json.loads(arrays["header"].tobytes())
+    del header["warnings"]
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("ascii"), dtype=np.uint8)
+    with open(entry, "wb") as fh:  # a well-formed archive, every CRC32 valid
+        np.savez(fh, **arrays)
+    out = tmp_path / "second"
+    proc = subprocess.run(
+        [sys.executable, "-m", "market_select.cli", "select", "--pool", str(GOLDEN_POOL),
+         "--signals", "nll,s1,rarity:k=3,div_cent", "--budget-tokens", "400", "--threads", "1",
+         "--out-dir", str(out)],
+        capture_output=True, env=cli_env(), timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert {name: (out / name).read_bytes() for name in ARTIFACTS} == first
+    assert entries(pool_cache) == [entry] and entry.read_bytes() == good
 
 
 def test_a_cache_home_that_is_a_file_changes_nothing(tmp_path, monkeypatch):
@@ -265,7 +299,7 @@ def test_the_cap_removes_the_oldest_entries_and_a_hit_counts_as_new(tmp_path, mo
     for age, entry in zip((30, 20, 10), made):  # seconds since a, b and c were written
         os.utime(entry, ns=(now - age * 10**9,) * 2)
     size = max(entry.stat().st_size for entry in made)
-    monkeypatch.setattr(pool_module, "CACHE_CAP", 3 * size + size // 2)  # room for three
+    monkeypatch.setattr(cache_module, "CACHE_CAP", 3 * size + size // 2)  # room for three
     load(pools[0])  # a hit: a's entry becomes the newest
     assert made[0].stat().st_mtime_ns > made[2].stat().st_mtime_ns
     load(pools[3])  # a fourth entry: the oldest, now b's, goes
@@ -276,7 +310,7 @@ def test_the_cap_removes_the_oldest_entries_and_a_hit_counts_as_new(tmp_path, mo
 def test_an_entry_larger_than_the_cap_is_not_written(tmp_path, monkeypatch, pool_cache):
     load(_pool_file(tmp_path, "small", 2))
     (small,) = entries(pool_cache)
-    monkeypatch.setattr(pool_module, "CACHE_CAP", 2 * small.stat().st_size)
+    monkeypatch.setattr(cache_module, "CACHE_CAP", 2 * small.stat().st_size)
     pool, _ = load(_pool_file(tmp_path, "big", 200))
     assert pool.n == 200
     assert entries(pool_cache) == [small]  # nor did it push out the entry that fits

@@ -1,5 +1,5 @@
 """The kNN rarity column in the pool cache: a pool loaded from a file keeps
-its rarity column in a ``.npy`` entry keyed by the pool's bytes, the
+its rarity column in a one-array entry named by the pool's bytes, the
 source of ``signals.py``, the numpy version and k, so a later command on
 the same bytes skips the kNN and writes the same bytes; a damaged entry,
 a pool built in code and a file changed while it loaded all compute the
@@ -13,11 +13,13 @@ import os
 import subprocess
 import sys
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from market_select import cache as cache_module
 from market_select import pool as pool_module
 from market_select import signals
 from market_select.cli import main
@@ -31,7 +33,7 @@ K = 5
 
 
 def column_entries(cache: Path) -> list[Path]:
-    return sorted(cache.glob("*.npy")) if cache.is_dir() else []
+    return sorted(cache.glob(f"*{cache_module.COLUMN}")) if cache.is_dir() else []
 
 
 @pytest.fixture
@@ -144,12 +146,18 @@ def _truncated(entry: Path) -> None:
     entry.write_bytes(entry.read_bytes()[:-17])
 
 
+def _column(entry: Path) -> tuple[str, np.ndarray]:
+    """The name and the array of an entry's one member."""
+    with np.load(entry) as npz:
+        (name,) = npz.files
+        return name, npz[name]
+
+
 def _resaved(change):
     def damage(entry: Path) -> None:
-        with open(entry, "rb") as fh:
-            column = np.load(fh)
+        name, column = _column(entry)
         with open(entry, "wb") as fh:
-            np.save(fh, change(column))
+            np.savez(fh, **{name: change(column)})
     return damage
 
 
@@ -161,10 +169,24 @@ def _set_row(value):
 
 
 def _huge_shape(entry: Path) -> None:
+    name, column = _column(entry)
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(
         header, {"descr": "<f8", "fortran_order": False, "shape": (1 << 50,)})
-    entry.write_bytes(header.getvalue() + entry.read_bytes()[128:])
+    with zipfile.ZipFile(entry, "w") as archive:  # a valid archive: only the header lies
+        archive.writestr(f"{name}.npy", header.getvalue() + column.tobytes())
+
+
+def _flipped_data_byte(entry: Path) -> None:
+    """One byte flipped inside row 123's float; every value stays finite and >= 0."""
+    _, column = _column(entry)
+    blob = entry.read_bytes()
+    at = blob.index(column.tobytes()) + 123 * 8
+    value = bytearray(blob[at:at + 8])
+    value[5] ^= 0x01
+    flipped = np.frombuffer(bytes(value), dtype=np.float64)[0]
+    assert np.isfinite(flipped) and flipped >= 0 and flipped != column[123]
+    entry.write_bytes(blob[:at] + bytes(value) + blob[at + 8:])
 
 
 DAMAGE = {
@@ -178,6 +200,7 @@ DAMAGE = {
     "nan": _resaved(_set_row(np.nan)),
     "negative": _resaved(_set_row(-1.0)),
     "infinite": _resaved(_set_row(np.inf)),
+    "flipped-data-byte": _flipped_data_byte,
 }
 
 
@@ -232,8 +255,8 @@ def test_a_pool_built_in_code_never_reads_or_writes_an_entry(monkeypatch, pool_c
                                                              knn_items):
     rarity(pool_file)  # an entry for the same rows, loaded from the file
     calls = []
-    monkeypatch.setattr(pool_module, "read_column", lambda *a: calls.append(a))
-    monkeypatch.setattr(pool_module, "write_column", lambda *a: calls.append(a))
+    monkeypatch.setattr(cache_module, "read", lambda *a: calls.append(a))
+    monkeypatch.setattr(cache_module, "write", lambda *a: calls.append(a))
     rows = [json.loads(line) for line in pool_file.read_text().splitlines()]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -258,8 +281,14 @@ def test_a_file_changed_while_it_loads_never_reads_or_writes_an_entry(monkeypatc
 
     monkeypatch.setattr(pool_module, "_parse_range", parse)
     reads = []
-    real_read = pool_module.read_column
-    monkeypatch.setattr(pool_module, "read_column", lambda *a: reads.append(a) or real_read(*a))
+    real_read = cache_module.read
+
+    def read(entry, decode):  # counts the column lookups, not the pool's own
+        if entry.suffix == cache_module.COLUMN:
+            reads.append(entry)
+        return real_read(entry, decode)
+
+    monkeypatch.setattr(cache_module, "read", read)
     changed = rarity(pool_file)
     assert knn_items.count(-1) == 2 and reads == []
     assert column_entries(pool_cache) == []
@@ -295,6 +324,18 @@ def test_an_unreadable_kNN_source_computes_and_stores_nothing(tmp_path, monkeypa
 
 
 def test_a_column_larger_than_the_cap_is_not_written(monkeypatch, pool_cache, pool_file):
-    monkeypatch.setattr(pool_module, "CACHE_CAP", 604 * 8 - 1)
+    monkeypatch.setattr(cache_module, "CACHE_CAP", 604 * 8 - 1)
     rarity(pool_file)
     assert column_entries(pool_cache) == [] and list(pool_cache.glob("*.tmp")) == []
+
+
+def test_a_flipped_data_byte_gives_the_artifacts_of_a_cold_run(tmp_path, pool_cache, pool_file,
+                                                               knn_items):
+    cold = select(pool_file, tmp_path / "cold", 1)
+    (entry,) = column_entries(pool_cache)
+    good = entry.read_bytes()
+    _flipped_data_byte(entry)
+    knn_items.clear()
+    assert select(pool_file, tmp_path / "damaged", 1) == cold
+    assert knn_items.count(-1) == 2
+    assert column_entries(pool_cache) == [entry] and entry.read_bytes() == good
