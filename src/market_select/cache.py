@@ -18,6 +18,7 @@ import contextlib
 import math
 import os
 import tempfile
+import time
 import zipfile
 from collections.abc import Callable
 from pathlib import Path
@@ -28,6 +29,7 @@ import numpy as np
 CACHE_CAP = 1 << 30  # bytes the cache directory may hold
 POOL = ".npz"  # the suffix of a pool's entry
 COLUMN = ".column"  # the suffix of a column derived from a pool
+STALE_TMP = 3600  # seconds after which an entry's temporary is taken as abandoned
 
 T = TypeVar("T")
 
@@ -118,13 +120,19 @@ def write(entry: Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def _evict(directory: Path) -> None:
-    """Remove the files of ``directory``, oldest mtime first, until they hold ``CACHE_CAP``."""
+    """Remove the files of ``directory``, oldest mtime first, until they hold ``CACHE_CAP``;
+    first every temporary older than ``STALE_TMP`` seconds, which a writer that was
+    killed left behind (a live writer renames its temporary within seconds)."""
     files = []
+    stale = time.time_ns() - STALE_TMP * 10**9
     with os.scandir(directory) as scan:
         for item in scan:
             if item.is_file(follow_symlinks=False):
                 with contextlib.suppress(FileNotFoundError):  # another process removed it
                     st = item.stat(follow_symlinks=False)
+                    if item.name.endswith(".tmp") and st.st_mtime_ns < stale:
+                        os.unlink(item.path)
+                        continue
                     files.append((st.st_mtime_ns, item.path, st.st_size))
     total = sum(size for _, _, size in files)
     for _, name, size in sorted(files):

@@ -44,6 +44,7 @@ from .pipeline import (
     RunConfig,
     dump_json,
     dump_json_line,
+    encode_text,
     explain,
     fmt_float,
     format_price_rows,
@@ -284,7 +285,8 @@ def _write_csv(path: str, fieldnames: list[str], rows: list[dict[str, Any]]) -> 
             else:
                 formatted[key] = value
         writer.writerow(formatted)
-    write_atomic([(Path(path), buf.getvalue())])
+    path = Path(path)
+    write_atomic([(path, encode_text(path, buf.getvalue()))])
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
@@ -307,7 +309,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 def _cmd_signals(args: argparse.Namespace) -> int:
     pool, table, std = prepare(_build_run_config(args), _threads_of(args))
     out = Path(args.out)
-    write_atomic([(out, "".join(
+    write_atomic([(out, encode_text(out, "".join(
         dump_json_line(
             {
                 "id": rid,
@@ -317,7 +319,7 @@ def _cmd_signals(args: argparse.Namespace) -> int:
             }
         )
         for i, rid in enumerate(pool.ids)
-    ))])
+    )))])
     print(f"wrote {pool.n} rows to {out}")
     return 0
 
@@ -346,7 +348,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "trajectory": result.trajectory,
     }
-    write_atomic([(out, dump_json(payload))])
+    write_atomic([(out, encode_text(out, dump_json(payload)))])
     rounded = {name: fmt_float(value) for name, value in result.weights.w.items()}
     print(f"tuned weights over {args.rounds} rounds: {json.dumps(rounded)}")
     print(f"wrote {out}")

@@ -28,7 +28,17 @@ import numpy as np
 
 from .errors import ConfigError, require_finite
 from .market import DEFAULT_BETA, MarketConfig, MarketState, Weights, price_pool
-from .pool import Pool, decode_json_line, load_pool, token_sum
+from .pool import (
+    NEWLINE,
+    PAD,
+    Pool,
+    Texts,
+    decode_json_line,
+    join_rows,
+    load_pool,
+    padded_slices,
+    token_sum,
+)
 from .selection import (
     DEFAULT_GAMMA,
     SelectionConfig,
@@ -371,36 +381,40 @@ def run_pipeline(
         }
 
     out_dir = Path(out_dir)
-    ids = result.report["selected"]
+    pool, selected = result.pool, result.selection.selected
+    report = encode_text(out_dir / REPORT_FILE, dump_json({**result.report, "selected": []}))
     write_atomic([
-        (out_dir / REPORT_FILE, dump_json(result.report)),
-        (out_dir / PRICES_FILE, format_price_rows(result.pool, result.state)),
-        (out_dir / SELECTED_FILE, "\n".join(ids) + "\n" if ids else ""),
+        (out_dir / REPORT_FILE, splice_selected(report, pool, selected)),
+        (out_dir / PRICES_FILE, format_price_rows(pool, result.state)),
+        (out_dir / SELECTED_FILE, pool.id_lines(selected)),
     ])
     return result
 
 
-def write_atomic(files: list[tuple[Path, str]]) -> None:
-    """Write each (path, text) pair as UTF-8, creating parent directories.
+def encode_text(path: Path, text: str) -> bytes:
+    """``text`` as UTF-8 for the file at ``path``; a text that UTF-8 cannot
+    encode (a lone surrogate) is refused."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"cannot write {path}: its text is not valid UTF-8 "
+                          f"({exc.reason})") from None
 
-    Every text goes to ``<path>.tmp`` first; the temporaries are renamed
+
+def write_atomic(files: list[tuple[Path, bytes]]) -> None:
+    """Write each (path, data) pair, creating parent directories.
+
+    Every file goes to ``<path>.tmp`` first; the temporaries are renamed
     into place only once all of them are written, and on any failure
-    every temporary is removed. A target that is a directory, or a text
-    that UTF-8 cannot encode (a lone surrogate), is refused before
-    anything is written.
+    every temporary is removed. A target that is a directory is refused
+    before anything is written.
     """
-    encoded: list[tuple[Path, bytes]] = []
-    for path, text in files:
+    for path, _ in files:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "output path is a directory", str(path))
-        try:
-            encoded.append((path, text.encode("utf-8")))
-        except UnicodeEncodeError as exc:
-            raise ConfigError(f"cannot write {path}: its text is not valid UTF-8 "
-                              f"({exc.reason})") from None
     staged: list[tuple[Path, Path]] = []
     try:
-        for path, data in encoded:
+        for path, data in files:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(path.suffix + ".tmp")
             staged.append((tmp, path))
@@ -413,38 +427,177 @@ def write_atomic(files: list[tuple[Path, str]]) -> None:
         raise
 
 
-PRICE_ROW = '{"id": %s, "p": %.9g, "q": %.9g, "topic": %s}\n'
-PRICE_SLICE = 4096  # rows formatted by one % call
+def splice_selected(report: bytes, pool: Pool, selected: np.ndarray) -> bytes:
+    """report.json's bytes: ``report``, the encoded dump_json of a report whose
+    "selected" list is empty, with the ids of the pool rows ``selected`` put
+    in that list, one JSON string per line, as dump_json writes a list."""
+    if not selected.size:
+        return report
+    # JSON strings hold no raw newline, so this text at indent 2 is the
+    # top-level key: found once, wherever sort_keys puts it
+    head, tail = report.split(b'\n  "selected": []', 1)
+    ids = json_id_texts(pool)
+    items = b"".join(join_rows([b'    "', ids.rows(selected[s]), b'",\n'])
+                     for s in padded_slices(ids.lengths[selected] + 8))
+    # the last item ends in '"\n', not '",\n'
+    return b"".join([head, b'\n  "selected": [\n', memoryview(items)[:-2], b"\n  ]", tail])
 
 
-def format_price_rows(pool: Pool, state: MarketState) -> str:
-    """prices.jsonl text: one {"id", "p", "q", "topic"} object per example,
-    in id order, byte-identical to dump_json_line of each row.
+def json_id_texts(pool: Pool) -> Texts:
+    """Each id's JSON string, encode_basestring's text, without its quotes.
 
-    A slice of rows is formatted by one ``%`` call on PRICE_ROW repeated,
-    whose ``%.9g`` is format_float's text for every value that
-    ``plain_g_text`` admits; a slice with any other value is formatted
-    row by row through format_float."""
-    shares, prices = state.shares, state.prices
-    plain = plain_g_text(shares) & plain_g_text(prices)
-    topics = [encode_basestring(t) for t in pool.topic_names]
-    chunks = []
-    for start in range(0, pool.n, PRICE_SLICE):
-        end = min(start + PRICE_SLICE, pool.n)
-        fields = [None] * (4 * (end - start))
-        fields[0::4] = map(encode_basestring, pool.ids[start:end])
-        fields[1::4] = prices[start:end].tolist()
-        fields[2::4] = shares[start:end].tolist()
-        fields[3::4] = map(topics.__getitem__, pool.topic_codes[start:end].tolist())
-        if plain[start:end].all():
-            chunks.append(PRICE_ROW * (end - start) % tuple(fields))
-        else:
-            chunks += [
-                f'{{"id": {rid}, "p": {format_float(p)}, "q": {format_float(q)}, '
-                f'"topic": {topic}}}\n'
-                for rid, p, q, topic in zip(fields[0::4], fields[1::4], fields[2::4], fields[3::4])
-            ]
-    return "".join(chunks)
+    An id that JSON writes as it is keeps its bytes in ``pool.id_text``. An
+    id that it escapes (one holding a '"', a '\\' or a byte below 0x20)
+    goes through encode_basestring, one at a time.
+    """
+    text, texts = pool.id_text, pool.id_texts
+    escaped = (text < 0x20) & (text != NEWLINE) | (text == ord('"')) | (text == ord("\\"))
+    rows = np.unique(np.searchsorted(texts.starts, np.flatnonzero(escaped), side="right") - 1)
+    if not rows.size:
+        return texts
+    bodies = [encode_basestring(pool.id_of(i))[1:-1].encode("utf-8") for i in rows.tolist()]
+    starts, lengths = texts.starts.copy(), texts.lengths.copy()
+    lengths[rows] = [len(b) for b in bodies]
+    starts[rows] = text.size + np.cumsum(lengths[rows]) - lengths[rows]
+    data = np.concatenate([text, np.frombuffer(b"".join(bodies), dtype=np.uint8)])
+    return Texts(data, starts, lengths)
+
+
+def format_price_rows(pool: Pool, state: MarketState) -> bytes:
+    """prices.jsonl: one {"id", "p", "q", "topic"} object per example, in id
+    order, byte-identical to dump_json_line of each row.
+
+    The rows are built from the columns, a slice at a time: the ids' JSON
+    text (json_id_texts), the texts of p and q (float_rows) and the topics'
+    JSON text, with the fixed text around them, each as a matrix of padded
+    rows, joined by join_rows.
+    """
+    ids = json_id_texts(pool)
+    tails = Texts.of([f', "topic": {encode_basestring(t)}}}\n'.encode("utf-8")
+                      for t in pool.topic_names])
+    codes = pool.topic_codes
+    widths = ids.lengths + tails.lengths[codes] + 16 + 7 + 2 * FLOAT_WIDTH
+    return b"".join(
+        join_rows([b'{"id": "', ids.rows(s), b'", "p": ', float_rows(state.prices[s]),
+                   b', "q": ', float_rows(state.shares[s]), tails.rows(codes[s])])
+        for s in padded_slices(widths))
+
+
+# 10^k for k = 0..108, each the float nearest it (an int converts rounded)
+_POW10 = np.array([float(10**k) for k in range(109)])
+# The columns of a value's text: the whole part, right-aligned with a
+# place for the sign before it; a point; the digits after the point,
+# left-aligned; and the "e-" and two digits of an exponent. PAD takes the
+# place of every column that a value's text does not keep.
+_WHOLE, _POINT, _FRACTION, _EXPONENT = slice(1, 9), 9, slice(10, 22), slice(22, 26)
+FLOAT_WIDTH = 26
+_TEMPLATE = np.frombuffer(bytes([PAD]) + b"0" * 8 + b"." + b"0" * 12 + b"e-00", dtype=np.uint8)
+# the four digits of each number below 10^4, as one 4-byte item, and the
+# number of its trailing zeros (4 for 0)
+_QUADS = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(
+    np.uint8).view("V4")[:, 0]
+_TRAILING_ZEROS = (np.arange(10**4)[:, None] % [10, 100, 1000, 10**4] == 0).sum(axis=1)
+_PAIRS = _QUADS.view(np.uint8).reshape(-1, 4)[:100, 2:].copy().view("V2")[:, 0]  # "00".."99"
+
+
+def _float_pads() -> np.ndarray:
+    """``pads[form * 9 + last]``: the bytes to OR into the columns of a
+    certified value, 0 in each column that its text keeps and PAD in the
+    others, by its form and the position of its last nonzero digit. Forms 0-11 are the fixed notation of
+    decimal exponents -4..7, form 12 the exponent notation of exponents
+    -99..-5: the forms of "%.9g", whose trailing zeros go, with
+    format_float's ".0" after a whole number. The sign is not in it."""
+    kept = np.zeros((13, 9, FLOAT_WIDTH), dtype=bool)
+    for form in range(13):
+        e = form - 4
+        for last in range(9):
+            cols = kept[form, last]
+            if form == 12:
+                whole, fraction = 1, last
+            elif e >= 0:
+                whole, fraction = e + 1, max(last, e + 1) - e
+            else:  # 1 + last digits after -e - 1 zeros
+                whole, fraction = 1, last - e
+            cols[_WHOLE.stop - whole:_WHOLE.stop] = True
+            cols[_POINT] = fraction > 0
+            cols[_FRACTION.start:_FRACTION.start + fraction] = True
+            cols[_EXPONENT] = form == 12
+    return np.where(kept, 0, PAD).astype(np.uint8).reshape(-1, FLOAT_WIDTH)
+
+
+_PADS = _float_pads()
+
+
+def float_rows(x: np.ndarray) -> np.ndarray:
+    """format_float(v) for each value v of ``x``, as the rows of a uint8
+    matrix, each filled up with PAD.
+
+    A value is written from a 9-digit integer mantissa m and a decimal
+    exponent e, where v * 10^(8 - e) rounds to m, once it is certified:
+    ``plain_g_text`` admits it, and that product, computed to within
+    3e-7, lies more than 1e-6 from a rounding tie, so m is the mantissa of
+    "%.9g" % v. Any other value goes through format_float itself (as in
+    Grisu3, a fast path that hands on what it cannot vouch for). The text
+    of a certified value has at most one run of PAD inside it, before an
+    exponent, so that join_rows copies few runs.
+    """
+    ok = plain_g_text(x) & np.isfinite(x)
+    a = np.where(ok, np.abs(x), 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    scaled = a * _POW10[8 - e]
+    e += (scaled >= 1e9).view(np.int8)
+    e -= (scaled < 1e8).view(np.int8)
+    scaled = a * _POW10[8 - e]
+    # 10^k and the product are each rounded once: a relative error of at
+    # most 2^-52, under 2.3e-7 below 1e9
+    ok &= (scaled >= 1e8) & (scaled < 1e9) & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6)
+    m = np.rint(scaled).astype(np.int64)
+    carry = m == 10**9  # 999999999.5 and up round to 1e9: m = 1e8, one exponent up
+    m[carry] = 10**8
+    e += carry
+    ok &= e <= 7
+
+    # The whole part is m's first e + 1 digits, or 0 below 1; the fraction
+    # holds the rest of m's digits, after -e - 1 zeros below 1. The
+    # exponent form's digits split as those of exponent 0.
+    fixed = (e >= -4) & (e <= 7)
+    ef = np.where(fixed, e, 0)
+    split = _POW10[8 - np.maximum(ef, -1)]
+    # exact in float64: m < 10^9 and the fraction < 10^12 are integers, and
+    # a quotient's rounding cannot reach the next integer
+    whole = np.floor(m / split)
+    fraction = (m - whole * split) * _POW10[4 + ef]
+    text = np.empty((x.size, FLOAT_WIDTH), dtype=np.uint8)
+    text[:] = _TEMPLATE
+    # the exponent's digits, kept only for exponents -99..-5
+    text[:, -2:].view(_PAIRS.dtype)[:, 0] = _PAIRS[np.minimum(np.abs(e), 99)]
+    for part, cols in ((whole, _WHOLE), (fraction, _FRACTION)):
+        quads = text[:, cols].view(_QUADS.dtype)
+        for k in range(quads.shape[1] - 1, -1, -1):
+            part, quad = _divmod_10k(part)
+            quads[:, k] = _QUADS[quad]
+    high, low = _divmod_10k(m.astype(np.float64))
+    middle = _divmod_10k(high)[1]  # high's quotient is d0, never 0
+    zeros = np.where(low > 0, _TRAILING_ZEROS[low], 4 + _TRAILING_ZEROS[middle])
+    form = np.where(e < -4, 12, np.clip(e + 4, 0, 11))
+    text |= np.take(_PADS, form * 9 + 8 - zeros, axis=0)
+    negative = np.flatnonzero(np.signbit(x))
+    text[negative, _WHOLE.stop - 2 - np.maximum(ef[negative], 0)] = ord("-")
+
+    for row in np.flatnonzero(~ok).tolist():
+        # at most 24 bytes: repr's longest text, or "%.9g"'s 15 and ".0"
+        value = format_float(float(x[row])).encode("ascii")
+        text[row, :len(value)] = np.frombuffer(value, dtype=np.uint8)
+        text[row, len(value):] = PAD
+    return text
+
+
+def _divmod_10k(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """divmod(x, 10^4) for integers x < 2^53 held as floats: the quotient
+    as a float, the remainder as an index. Exact, as a quotient's rounding
+    cannot reach the next integer."""
+    high = np.floor(x / 1e4)
+    return high, (x - high * 1e4).astype(np.intp)
 
 
 def plain_g_text(x: np.ndarray) -> np.ndarray:
@@ -572,23 +725,10 @@ def round_floats(obj: Any) -> Any:
 
 
 def dump_json(obj: Any) -> str:
-    """``obj`` as indented JSON text, floats rounded by fmt_float.
-
-    A top-level ``selected`` list of ids (the report's, one string per
-    selected example) skips round_floats and json's pure-Python indent
-    encoder: it is encoded in one join and spliced into the text of the
-    rest, with the same bytes.
-    """
-    ids = obj.get("selected") if isinstance(obj, dict) else None
-    if not isinstance(ids, list) or not ids:
-        return json.dumps(
-            round_floats(obj), sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False
-        ) + "\n"
-    # JSON strings hold no raw newline, so this text at indent 2 is the
-    # top-level key: found once, wherever sort_keys puts it
-    text = dump_json({**obj, "selected": []})
-    items = ",\n    ".join(map(encode_basestring, ids))
-    return text.replace('\n  "selected": []', '\n  "selected": [\n    ' + items + "\n  ]", 1)
+    """``obj`` as indented JSON text, floats rounded by fmt_float."""
+    return json.dumps(
+        round_floats(obj), sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False
+    ) + "\n"
 
 
 def dump_json_line(obj: Any) -> str:

@@ -40,10 +40,9 @@ import os
 import pickle
 import signal
 import stat
-import threading
 import warnings
 from array import array
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
@@ -63,7 +62,8 @@ class Pool:
 
     Row i is the example with the i-th smallest id, in every column:
 
-    * ``ids``: list of str;
+    * ``id_text``: the UTF-8 ids joined by "\\n", as uint8; ``ids``, the
+      list of str, is built from it on first use;
     * ``topic_codes``: index into ``topic_names`` (sorted);
     * ``token_lengths``: int64;
     * ``label_codes``: index into ``label_names`` (sorted), -1 for no label;
@@ -85,7 +85,7 @@ class Pool:
 
     def __init__(
         self,
-        ids: list[str],
+        id_text: np.ndarray,
         topic_codes: np.ndarray,
         token_lengths: np.ndarray,
         label_codes: np.ndarray,
@@ -96,7 +96,8 @@ class Pool:
         key: str | None = None,
     ) -> None:
         self.key = key
-        self.ids = ids
+        self.id_text = id_text
+        self.n = len(topic_codes)
         self.topic_codes = topic_codes
         self.token_lengths = token_lengths
         self.label_codes = label_codes
@@ -104,17 +105,17 @@ class Pool:
         self.label_names = label_names
         self.embeddings = embeddings
         self.signals = signals
-        for column in (topic_codes, token_lengths, label_codes, embeddings, *signals.values()):
+        for column in (id_text, topic_codes, token_lengths, label_codes, embeddings,
+                       *signals.values()):
             if column is not None:
                 column.flags.writeable = False
-        # topic -> ascending-id index array; topics iterate in sorted order
-        by_topic = np.argsort(topic_codes, kind="stable")
+        # topic -> ascending-id index array; topics iterate in sorted order.
+        # Codes of the narrowest type sort by radix, in the same order.
+        by_topic = np.argsort(topic_codes.astype(np.min_scalar_type(len(topic_names))),
+                              kind="stable")
         bounds = np.cumsum(np.bincount(topic_codes, minlength=len(topic_names)))[:-1]
         self.topics: dict[str, np.ndarray] = dict(zip(topic_names, np.split(by_topic, bounds)))
-        unlabelled = np.flatnonzero(label_codes < 0)
-        self.has_labels = unlabelled.size == 0
-        # first id without a label, for error messages
-        self.first_unlabelled = None if self.has_labels else ids[unlabelled[0]]
+        self.has_labels = bool((label_codes >= 0).all())
 
     @classmethod
     def from_rows(cls, rows: Iterable[object]) -> "Pool":
@@ -133,11 +134,36 @@ class Pool:
                 warnings.warn(text, stacklevel=2)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self.n
+
+    @cached_property
+    def ids(self) -> list[str]:
+        """The ids as str, for lookups by id; "".split("\\n") is one empty id."""
+        return self.id_text.tobytes().decode("utf-8").split("\n") if self.n else []
+
+    @cached_property
+    def id_texts(self) -> Texts:
+        """The ids as UTF-8 byte strings, one per row."""
+        starts = np.flatnonzero(self.id_text == NEWLINE) + 1
+        ends = np.append(starts - 1, self.id_text.size)
+        starts = np.insert(starts, 0, 0)
+        return Texts(self.id_text, starts[:self.n], (ends - starts)[:self.n])
+
+    def id_of(self, row: int) -> str:
+        texts = self.id_texts
+        start = int(texts.starts[row])
+        return texts.data[start:start + int(texts.lengths[row])].tobytes().decode("utf-8")
+
+    def id_lines(self, rows: np.ndarray) -> bytes:
+        """The UTF-8 ids of ``rows``, in that order, each followed by "\\n"."""
+        texts = self.id_texts
+        return b"".join(join_rows([texts.rows(rows[s]), b"\n"])
+                        for s in padded_slices(texts.lengths[rows] + 1))
 
     @property
-    def n(self) -> int:
-        return len(self.ids)
+    def first_unlabelled(self) -> str | None:
+        """The first id without a label, for error messages."""
+        return None if self.has_labels else self.id_of(np.argmax(self.label_codes < 0))
 
     @cached_property
     def _pos(self) -> dict[str, int]:
@@ -164,8 +190,69 @@ class Pool:
         emb = self.embeddings
         missing = np.arange(self.n) if emb is None else np.flatnonzero(np.isnan(emb[:, 0]))
         if missing.size:
-            raise ValidationError(f"record {self.ids[missing[0]]!r} has no embedding")
+            raise ValidationError(f"record {self.id_of(missing[0])!r} has no embedding")
         return emb if emb is not None else np.empty((0, 0))
+
+
+NEWLINE = ord("\n")
+PAD = 0xFF  # a byte that UTF-8 text never holds
+SLICE_BYTES = 1 << 20  # bytes of padded rows that one join_rows call takes
+
+
+class Texts:
+    """Byte strings in one buffer: string i is ``data[starts[i]:starts[i] +
+    lengths[i]]``. The buffer ends in PAD bytes as many as the longest
+    string holds, so that ``rows`` can read each string as a window of the
+    longest one's width."""
+
+    def __init__(self, data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
+        longest = int(lengths.max()) if lengths.size else 0
+        self.data = np.concatenate([data, np.full(longest, PAD, dtype=np.uint8)])
+        self.starts, self.lengths = starts, lengths
+
+    @classmethod
+    def of(cls, strings: list[bytes]) -> "Texts":
+        lengths = np.array([len(b) for b in strings], dtype=np.intp)
+        data = np.frombuffer(b"".join(strings), dtype=np.uint8)
+        return cls(data, np.cumsum(lengths) - lengths, lengths)
+
+    def rows(self, index: np.ndarray | slice) -> np.ndarray:
+        """The strings at ``index`` as the rows of a uint8 matrix as wide as
+        the longest of them, each filled up with PAD."""
+        starts, lengths = self.starts[index], self.lengths[index]
+        width = int(lengths.max()) if lengths.size else 0
+        if not width:
+            return np.empty((lengths.size, 0), dtype=np.uint8)
+        # each window of the buffer as one item, so that a gather copies items
+        windows = np.lib.stride_tricks.sliding_window_view(self.data, width)
+        block = windows.view(f"V{width}")[starts, 0].view(np.uint8).reshape(-1, width)
+        if lengths.min() < width:  # PAD is 0xFF: OR it into the bytes past each end
+            block |= np.negative((np.arange(width) >= lengths[:, None]).view(np.uint8))
+        return block
+
+
+def padded_slices(widths: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices that cover range(len(widths)), each of one row or
+    of rows that, padded to the widest, hold at most SLICE_BYTES bytes."""
+    start, n = 0, widths.size
+    while start < n:
+        end = min(n, start + max(1, SLICE_BYTES // max(1, int(widths[start]))))
+        while end - start > 1 and (end - start) * int(widths[start:end].max()) > SLICE_BYTES:
+            end = start + (end - start) // 2
+        yield slice(start, end)
+        start = end
+
+
+def join_rows(parts: list[bytes | np.ndarray]) -> np.ndarray:
+    """The bytes of each row's parts in turn, rows in order, with every PAD
+    byte left out. A part is a uint8 matrix with a row per row, or bytes
+    that every row holds; at least one part is a matrix."""
+    rows = next(len(part) for part in parts if isinstance(part, np.ndarray))
+    lines = np.concatenate([
+        part if isinstance(part, np.ndarray)
+        else np.broadcast_to(np.frombuffer(part, dtype=np.uint8), (rows, len(part)))
+        for part in parts], axis=1)
+    return lines[lines != PAD]
 
 
 def _encodes(text: str) -> bool:
@@ -468,7 +555,7 @@ def _merge(parts: list[_Columns], texts: list[str]) -> dict[str, object]:
             embeddings[place[dest]] = block
 
     return dict(
-        ids=ids,
+        id_text=np.frombuffer("\n".join(ids).encode("utf-8"), dtype=np.uint8),
         topic_codes=topic_codes,
         token_lengths=rows(np.concatenate([p.tokens for p in parts])),
         label_codes=label_codes,
@@ -589,33 +676,37 @@ def _decode(arrays: dict[str, np.ndarray]) -> tuple[dict[str, object], list[str]
                for v in (topics, labels, names, texts)):
         raise TypeError("a header field is not a list of strings")
     n = len(arrays["topic_codes"])
-    ids = arrays["ids"].tobytes().decode("utf-8").split("\n") if n else []
-    emb = arrays.get("embeddings")
+    id_text, emb = arrays["ids"], arrays.get("embeddings")
     expected = {name: (dtype, (n,)) for name, dtype in _CODES.items()}
+    expected["ids"] = (np.uint8, (id_text.size,))
     expected["signals"] = (np.float64, (len(names), n))
     if emb is not None:  # n rows of any one width
         expected["embeddings"] = (np.float64, (n, emb.shape[1] if emb.ndim == 2 else -1))
     topic_codes, label_codes = arrays["topic_codes"], arrays["label_codes"]
-    if len(ids) != n or any(arrays[name].dtype != dtype or arrays[name].shape != shape
-                            for name, (dtype, shape) in expected.items()) or n and not (
+    if any(arrays[name].dtype != dtype or arrays[name].shape != shape
+           for name, (dtype, shape) in expected.items()) or n and not (
             0 <= topic_codes.min() <= topic_codes.max() < len(topics)
             and -1 <= label_codes.min() <= label_codes.max() < len(labels)):
         raise ValueError("not a pool entry")
-    return dict(ids=ids, topic_names=topics, label_names=labels, embeddings=emb,
+    # n ids are joined by n - 1 newlines, and none by none
+    if np.count_nonzero(id_text == NEWLINE) != max(n - 1, 0):
+        raise ValueError("not the pool's number of ids")
+    str(id_text, "utf-8")  # raises unless the ids are UTF-8 text
+    return dict(id_text=id_text, topic_names=topics, label_names=labels, embeddings=emb,
                 signals=dict(zip(names, arrays["signals"])),
                 **{name: arrays[name] for name in _CODES}), texts
 
 
 def _write_entry(entry: Path, columns: dict[str, object], texts: list[str]) -> None:
     """Cache a pool file's checked columns and warning texts in ``entry``."""
-    ids, signals, emb = columns["ids"], columns["signals"], columns["embeddings"]
+    signals, emb = columns["signals"], columns["embeddings"]
     header = {"topics": columns["topic_names"], "labels": columns["label_names"],
               "signals": list(signals), "warnings": texts}
     arrays = {name: columns[name] for name in _CODES}
     arrays["header"] = np.frombuffer(json.dumps(header).encode("ascii"), dtype=np.uint8)
-    arrays["signals"] = np.array([*signals.values()], np.float64).reshape(len(signals), len(ids))
-    if ids:  # "".split("\n") would be one empty id
-        arrays["ids"] = np.frombuffer("\n".join(ids).encode("utf-8"), dtype=np.uint8)
+    arrays["signals"] = np.array([*signals.values()], np.float64).reshape(
+        len(signals), len(columns["topic_codes"]))
+    arrays["ids"] = columns["id_text"]
     if emb is not None:
         arrays["embeddings"] = emb
     cache.write(entry, arrays)
@@ -656,23 +747,18 @@ def fork_map(task: Callable[..., T], args: Sequence[tuple]) -> list[T]:
     """``[task(*a) for a in args]``, the tasks run side by side.
 
     The calling process runs the first task; each other task runs in a
-    forked worker, which pipes back its pickled result. Once every
-    worker has forked, a thread per worker drains its pipe while the
-    caller runs its own task, so no worker stalls on a full pipe. A task
-    whose worker cannot start or does not exit cleanly, or every task
-    where there is no ``fork``, runs in the calling process instead, so
-    the results do not depend on how many workers ran. A worker sees the
-    caller's memory as it was at the fork, so the arguments are not
-    copied. No worker outlives this.
+    forked worker, which pipes back its pickled result, read once the
+    caller's own task is done. A task whose worker cannot start or does
+    not exit cleanly, or every task where there is no ``fork``, runs in
+    the calling process instead, so the results do not depend on how many
+    workers ran. A worker sees the caller's memory as it was at the fork,
+    so the arguments are not copied. No worker outlives this.
     """
     workers: list[_Worker | None] = []
     try:
         # extend() appends one worker at a time, so a failure midway
         # still leaves the ones started to the cleanup below
         workers.extend(_start_worker(task, a) for a in args[1:])
-        for worker in workers:
-            if worker is not None:
-                worker.drain()
         results = [task(*a) for a in args[:1]]
         for i, a in enumerate(args[1:]):
             worker, workers[i] = workers[i], None  # collect() reaps it, whatever happens
@@ -717,51 +803,27 @@ def _start_worker(task: Callable[..., object], args: tuple) -> _Worker | None:
 
 
 class _Worker:
-    """A forked worker, the read end of its pipe, and the thread that
-    drains the pipe."""
+    """A forked worker and the read end of its pipe."""
 
     def __init__(self, pid: int, pipe: io.BufferedReader) -> None:
         self.pid = pid
         self.pipe = pipe
-        self.data: bytes | None = None
-        self.reader: threading.Thread | None = None
-
-    def drain(self) -> None:
-        """Read the pipe on a thread from now on. Called only once every
-        worker has forked: a fork copies the locks a running thread may
-        hold, and not the thread. Without a thread, ``collect`` reads."""
-        reader = threading.Thread(target=self._read, daemon=True)
-        try:
-            reader.start()
-        except RuntimeError:  # no thread can start
-            return
-        self.reader = reader
-
-    def _read(self) -> None:
-        try:
-            self.data = self.pipe.read()
-        except OSError:
-            self.data = None
 
     def collect(self) -> bytes | None:
         """The worker's pickled result, or None when it did not finish
         cleanly. The worker is reaped in any case."""
         try:
-            if self.reader is None:
-                self._read()
-            else:
-                self.reader.join()
+            data = self.pipe.read()
+        except OSError:
+            data = None
         except BaseException:  # an interrupt
             self.kill()
             raise
-        return self.data if self._reap() == 0 else None
+        return data if self._reap() == 0 else None
 
     def kill(self) -> None:
-        """Kill the worker; join the reader, which then meets the end of
-        the pipe, before the pipe closes; reap the worker."""
+        """Kill the worker and reap it."""
         os.kill(self.pid, signal.SIGKILL)
-        if self.reader is not None:
-            self.reader.join()
         self._reap()
 
     def _reap(self) -> int:
@@ -838,7 +900,7 @@ def _parse_range(path: Path, start: int, end: int) -> _Columns:
 
 def write_pool(pool: Pool, path: str | Path) -> None:
     """Write a pool back to JSONL, atomically; load_pool(write_pool(p)) == p."""
-    from .pipeline import write_atomic  # pipeline imports this module
+    from .pipeline import encode_text, write_atomic  # pipeline imports this module
 
     emb = pool.embeddings
     lines = []
@@ -860,4 +922,5 @@ def write_pool(pool: Pool, path: str | Path) -> None:
         if signals:
             obj["signals"] = signals
         lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
-    write_atomic([(Path(path), "".join(lines))])
+    path = Path(path)
+    write_atomic([(path, encode_text(path, "".join(lines)))])

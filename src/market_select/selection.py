@@ -99,7 +99,7 @@ class SelectionReport:
         order; excludes diagnostics, rho and the scan phases, so a balanced
         run with floor 0 serializes identically to greedy."""
         return {
-            "selected": [pool.ids[i] for i in self.selected.tolist()],
+            "selected": pool.id_lines(self.selected).decode("utf-8").split("\n")[:-1],
             "tokens_used": self.tokens_used,
             "per_topic": self.per_topic,
             "per_label": self.per_label,

@@ -13,6 +13,7 @@ zeros (neutral in aggregation) rather than blowing up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,16 +63,36 @@ class StandardizedTable:
         return len(next(iter(self.columns.values()))) if self.columns else 0
 
 
-def _iqr(values: np.ndarray) -> float:
-    # linear-interpolation quantiles (numpy default), q75 - q25
-    q75, q25 = np.quantile(values, [0.75, 0.25])
-    return float(q75 - q25)
+def _order_statistics(values: np.ndarray) -> tuple[np.float64, float]:
+    """The median and the interquartile range of a group of at least two
+    values, from one ``np.partition`` at the order statistics they read:
+    np.median's (the mean of the middle one or two) and np.quantile's at
+    0.25 and 0.75 (numpy's linear interpolation), bit for bit."""
+    n = values.size
+    ranks = []
+    for q in (0.25, 0.75):  # np.quantile's virtual index: its floor and weight
+        h = (n - 1) * q
+        ranks.append((math.floor(h), h - math.floor(h)))
+    kth = {(n - 1) // 2, n // 2, *(r for r, _ in ranks), *(r + 1 for r, _ in ranks)}
+    part = np.partition(values, sorted(kth))
+    q25, q75 = (_lerp(part[r], part[r + 1], t) for r, t in ranks)
+    return part[(n - 1) // 2:n // 2 + 1].mean(), float(q75 - q25)
+
+
+def _lerp(a: np.float64, b: np.float64, t: float) -> np.float64:
+    """numpy's quantile interpolation between neighbours a <= b at weight t."""
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def standardize_values(
     values: np.ndarray, method: str, tau: float
 ) -> tuple[np.ndarray, TopicStats]:
-    """Standardize one within-topic group and clip to [-tau, tau]."""
+    """Standardize one within-topic group and clip to [-tau, tau].
+
+    A scale is computed only when it is used: the fallback's only when the
+    method's own is 0.
+    """
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     if n == 1:
@@ -83,14 +104,17 @@ def standardize_values(
 
     if method == "zscore":
         location = float(values.mean())
-        candidates = [("sigma", float(values.std())), ("iqr", _iqr(values))]
+        candidates = [("sigma", lambda: float(values.std())),
+                      ("iqr", lambda: _order_statistics(values)[1])]
     elif method == "robust":
-        location = float(np.median(values))
-        candidates = [("iqr", _iqr(values)), ("sigma", float(values.std()))]
+        median, iqr = _order_statistics(values)
+        location = float(median)
+        candidates = [("iqr", lambda: iqr), ("sigma", lambda: float(values.std()))]
     else:
         raise ConfigError(f"unknown standardization method {method!r}")
 
-    for rank, (source, scale) in enumerate(candidates):
+    for rank, (source, scale_of) in enumerate(candidates):
+        scale = scale_of()
         if scale > 0:
             z = np.clip((values - location) / scale, -tau, tau)
             return z, TopicStats(location, scale, source if rank == 0 else f"fallback_{source}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 import traceback
 import warnings
 
@@ -92,3 +93,19 @@ def test_importing_the_cli_loads_the_cache_module_and_no_hashlib():
                "market_select.pool", "market_select.selection", "market_select.signals",
                "market_select.standardize", "market_select.tune", "market_select.verify"]
     assert _python_last_line(code) == f"{modules} False"
+
+
+def test_a_store_removes_temporaries_older_than_an_hour_and_keeps_the_rest(tmp_path, pool_cache):
+    load_pool(_pool_files(tmp_path, 1)[0])  # one pool entry
+    (entry,) = list(pool_cache.iterdir())
+    now = time.time()
+    temporaries = {}
+    for name, age in (("killed", 2 * 3600), ("older", 3600 + 60), ("writing", 60),
+                      ("younger", 3600 - 60)):
+        path = temporaries[name] = pool_cache / f"tmp{name}.tmp"
+        path.write_bytes(b"partial")
+        os.utime(path, (now - age, now - age))
+    column = pool_cache / f"x{cache_module.COLUMN}"
+    cache_module.write(column, {"column": np.zeros(3)})  # a store scans the directory
+    assert sorted(p.name for p in pool_cache.iterdir()) == sorted(
+        [entry.name, column.name, temporaries["writing"].name, temporaries["younger"].name])

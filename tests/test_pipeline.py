@@ -1,4 +1,4 @@
-"""The price writer's template, the report's spliced id list, a zero-budget
+"""The artifact writers against their row-by-row references, a zero-budget
 topic through the whole run, the atomic writer's cleanup and explain's
 stale-dump warning."""
 
@@ -7,6 +7,7 @@ from __future__ import annotations
 import io
 import json
 import shutil
+import tracemalloc
 from contextlib import redirect_stdout
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -15,16 +16,20 @@ import numpy as np
 import pytest
 
 from market_select import pipeline
+from market_select import pool as pool_module
 from market_select.cli import main
 from market_select.market import MarketState
 from market_select.pipeline import (
+    PAD,
     RunConfig,
+    dump_json,
+    float_rows,
     format_float,
     format_price_rows,
-    dump_json,
     plain_g_text,
     round_floats,
     run_pipeline,
+    splice_selected,
     write_atomic,
 )
 from market_select.pool import Pool
@@ -64,6 +69,32 @@ def test_plain_g_text_flags_every_value_whose_g_text_is_not_format_float():
     assert plain_g_text(typical[np.abs(typical - np.rint(typical)) > 1e-6]).all()
 
 
+def near_ties() -> np.ndarray:
+    """Values whose 10th significant digit is a 5 followed by zeros, exactly
+    in binary (x.25 and x.75 of 8-digit x, x.125 of 7-digit x) and within
+    1e-7 of such a tie in the 9-digit mantissa, over many exponents."""
+    rng = np.random.default_rng(79)
+    exact = np.concatenate([rng.integers(10**7, 10**8, 500) + rng.choice([0.25, 0.75], 500),
+                            rng.integers(10**6, 10**7, 500) + 0.125])
+    near = ((rng.integers(10**8, 10**9, 3_000) + 0.5 + rng.uniform(-1e-7, 1e-7, 3_000))
+            * 10.0 ** rng.integers(-30, -1, 3_000))
+    ulps = [np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf)]
+    return np.concatenate([exact, *ulps, near, -near])
+
+
+def writer_values() -> np.ndarray:
+    subnormals = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072e-308])
+    return np.concatenate([edge_set(), near_ties(), subnormals])
+
+
+def test_float_rows_are_format_float_for_every_value():
+    values = writer_values()
+    text = float_rows(values)
+    assert text.shape == (values.size, pipeline.FLOAT_WIDTH)
+    for x, row in zip(values.tolist(), text):
+        assert row[row != PAD].tobytes().decode("ascii") == format_float(x), x
+
+
 def reference_rows(ids, topic_names, codes, shares, prices) -> str:
     """prices.jsonl written row by row through format_float."""
     return "".join(
@@ -73,37 +104,119 @@ def reference_rows(ids, topic_names, codes, shares, prices) -> str:
     )
 
 
-@pytest.mark.parametrize("slice_rows", [1, 7, 4096])
-def test_price_rows_equal_the_row_by_row_text(monkeypatch, slice_rows):
-    monkeypatch.setattr(pipeline, "PRICE_SLICE", slice_rows)
+# ids the row checker accepts: no line break, no lone surrogate
+ODD_IDS = ['q"uote', "back\\slash", "ctl\x00\x1f\x7f\t\b\f", "line\u2028sep\u2029",
+           "ünïcødé €", "😀", "", "selected", '"', "\\", "\x00", "\x01\x1e", "é" * 5_000]
+ODD_TOPICS = ["a", 'b"é', "back\\slash", "\x1f", "\u2028", "T" * 3_000]
+
+
+def odd_pool(n: int) -> Pool:
+    """n rows whose ids and topics include every ODD_IDS and ODD_TOPICS text,
+    each odd topic on a few rows."""
+    ids = [f"e{i:05d}" for i in range(n)]
+    for k, odd in enumerate(ODD_IDS):
+        ids[k * (n // len(ODD_IDS))] = odd
+    topics = [ODD_TOPICS[i % len(ODD_TOPICS)] if i % 97 < 2 else "ab"[i % 2] for i in range(n)]
+    return Pool.from_rows({"id": rid, "topic": topic, "tokens": 1}
+                          for rid, topic in zip(ids, topics))
+
+
+@pytest.mark.parametrize("slice_bytes", [1, 7, 4096])
+def test_price_rows_equal_the_row_by_row_text(monkeypatch, slice_bytes):
+    monkeypatch.setattr(pool_module, "SLICE_BYTES", slice_bytes)
     rng = np.random.default_rng(5)
-    values = edge_set()
-    n = values.size
-    ids = [f'e{i:05d}"\\é\u2028' if i % 97 == 0 else f"e{i:05d}" for i in range(n)]
-    pool = Pool.from_rows({"id": rid, "topic": ["a", 'b"é'][i % 2], "tokens": 1}
-                          for i, rid in enumerate(ids))
+    values = writer_values()
+    if slice_bytes < 100:  # a slice of one row each: every 20th value
+        values = values[::20]
+    pool = odd_pool(values.size)
     shares = rng.permutation(values)
-    # plain slices, slices with one flagged value and slices of flagged values
-    prices = np.where(rng.random(n) < 0.7, rng.random(n) * 1e-3, values)
+    # runs of certified values, runs with one other value and runs of others
+    prices = np.where(rng.random(values.size) < 0.7, rng.random(values.size) * 1e-3, values)
     state = MarketState(shares=shares, prices=prices, cost=0.0)
-    text = format_price_rows(pool, state)
-    assert text == reference_rows(pool.ids, pool.topic_names, pool.topic_codes, shares, prices)
-    assert [json.loads(line)["p"] for line in text.split("\n")[:-1]] == [
+    data = format_price_rows(pool, state)
+    assert data == reference_rows(pool.ids, pool.topic_names, pool.topic_codes, shares,
+                                  prices).encode("utf-8")
+    assert [json.loads(line)["p"] for line in data.decode("utf-8").split("\n")[:-1]] == [
         float(format_float(p)) for p in prices.tolist()]
 
 
-ODD_IDS = ['q"uote', "back\\slash", "ctl\x00\x1f\x7f\n\r\t\b\f", "line\u2028sep\u2029",
-           "ünïcødé €", "😀", "", "selected"]
+def report_of(ids: list[str]) -> dict:
+    return {"config": {"pool": "p.jsonl", "selected": ["nested"], "tau": 0.1 + 0.2},
+            "diagnostics": {"z": [1.5, None, True]}, "per_topic": {}, "selected": ids,
+            "tokens_used": 7}
 
 
-@pytest.mark.parametrize("ids", [[], ["a"], ODD_IDS], ids=["empty", "one", "odd"])
-def test_dump_json_splices_the_selected_ids_with_the_bytes_of_json_dumps(ids):
-    report = {"config": {"pool": "p.jsonl", "selected": ["nested"], "tau": 0.1 + 0.2},
-              "diagnostics": {"z": [1.5, None, True]}, "per_topic": {}, "selected": ids,
-              "tokens_used": 7}
-    for obj in (report, {"selected": ids}, {**report, "zz": "after"}):
-        assert dump_json(obj) == json.dumps(
-            round_floats(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+@pytest.mark.parametrize("count", [0, 1, len(ODD_IDS)], ids=["empty", "one", "odd"])
+def test_the_report_splices_the_selected_ids_with_the_bytes_of_json_dumps(count):
+    pool = odd_pool(len(ODD_IDS))
+    selected = np.random.default_rng(count).permutation(pool.n)[:count]
+    ids = [pool.ids[i] for i in selected.tolist()]
+    for obj in (report_of(ids), {"selected": ids}, {**report_of(ids), "zz": "after"}):
+        text = dump_json({**obj, "selected": []}).encode("utf-8")
+        assert splice_selected(text, pool, selected) == (json.dumps(
+            round_floats(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def test_id_lines_hold_the_ids_of_the_rows_in_their_order(monkeypatch):
+    monkeypatch.setattr(pool_module, "SLICE_BYTES", 64)
+    pool = odd_pool(300)
+    for rows in (np.arange(pool.n), np.random.default_rng(3).permutation(pool.n)[:101],
+                 np.zeros(0, dtype=np.intp)):
+        ids = [pool.ids[i] for i in rows.tolist()]
+        assert pool.id_lines(rows) == "".join(rid + "\n" for rid in ids).encode("utf-8")
+
+
+def odd_run(tmp_path: Path, name: str, threads: int = 1) -> tuple[pipeline.PipelineResult, dict]:
+    rng = np.random.default_rng(11)
+    pool = odd_pool(2_000)
+    rows = [{"id": rid, "topic": pool.topic_names[t], "tokens": int(rng.integers(1, 40)),
+             "signals": {"nll": float(rng.normal())}}
+            for rid, t in zip(pool.ids, pool.topic_codes.tolist())]
+    if not (tmp_path / "pool.jsonl").exists():
+        write_pool_jsonl(tmp_path / "pool.jsonl", rows[::-1])
+    cfg = RunConfig(pool=str(tmp_path / "pool.jsonl"), signals="nll", budget_tokens=20_000)
+    result = run_pipeline(cfg, tmp_path / name, threads=threads)
+    return result, {f: (tmp_path / name / f).read_bytes()
+                    for f in ("report.json", "prices.jsonl", "selected.txt")}
+
+
+def test_a_run_writes_each_artifact_as_its_reference_on_a_miss_and_a_hit(tmp_path, pool_cache):
+    miss, written = odd_run(tmp_path, "miss")
+    assert len(list(pool_cache.glob("*.npz"))) == 1
+    hit, again = odd_run(tmp_path, "hit", threads=2)
+    assert again == written
+    assert hit.pool.ids == miss.pool.ids == sorted(miss.pool.ids)
+    pool, selection = hit.pool, hit.selection
+    ids = [pool.ids[i] for i in selection.selected.tolist()]
+    assert 0 < len(ids) < pool.n and set(ODD_IDS) <= set(pool.ids)
+    assert hit.report["selected"] == selection.to_dict(pool)["selected"] == ids
+    assert written["selected.txt"] == ("\n".join(ids) + "\n").encode("utf-8")
+    assert written["report.json"] == (json.dumps(round_floats(hit.report), sort_keys=True,
+                                                 indent=2, ensure_ascii=False) + "\n").encode()
+    assert written["prices.jsonl"] == reference_rows(
+        pool.ids, pool.topic_names, pool.topic_codes, hit.state.shares,
+        hit.state.prices).encode("utf-8")
+
+
+def test_a_one_megabyte_id_among_short_ones_writes_in_bounded_memory():
+    n = 10_000
+    rows = [{"id": f"e{i:05d}", "topic": "t", "tokens": 1} for i in range(n)]
+    rows[n // 2]["id"] = "e" + "x" * (1 << 20)
+    pool = Pool.from_rows(rows)
+    rng = np.random.default_rng(2)
+    state = MarketState(shares=rng.normal(size=n), prices=rng.random(n) / n, cost=0.0)
+    everything = np.arange(n)
+    tracemalloc.start()
+    try:
+        prices = format_price_rows(pool, state)
+        selected = pool.id_lines(everything)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 << 20
+    assert prices == reference_rows(pool.ids, pool.topic_names, pool.topic_codes,
+                                    state.shares, state.prices).encode("utf-8")
+    assert selected == ("\n".join(pool.ids) + "\n").encode("utf-8")
 
 
 def run_golden_select(tmp_path: Path, budget: int, alpha: dict[str, float]) -> Path:
@@ -138,10 +251,8 @@ def test_a_zero_budget_topic_fills_leftover_budget_last(tmp_path):
 
 @pytest.mark.parametrize("budget", [1, 9, 100])
 def test_selected_txt_holds_the_report_ids_one_per_line(tmp_path, budget):
-    # the row checker refuses an id with a line break, so those two go
-    ids = [rid.replace("\n", "").replace("\r", "") for rid in ODD_IDS[:6]]
     rows = [{"id": rid, "topic": "t", "tokens": 2 + i, "signals": {"nll": i / 7}}
-            for i, rid in enumerate(ids)]
+            for i, rid in enumerate(ODD_IDS[:6])]
     write_pool_jsonl(tmp_path / "pool.jsonl", rows)
     cfg = RunConfig(pool=str(tmp_path / "pool.jsonl"), signals="nll", budget_tokens=budget)
     run_pipeline(cfg, tmp_path / "run")
@@ -164,7 +275,7 @@ def test_a_failed_write_removes_every_temporary_and_keeps_every_target(tmp_path,
 
     monkeypatch.setattr(Path, "write_bytes", write_bytes)
     with pytest.raises(OSError, match="No space left"):
-        write_atomic([(first, "new"), (second, "new")])
+        write_atomic([(first, b"new"), (second, b"new")])
     assert first.read_text(encoding="utf-8") == "old"
     assert not second.exists()
     assert list(tmp_path.rglob("*.tmp")) == []

@@ -192,3 +192,52 @@ def test_config_validation():
         StandardizeConfig(tau=0.0)
     with pytest.raises(ConfigError, match="finite"):
         StandardizeConfig(tau=float("inf"))
+
+
+def reference_standardize(values: np.ndarray, method: str, tau: float):
+    """standardize_values as numpy's own statistics give it: np.median,
+    np.quantile at 0.75 and 0.25, and np.std, each scale computed up front."""
+    n = values.size
+    if n == 1:
+        return np.zeros(1), ("singleton", float(values[0]), 0.0)
+    if method == "rank_then_robust":
+        values = (average_ranks(values) - 1.0) / (n - 1.0)
+        method = "robust"
+    q75, q25 = np.quantile(values, [0.75, 0.25])
+    iqr, sigma = float(q75 - q25), float(values.std())
+    if method == "zscore":
+        location, candidates = float(values.mean()), [("sigma", sigma), ("iqr", iqr)]
+    else:
+        location, candidates = float(np.median(values)), [("iqr", iqr), ("sigma", sigma)]
+    for rank, (source, scale) in enumerate(candidates):
+        if scale > 0:
+            z = np.clip((values - location) / scale, -tau, tau)
+            return z, (source if rank == 0 else f"fallback_{source}", location, scale)
+    return np.zeros(n), ("zeros", location, 0.0)
+
+
+def groups_of_every_size():
+    """Groups of 2-3000 values: continuous, with ties, nearly constant and
+    constant, and with signed zeros."""
+    rng = np.random.default_rng(31)
+    for n in [*range(2, 40), 97, 256, 999, 1000, 1001, 2048, 3000]:
+        yield rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        yield rng.integers(0, 3, n).astype(np.float64)  # many ties
+        yield np.where(rng.random(n) < 0.8, 4.0, rng.normal(size=n))  # IQR often 0
+        yield np.full(n, rng.normal())  # constant: both scales 0
+        yield rng.choice([-0.0, 0.0, 1.0], n)
+
+
+@pytest.mark.parametrize("method", ["zscore", "robust", "rank_then_robust"])
+def test_group_statistics_are_bit_equal_to_numpys(method):
+    sources = set()
+    for values in groups_of_every_size():
+        z, stats = standardize_values(values, method, 2.5)
+        want, (source, location, scale) = reference_standardize(values, method, 2.5)
+        assert (stats.scale_source, stats.location, stats.scale) == (source, location, scale)
+        assert np.signbit(stats.location) == np.signbit(location)
+        assert z.tobytes() == want.tobytes()
+        sources.add(source)
+    # sigma is 0 only where every value is equal, and the IQR with it
+    assert sources == ({"sigma", "zeros"} if method == "zscore"
+                       else {"iqr", "fallback_sigma", "zeros"})
