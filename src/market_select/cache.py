@@ -7,9 +7,11 @@ module that knows the cache's directory, its cap, how an entry is named
 and what an entry file holds. An entry is named by the sha256 of its
 inputs (``entry``), with a suffix per kind. It is an uncompressed
 ``.npz`` archive, as ``np.savez`` writes it, whose members each carry a
-CRC32. ``read`` and ``write`` are its one reader and one writer. A
-missing, damaged or refused entry is a miss, and deleting the directory,
-or any file in it, is always safe.
+CRC32. ``read`` and ``write`` are its one reader and one writer. An
+index entry holds no value but the name of another entry (``link`` and
+``follow``), so that a value can be found from inputs cheaper to hash
+than its own. A missing, damaged or refused entry is a miss, and
+deleting the directory, or any file in it, is always safe.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 CACHE_CAP = 1 << 30  # bytes the cache directory may hold
 POOL = ".npz"  # the suffix of a pool's entry
 COLUMN = ".column"  # the suffix of a column derived from a pool
+INDEX = ".index"  # the suffix of an entry that names another entry
 STALE_TMP = 3600  # seconds after which an entry's temporary is taken as abandoned
 
 T = TypeVar("T")
@@ -83,6 +86,26 @@ def read(entry: Path, decode: Callable[[dict[str, np.ndarray]], T]) -> T | None:
     with contextlib.suppress(OSError):
         os.utime(entry)  # a hit keeps the entry from eviction longest
     return value
+
+
+def link(index: Path, target: Path) -> None:
+    """Store in ``index`` the name of ``target``, an entry of the same directory."""
+    write(index, {"digest": np.frombuffer(bytes.fromhex(target.stem), dtype=np.uint8)})
+
+
+def follow(index: Path, suffix: str) -> Path | None:
+    """The entry, of kind ``suffix``, that ``index`` names; None when the index
+    is missing or damaged. Whether that entry exists is for its reader to find."""
+    digest = read(index, _digest)
+    return None if digest is None else index.with_name(f"{digest}{suffix}")
+
+
+def _digest(arrays: dict[str, np.ndarray]) -> str:
+    """The hex digest an index entry holds; raises unless it is 32 bytes alone."""
+    (name, digest), = arrays.items()
+    if name != "digest" or digest.dtype != np.uint8 or digest.shape != (32,):
+        raise ValueError("not an index entry")
+    return digest.tobytes().hex()
 
 
 def _member(archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> np.ndarray:

@@ -17,7 +17,7 @@ OPENBLAS_THREAD_TIMEOUT defaults to 4 in a CLI process (see below).
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import io
 import json
 import os
@@ -57,15 +57,6 @@ from .pipeline import (
 from .market import DEFAULT_BETA, price_pool
 from .selection import DEFAULT_GAMMA
 from .standardize import DEFAULT_TAU
-from .tune import TuneConfig, load_dev_feedback, tune_weights
-from .verify import (
-    CorruptionSweepConfig,
-    RecoverySimConfig,
-    check_target_signal,
-    recovery_grid,
-    sweep_corruption,
-    sweep_hyperparams,
-)
 
 PRESETS: dict[str, dict[str, Any]] = {
     # diversity-leaning variant: longer-form diverse picks
@@ -268,6 +259,8 @@ def _threads_of(args: argparse.Namespace) -> int:
 
 
 def _write_csv(path: str, fieldnames: list[str], rows: list[dict[str, Any]]) -> None:
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames)
     writer.writeheader()
@@ -335,6 +328,8 @@ def _cmd_price(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
+    from .tune import TuneConfig, load_dev_feedback, tune_weights
+
     cfg = _build_run_config(args)
     tune_cfg = TuneConfig(eta=args.eta, rounds=args.rounds)
     pool, _, std = prepare(cfg, _threads_of(args))
@@ -356,6 +351,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_recovery(args: argparse.Namespace) -> int:
+    from .verify import RecoverySimConfig, recovery_grid
+
     sigmas = _parse_grid(args.sigma_grid, "--sigma-grid")
     ks = _parse_grid(args.k_grid, "--k-grid", int)
     # the grid supplies sigma and k; the base config takes its first point
@@ -385,6 +382,8 @@ def _cmd_simulate_recovery(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_corruption(args: argparse.Namespace) -> int:
+    from .verify import CorruptionSweepConfig, check_target_signal, sweep_corruption
+
     cfg = _build_run_config(args)
     sweep_cfg = CorruptionSweepConfig(
         epsilons=_parse_grid(args.eps_grid, "--eps-grid"),
@@ -406,6 +405,8 @@ def _cmd_simulate_corruption(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .verify import sweep_hyperparams
+
     cfg = _build_run_config(args)
     betas = _parse_grid(args.beta_grid, "--beta-grid")
     gammas = _parse_grid(args.gamma_grid, "--gamma-grid")
@@ -484,7 +485,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    # The interpreter's exit runs garbage collections over every object
+    # still alive, though the ending process frees its memory anyway;
+    # gc.freeze() moves them all where those collections do not look.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

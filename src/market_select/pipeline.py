@@ -452,7 +452,9 @@ def json_id_texts(pool: Pool) -> Texts:
     """
     text, texts = pool.id_text, pool.id_texts
     escaped = (text < 0x20) & (text != NEWLINE) | (text == ord('"')) | (text == ord("\\"))
-    rows = np.unique(np.searchsorted(texts.starts, np.flatnonzero(escaped), side="right") - 1)
+    # the rows of the escaped bytes, ascending as the bytes are, each kept once
+    rows = np.searchsorted(texts.starts, np.flatnonzero(escaped), side="right") - 1
+    rows = rows[np.diff(rows, prepend=-1) != 0]
     if not rows.size:
         return texts
     bodies = [encode_basestring(pool.id_of(i))[1:-1].encode("utf-8") for i in rows.tolist()]

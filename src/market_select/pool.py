@@ -40,6 +40,7 @@ import os
 import pickle
 import signal
 import stat
+import time
 import warnings
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -584,6 +585,9 @@ def token_sum(lengths: np.ndarray) -> int:
 # 9.6 MB 0.71 -> 0.41 s, 32 MB 2.33 -> 1.37 s. Below 8 MiB a split saves
 # at most about 0.1 s and costs CPU time, so such a file is one range.
 RANGE_FLOOR = 4 << 20
+# Nanoseconds by which a file's ctime must precede a load for the load to
+# index the file's identity: past any timestamp granularity (FAT's is 2 s).
+SETTLE_NS = 2 * 10**9
 
 
 def load_pool(path: str | Path, workers: int = 1) -> Pool:
@@ -609,21 +613,38 @@ def load_pool(path: str | Path, workers: int = 1) -> Pool:
     columns come from the entry and the warnings the first load gave are
     replayed, with the same text and location; a missing, damaged or
     wrong entry is a miss, which parses the file as above and stores a
-    pool that passes its checks, unless the file's inode, size or mtime
-    changed meanwhile. The cache never changes a result.
+    pool that passes its checks, unless the file's ``_identity`` changed
+    meanwhile. The cache never changes a result.
+
+    Before the bytes are hashed, the file's ``_identity`` is looked up in
+    an index entry that names the bytes' entry, so a file already seen is
+    not read at all. An index is written after a hit or a store, when the
+    identity did not change meanwhile and the file's ctime was at least
+    ``SETTLE_NS`` older than the load. A write sets the file's ctime,
+    which no process can set back, so a later write changes the identity;
+    the margin leaves no write in the same timestamp tick as the ctime
+    the identity holds (git's rule for a "racily clean" file).
 
     The pool's ``key`` is that name, a hex sha256, on a hit or on a miss
-    whose file kept its inode, size and mtime; otherwise it is None, so a
-    column cached under the key always belongs to the bytes the pool
-    holds.
+    whose file kept its identity; otherwise it is None, so a column cached
+    under the key always belongs to the bytes the pool holds.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"pool file not found: {path}")
-    entry = _cache_entry(path)
+    now = time.time_ns()
+    identity = _identity(path)
+    index = None if identity is None else cache.entry(
+        cache.INDEX, Path(__file__), repr(identity).encode())
+    entry = None if index is None else cache.follow(index, cache.POOL)
+    hit = None if entry is None else cache.read(entry, _decode)
+    if hit is not None:
+        index = None  # it named this entry already
+    elif index is not None:
+        entry = cache.entry(cache.POOL, Path(__file__), path)
+        hit = None if entry is None else cache.read(entry, _decode)
     texts: list[str] = []
     try:
-        hit = cache.read(entry[0], _decode) if entry is not None else None
         if hit is not None:
             columns, texts = hit
         else:
@@ -632,34 +653,31 @@ def load_pool(path: str | Path, workers: int = 1) -> Pool:
                 if part.bad_utf8 is not None:
                     raise ConfigError(f"pool file {path} is not valid UTF-8: {part.bad_utf8}")
             columns = _merge(parts, texts)
-            if entry is not None and _identity(path) == entry[1]:
-                _write_entry(entry[0], columns, texts)
-            else:
-                entry = None
+        if index is not None and entry is not None:  # the bytes were hashed
+            unchanged = _identity(path) == identity
+            if hit is None:
+                if unchanged:
+                    _write_entry(entry, columns, texts)
+                else:
+                    entry = None
+            if unchanged and identity[-1] <= now - SETTLE_NS:
+                cache.link(index, entry)
     finally:
         for text in texts:
             warnings.warn(text, stacklevel=2)
-    return Pool(**columns, key=None if entry is None else entry[0].stem)
-
-
-def _cache_entry(path: Path) -> tuple[Path, tuple[int, ...]] | None:
-    """The cache entry of this module's source and the bytes of the pool file at
-    ``path``, and the file's ``_identity`` taken before they were hashed. None
-    for a file that is not regular, or when there is no cache entry to name."""
-    before = _identity(path)
-    if before is None or not stat.S_ISREG(before[0]):
-        return None
-    entry = cache.entry(cache.POOL, Path(__file__), path)
-    return None if entry is None else (entry, before)
+    return Pool(**columns, key=None if entry is None else entry.stem)
 
 
 def _identity(path: Path) -> tuple[int, ...] | None:
-    """The (mode, inode, size, mtime) of the file at ``path``, or None."""
+    """The (device, inode, size, mtime, ctime) of the regular file at ``path``;
+    None for another kind of file, or when it cannot be read."""
     try:
         st = path.stat()
     except OSError:
         return None
-    return st.st_mode, st.st_ino, st.st_size, st.st_mtime_ns
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
 # a pool entry's arrays that are Pool() arguments as they are, and their dtypes

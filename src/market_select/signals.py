@@ -19,7 +19,6 @@ import functools
 import re
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -429,6 +428,8 @@ def rarity_knn(
 
     workers = min(threads, pool_module._usable_cpus(), len(work))
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a run with threads loads it
+
         with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run, work))
     else:

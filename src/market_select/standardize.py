@@ -116,7 +116,9 @@ def standardize_values(
     for rank, (source, scale_of) in enumerate(candidates):
         scale = scale_of()
         if scale > 0:
-            z = np.clip((values - location) / scale, -tau, tau)
+            # a subnormal scale can overflow the quotient to +-inf, which clips to +-tau
+            with np.errstate(over="ignore"):
+                z = np.clip((values - location) / scale, -tau, tau)
             return z, TopicStats(location, scale, source if rank == 0 else f"fallback_{source}")
     return np.zeros(n), TopicStats(location, 0.0, "zeros")
 

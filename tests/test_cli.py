@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -1197,6 +1198,32 @@ def test_a_liquidity_the_float_range_cannot_price_is_exit_1(tmp_path, capsys, ar
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not out.exists()
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_a_subnormal_scale_prints_nothing_on_stderr_and_writes_finite_values(tmp_path):
+    # the IQR is subnormal, so the extreme values' quotients overflow before they clip
+    values = [0, 5e-324, 1e-323, 1.5e-323, 2e-323, 3e-323, 1e300, -1e300]
+    pool = tmp_path / "pool.jsonl"
+    write_pool_jsonl(pool, [{"id": f"e{i}", "topic": "t", "tokens": 3, "signals": {"nll": v}}
+                            for i, v in enumerate(values)])
+    out = tmp_path / "run"
+    src = str(Path(market_select.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "market_select.cli", "select", "--pool", str(pool),
+         "--signals", "nll", "--budget-tokens", "20", "--out-dir", str(out)],
+        capture_output=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+    def finite(text):
+        value = float(text)
+        assert math.isfinite(value), text
+        return value
+
+    rows = [json.loads(line, parse_float=finite, parse_constant=finite)
+            for line in (out / "prices.jsonl").read_text().splitlines()]
+    assert sorted(row["q"] for row in rows)[::7] == [-2.5, 2.5]  # clipped to +-tau
+    json.loads((out / "report.json").read_text(), parse_float=finite, parse_constant=finite)
 
 
 @pytest.mark.parametrize(

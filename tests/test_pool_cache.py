@@ -19,6 +19,7 @@ import pytest
 
 import market_select
 from market_select import cache as cache_module
+from market_select import pipeline
 from market_select import pool as pool_module
 from market_select.cli import main
 from market_select.pool import fork_map, load_pool
@@ -60,8 +61,8 @@ def cli_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
-def _select(out: Path, threads: int = 2) -> dict[str, bytes]:
-    argv = ["select", "--pool", str(GOLDEN_POOL), "--signals", "nll,s1,rarity:k=3,div_cent",
+def _select(out: Path, threads: int = 2, pool: Path = GOLDEN_POOL) -> dict[str, bytes]:
+    argv = ["select", "--pool", str(pool), "--signals", "nll,s1,rarity:k=3,div_cent",
             "--budget-tokens", "400", "--threads", str(threads), "--out-dir", str(out)]
     assert main(argv) == 0
     return {name: (out / name).read_bytes() for name in ARTIFACTS}
@@ -288,6 +289,213 @@ def test_a_file_changed_while_it_loads_is_not_cached(tmp_path, monkeypatch, pool
     monkeypatch.setattr(pool_module, "_parse_range", real_parse)
     load(path)
     assert len(entries(pool_cache)) == 1
+
+
+def indexes(cache: Path) -> list[Path]:
+    return sorted(cache.glob(f"*{cache_module.INDEX}")) if cache.is_dir() else []
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    """Every file counts as settled: a load indexes its identity at once."""
+    monkeypatch.setattr(pool_module, "SETTLE_NS", 0)
+
+
+def _past_ctime(path: Path) -> None:
+    """Wait until a file made now gets a later ctime than ``path`` has, so that
+    a write to ``path`` from here on changes its ctime, whatever the file
+    system's timestamp granularity."""
+    probe = path.with_name(path.name + ".probe")
+    while True:
+        probe.unlink(missing_ok=True)
+        probe.touch()
+        if probe.stat().st_ctime_ns > path.stat().st_ctime_ns:
+            break
+        time.sleep(0.001)
+    probe.unlink()
+
+
+def _rewrite_same_size(path: Path) -> None:
+    """Other bytes of the same size in ``path``, in place, with its mtime put back."""
+    st = os.stat(path)
+    data = path.read_bytes()
+    at = data.index(b'"tokens": ') + len(b'"tokens": ')
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        fh.write(b"9" if data[at:at + 1] != b"9" else b"8")
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert os.stat(path).st_size == st.st_size and os.stat(path).st_mtime_ns == st.st_mtime_ns
+
+
+def test_a_same_size_rewrite_with_its_mtime_put_back_while_it_loads_is_not_cached(
+        tmp_path, monkeypatch, pool_cache, settled):
+    path = tmp_path / "pool.jsonl"
+    path.write_bytes(GOLDEN_POOL.read_bytes())
+    real_parse = pool_module._parse_range
+
+    def parse(p, start, end):
+        _rewrite_same_size(p)
+        return real_parse(p, start, end)
+
+    _past_ctime(path)
+    monkeypatch.setattr(pool_module, "_parse_range", parse)
+    pool, _ = load(path)
+    assert pool.key is None
+    assert entries(pool_cache) == [] and indexes(pool_cache) == []
+
+
+def test_a_load_by_the_index_reads_no_pool_byte(tmp_path, monkeypatch, pool_cache, settled,
+                                                 no_parse):
+    path = tmp_path / "pool.jsonl"
+    path.write_bytes(GOLDEN_POOL.read_bytes())
+    parsed, parse_warnings = load(path)
+    assert len(entries(pool_cache)) == 1 and len(indexes(pool_cache)) == 1
+    hashed: list[tuple] = []
+    real_entry = cache_module.entry
+
+    def entry(suffix, *parts):
+        hashed.append(parts)
+        return real_entry(suffix, *parts)
+
+    monkeypatch.setattr(cache_module, "entry", entry)
+    no_parse()
+    indexed, index_warnings = load(path)
+    assert hashed and not any(part == path for parts in hashed for part in parts)
+    assert_same_columns(indexed, parsed)
+    assert indexed.key == parsed.key is not None
+    assert index_warnings == parse_warnings
+    assert len(entries(pool_cache)) == 1 and len(indexes(pool_cache)) == 1
+
+
+def test_a_same_size_rewrite_with_its_mtime_put_back_misses_the_index(tmp_path, pool_cache,
+                                                                      settled):
+    path = tmp_path / "pool.jsonl"
+    path.write_bytes(GOLDEN_POOL.read_bytes())
+    before, _ = load(path)
+    _past_ctime(path)
+    _rewrite_same_size(path)
+    after, _ = load(path)
+    assert not np.array_equal(after.token_lengths, before.token_lengths)
+    assert after.key not in (None, before.key)
+    assert len(entries(pool_cache)) == 2 and len(indexes(pool_cache)) == 2
+
+
+def test_a_file_younger_than_the_settle_margin_writes_no_index(tmp_path, monkeypatch,
+                                                               pool_cache):
+    monkeypatch.setattr(pool_module, "SETTLE_NS", 3600 * 10**9)
+    path = tmp_path / "pool.jsonl"
+    path.write_bytes(GOLDEN_POOL.read_bytes())
+    keys = [load(path)[0].key for _ in range(2)]  # a store, then a hit
+    assert keys[0] == keys[1] is not None
+    assert len(entries(pool_cache)) == 1 and indexes(pool_cache) == []
+
+
+def _name_another_entry(index: Path) -> None:
+    cache_module.link(index, index.with_name("ab" * 32 + cache_module.POOL))
+
+
+def _rewrite_digest(index: Path, name: str, dtype: type, size: int = 32) -> None:
+    """The index's own digest bytes, stored under ``name`` as ``size`` items of ``dtype``."""
+    with np.load(index) as npz:
+        digest = npz["digest"].tobytes()
+    cache_module.write(index, {name: np.frombuffer(digest[:size], dtype=dtype)})
+
+
+INDEX_DAMAGE = {
+    "garbage": lambda index: index.write_bytes(b"not an index\n" * 20),
+    "truncated": lambda index: index.write_bytes(index.read_bytes()[:-10]),
+    "short-digest": lambda index: _rewrite_digest(index, "digest", np.uint8, 31),
+    "wrong-dtype": lambda index: _rewrite_digest(index, "digest", np.int8),
+    "another-member": lambda index: _rewrite_digest(index, "name", np.uint8),
+    "a-missing-entry": _name_another_entry,
+}
+
+
+@pytest.mark.parametrize("damage", list(INDEX_DAMAGE))
+def test_a_damaged_index_takes_the_full_hash_path_and_is_rewritten(tmp_path, pool_cache,
+                                                                   settled, damage):
+    path = tmp_path / "pool.jsonl"
+    path.write_bytes(GOLDEN_POOL.read_bytes())
+    parsed, _ = load(path)
+    (index,) = indexes(pool_cache)
+    good = index.read_bytes()
+    INDEX_DAMAGE[damage](index)
+    assert index.read_bytes() != good
+    again, _ = load(path)
+    assert_same_columns(again, parsed)
+    assert again.key == parsed.key
+    assert indexes(pool_cache) == [index] and index.read_bytes() == good
+    assert len(entries(pool_cache)) == 1
+
+
+def test_a_file_touched_while_it_is_hashed_gets_no_index(tmp_path, monkeypatch, pool_cache,
+                                                         settled):
+    path = tmp_path / "pool.jsonl"
+    path.write_bytes(GOLDEN_POOL.read_bytes())
+    parsed, _ = load(path)
+    for index in indexes(pool_cache):
+        index.unlink()
+    real_entry = cache_module.entry
+
+    def entry(suffix, *parts):
+        named = real_entry(suffix, *parts)
+        if path in parts:  # the same bytes, under a new mtime and ctime
+            st = path.stat()
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        return named
+
+    _past_ctime(path)
+    monkeypatch.setattr(cache_module, "entry", entry)
+    hit, _ = load(path)
+    assert_same_columns(hit, parsed)
+    assert hit.key == parsed.key  # a hit on the bytes that were hashed
+    assert indexes(pool_cache) == []
+
+
+def test_an_index_whose_entry_was_evicted_takes_the_full_hash_path(tmp_path, pool_cache,
+                                                                   settled):
+    path = tmp_path / "pool.jsonl"
+    path.write_bytes(GOLDEN_POOL.read_bytes())
+    parsed, parse_warnings = load(path)
+    (entry,) = entries(pool_cache)
+    entry.unlink()
+    reparsed, warnings_again = load(path)
+    assert_same_columns(reparsed, parsed)
+    assert (reparsed.key, warnings_again) == (parsed.key, parse_warnings)
+    assert entries(pool_cache) == [entry] and len(indexes(pool_cache)) == 1
+
+
+def test_a_select_writes_the_same_bytes_on_a_miss_a_content_hit_and_an_index_hit(
+        tmp_path, monkeypatch, pool_cache, settled, no_parse):
+    path = tmp_path / "pool.jsonl"
+    path.write_bytes(GOLDEN_POOL.read_bytes())
+    keys: list[str | None] = []  # the key of the pool each select loaded
+    hashed: list[bool] = []  # whether each cache.entry call hashed the pool file
+    real_build, real_entry = pipeline.build_signal_table, cache_module.entry
+
+    def build_signal_table(pool, *args, **kwargs):
+        keys.append(pool.key)
+        return real_build(pool, *args, **kwargs)
+
+    def entry(suffix, *parts):
+        hashed.append(path in parts)
+        return real_entry(suffix, *parts)
+
+    monkeypatch.setattr(pipeline, "build_signal_table", build_signal_table)
+    monkeypatch.setattr(cache_module, "entry", entry)
+    miss = _select(tmp_path / "miss", pool=path)
+    no_parse()
+    for index in indexes(pool_cache):
+        index.unlink()
+    hashed.clear()
+    content_hit = _select(tmp_path / "content-hit", pool=path)
+    assert any(hashed) and len(indexes(pool_cache)) == 1
+    hashed.clear()
+    index_hit = _select(tmp_path / "index-hit", pool=path)
+    assert hashed and not any(hashed)
+    assert miss == content_hit == index_hit
+    assert b"line 10: ignoring unknown keys ['note']" in miss["report.json"]
+    assert keys[0] == keys[1] == keys[2] is not None
 
 
 def _pool_file(directory: Path, name: str, rows: int) -> Path:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import sys
 import threading
 
@@ -139,13 +140,14 @@ def test_rarity_starts_at_most_one_thread_per_usable_cpu(monkeypatch):
     pool = topic_pool(rng, [700, 300], 4)
     want = rarity_knn(pool, KnnParams(k=5), threads=1)
     started: list[int] = []
-    real = signals.ThreadPoolExecutor
+    real = concurrent.futures.ThreadPoolExecutor
 
     def recording(max_workers):
         started.append(max_workers)
         return real(max_workers=max_workers)
 
-    monkeypatch.setattr(signals, "ThreadPoolExecutor", recording)
+    # rarity_knn imports the executor where it starts threads
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
     monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 2)
     assert np.array_equal(rarity_knn(pool, KnnParams(k=5), threads=8), want)
     assert started == [2]
