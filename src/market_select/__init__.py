@@ -13,16 +13,14 @@ from importlib import import_module
 
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "errors": ("ConfigError", "MarketSelectError", "ValidationError"),
-    "market": ("MarketConfig", "MarketState", "Weights", "aggregate_shares", "lmsr_cost",
-               "lmsr_prices", "price_pool", "topic_prices"),
+    "market": ("MarketConfig", "MarketState", "Weights", "aggregate_shares", "price_pool"),
     "pipeline": ("RunConfig", "execute", "explain", "run_pipeline"),
     "pool": ("Pool", "load_pool", "topic_sizes", "write_pool"),
     "selection": ("SelectionConfig", "SelectionReport", "balance_score", "balanced_select",
                   "coverage_report", "greedy_select", "score_rho"),
     "signals": ("DiversityParams", "KnnParams", "SignalTable", "build_signal_table",
                 "diversity_centroid", "diversity_combined", "rarity_knn"),
-    "standardize": ("StandardizeConfig", "StandardizedTable", "rank_normalize",
-                    "standardize_column", "standardize_table"),
+    "standardize": ("StandardizeConfig", "StandardizedTable", "standardize_table"),
     "tune": ("DevFeedback", "TuneConfig", "eg_update", "signal_reward", "tune_weights"),
     "verify": ("CorruptionSweepConfig", "RecoverySimConfig", "recovery_grid",
                "simulate_recovery", "sweep_corruption", "sweep_hyperparams"),

@@ -1,11 +1,11 @@
 """Cost-function market pricing over the example pool.
 
-Shares are weighted sums of standardized signals. The flat market prices
-them with a log-sum-exp cost and its softmax gradient; the
-topic-separable market runs one softmax per topic and scales each
-topic's price mass to its budget alpha_t, so the global price vector
-stays a probability distribution while examples compete only within
-their own topic.
+Shares are weighted sums of standardized signals. There is one market:
+it prices each topic's shares with a log-sum-exp cost and its softmax
+gradient, and scales each topic's price mass to its budget alpha_t, so
+the global price vector stays a probability distribution while examples
+compete only within their own topic. On a one-topic pool it is the flat
+LMSR market; ``lmsr_cost`` and ``lmsr_prices`` are that case.
 
 Each topic's prices and cost share one max-subtracted exp, so
 liquidities as extreme as 1e-3 or 1e6 stay finite. A liquidity whose
@@ -150,22 +150,6 @@ def _lmsr(q: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
     return e / s, float(m + np.log(s))
 
 
-def lmsr_cost(q: np.ndarray, beta: float) -> float:
-    """beta * log(sum_j exp(q_j / beta)), computed via max subtraction."""
-    q = _check_shares(q)
-    if not beta > 0:
-        raise ConfigError(f"beta must be positive, got {beta}")
-    return beta * _lmsr(q, beta)[1]
-
-
-def lmsr_prices(q: np.ndarray, beta: float) -> np.ndarray:
-    """softmax(q / beta): the gradient of lmsr_cost; sums to 1."""
-    q = _check_shares(q)
-    if not beta > 0:
-        raise ConfigError(f"beta must be positive, got {beta}")
-    return _lmsr(q, beta)[0]
-
-
 def _price_topics(q: np.ndarray, pool: Pool, cfg: MarketConfig) -> tuple[np.ndarray, float, dict]:
     """Prices, total cost and per-topic costs in one pass over the topics.
     A topic's prices are finite exactly when its LSE is, so a total cost
@@ -193,6 +177,39 @@ def _price_topics(q: np.ndarray, pool: Pool, cfg: MarketConfig) -> tuple[np.ndar
     return p, total, costs
 
 
+def price_pool(
+    pool: Pool, table: StandardizedTable, weights: Weights, cfg: MarketConfig | None = None
+) -> MarketState:
+    """Aggregate shares, then price the topic-separable market."""
+    cfg = cfg or MarketConfig()
+    if table.n != pool.n:
+        raise ValidationError(f"table has {table.n} rows but pool has {pool.n} records")
+    q = aggregate_shares(table, weights)
+    p, cost, _ = _price_topics(q, pool, cfg)
+    return MarketState(shares=q, prices=p, cost=cost)
+
+
+# The package calls none of the four functions below. lmsr_cost and
+# lmsr_prices are the market's one-topic case (price_pool on one topic
+# gives the same prices and cost, bit for bit), and topic_prices and
+# topic_cost are views over _price_topics. They stay because the
+# benchmark's tracer (perfbench/tracing.py) looks them up by name.
+def lmsr_cost(q: np.ndarray, beta: float) -> float:
+    """beta * log(sum_j exp(q_j / beta)), computed via max subtraction."""
+    q = _check_shares(q)
+    if not beta > 0:
+        raise ConfigError(f"beta must be positive, got {beta}")
+    return beta * _lmsr(q, beta)[1]
+
+
+def lmsr_prices(q: np.ndarray, beta: float) -> np.ndarray:
+    """softmax(q / beta): the gradient of lmsr_cost; sums to 1."""
+    q = _check_shares(q)
+    if not beta > 0:
+        raise ConfigError(f"beta must be positive, got {beta}")
+    return _lmsr(q, beta)[0]
+
+
 def topic_prices(q: np.ndarray, pool: Pool, cfg: MarketConfig) -> np.ndarray:
     """Per-topic softmax scaled by the topic budget.
 
@@ -208,18 +225,6 @@ def topic_cost(q: np.ndarray, pool: Pool, cfg: MarketConfig) -> tuple[float, dic
     """Total and per-topic cost: sum_t alpha_t * beta_t * LSE(q_t / beta_t)."""
     _, total, costs = _price_topics(q, pool, cfg)
     return total, costs
-
-
-def price_pool(
-    pool: Pool, table: StandardizedTable, weights: Weights, cfg: MarketConfig | None = None
-) -> MarketState:
-    """Aggregate shares, then price the topic-separable market."""
-    cfg = cfg or MarketConfig()
-    if table.n != pool.n:
-        raise ValidationError(f"table has {table.n} rows but pool has {pool.n} records")
-    q = aggregate_shares(table, weights)
-    p, cost, _ = _price_topics(q, pool, cfg)
-    return MarketState(shares=q, prices=p, cost=cost)
 
 
 def _check_shares(q: np.ndarray, expected: int | None = None) -> np.ndarray:

@@ -153,6 +153,9 @@ def rank_normalize_values(values: np.ndarray) -> np.ndarray:
     return (average_ranks(values) - 1.0) / (n - 1.0)
 
 
+# The package does not call rank_normalize: standardize_values calls
+# rank_normalize_values on each topic's group itself. It stays because the
+# benchmark's tracer (perfbench/tracing.py) looks it up by name.
 def rank_normalize(raw: np.ndarray, pool: Pool) -> np.ndarray:
     """Within-topic rank-to-[0,1] map; single-element topics map to 0.5."""
     raw = _check_length(raw, pool)

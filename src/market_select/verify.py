@@ -2,9 +2,9 @@
 
 Three harnesses:
 
-* simulate_recovery: how much of the best achievable utility a top-K
-  price selection captures when signals are noisy monotone functions of
-  a hidden utility;
+* simulate_recovery: how much of the best achievable utility the shipped
+  stages capture, on one topic, when signals are noisy monotone
+  functions of a hidden utility;
 * sweep_corruption: how far prices move when one signal column is
   adversarially blended toward its clipping bound;
 * sweep_hyperparams: how the selected set drifts across a liquidity /
@@ -23,10 +23,11 @@ from typing import Collection
 import numpy as np
 
 from .errors import ConfigError, ValidationError, require_finite
-from .market import DEFAULT_BETA, MarketConfig, MarketState, Weights, lmsr_prices, price_pool
+from .market import DEFAULT_BETA, MarketConfig, MarketState, Weights, price_pool
 from .pool import Pool, token_sum
 from .selection import DEFAULT_GAMMA, SelectionConfig, greedy_select
-from .standardize import DEFAULT_TAU, StandardizeConfig, StandardizedTable, standardize_values
+from .signals import SignalTable
+from .standardize import DEFAULT_TAU, StandardizeConfig, StandardizedTable, standardize_table
 
 MONOTONE_FAMILIES = ("linear", "logistic")
 
@@ -60,6 +61,8 @@ class RecoverySimConfig:
                 f"monotone_family must be one of {MONOTONE_FAMILIES}, "
                 f"got {self.monotone_family!r}"
             )
+        StandardizeConfig(tau=self.tau)  # the stages' own checks of tau and beta
+        MarketConfig(beta=self.beta)
 
 
 @dataclass
@@ -71,21 +74,16 @@ class RecoveryResult:
     ratios: list[float] = field(default_factory=list)
 
 
-def _top_k(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest values; ties broken by ascending index."""
-    order = np.lexsort((np.arange(values.size), -values))
-    return order[:k]
-
-
 def simulate_recovery(cfg: RecoverySimConfig) -> RecoveryResult:
     """Measure recovered utility against the best possible top-k subset.
 
     Per trial: hidden utilities are uniform on [0, 1]; each signal is a
     random increasing function of utility plus Gaussian noise of scale
-    sigma. Signals are standardized (robust, clipped), averaged with
-    equal weights, priced with a flat softmax market, and the k
-    highest-priced examples are taken. The ratio compares their true
-    utility sum to that of the true top-k.
+    sigma. On one topic of unit-length rows, the stages ``select`` ships
+    (robust standardization clipped to tau, equal weights, the market at
+    liquidity beta, the price-per-token scan with k tokens) take the k
+    highest-priced examples. The ratio compares their true utility sum to
+    that of the true top-k.
 
     The expected shortfall 1 - ratio is not monotone in k. At fixed n and
     sigma it rises while the reference top-k tightens, peaks near
@@ -93,46 +91,48 @@ def simulate_recovery(cfg: RecoverySimConfig) -> RecoveryResult:
     larger), and then falls to 0 at k = n. tests/recovery_oracle.py
     computes this curve by quadrature for the "linear" family.
     """
-    ratios: list[float] = []
-    for trial in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, trial])
-        utilities = rng.uniform(size=cfg.n)
-        q = np.zeros(cfg.n, dtype=np.float64)
-        for _ in range(cfg.m):
-            if cfg.monotone_family == "linear":
-                slope = rng.uniform(0.5, 1.5)
-                intercept = rng.uniform(-1.0, 1.0)
-                signal = slope * utilities + intercept
-            else:
-                steepness = rng.uniform(2.0, 10.0)
-                signal = 1.0 / (1.0 + np.exp(-steepness * (utilities - 0.5)))
-            signal = signal + cfg.sigma * rng.normal(size=cfg.n)
-            standardized, _ = standardize_values(signal, "robust", cfg.tau)
-            q += standardized / cfg.m
-        prices = lmsr_prices(q, cfg.beta)
-        chosen = _top_k(prices, cfg.k)
-        best = _top_k(utilities, cfg.k)
-        ratios.append(float(utilities[chosen].sum() / utilities[best].sum()))
-    mean_ratio = float(np.mean(ratios))
-    return RecoveryResult(
-        sigma=cfg.sigma,
-        k=cfg.k,
-        mean_ratio=mean_ratio,
-        empirical_epsilon=1.0 - mean_ratio,
-        ratios=ratios,
-    )
+    return recovery_grid(cfg, [cfg.sigma], [cfg.k])[0]
 
 
 def recovery_grid(
     cfg: RecoverySimConfig, sigmas: list[float], ks: list[int]
 ) -> list[RecoveryResult]:
-    """simulate_recovery over the (sigma, k) grid, sharing the seed
-    derivation so grid points reuse common random draws."""
+    """simulate_recovery over the (sigma, k) grid, sigma-major. Each trial
+    draws once, each (sigma, trial) is standardized and priced once, and
+    every k selects from those prices."""
     if not sigmas or not ks:
         raise ConfigError("sigma and k grids must be nonempty")
     # every grid point is validated (each k against n) before any runs
     points = [replace(cfg, sigma=sigma, k=k) for sigma in sigmas for k in ks]
-    return [simulate_recovery(point) for point in points]
+    # ids sort in index order, so the scan breaks price ties by ascending index
+    width = len(str(cfg.n - 1))
+    pool = Pool.from_rows({"id": f"{i:0{width}d}", "topic": "recovery", "tokens": 1}
+                          for i in range(cfg.n))
+    weights = Weights.equal([f"s{j}" for j in range(cfg.m)])
+    ratios: list[list[float]] = [[] for _ in points]
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng([cfg.seed, trial])
+        utilities = rng.uniform(size=cfg.n)
+        draws = {}  # signal name -> (noiseless signal, standard normal noise)
+        for name in weights.names:
+            if cfg.monotone_family == "linear":
+                signal = rng.uniform(0.5, 1.5) * utilities + rng.uniform(-1.0, 1.0)
+            else:
+                signal = 1.0 / (1.0 + np.exp(-rng.uniform(2.0, 10.0) * (utilities - 0.5)))
+            draws[name] = signal, rng.normal(size=cfg.n)
+        best = -np.sort(-utilities)  # descending
+        for s, sigma in enumerate(sigmas):
+            # noise beyond the float range overflows to +-inf, which validate() refuses
+            with np.errstate(over="ignore"):
+                table = SignalTable({name: x + sigma * z for name, (x, z) in draws.items()})
+            table.validate()
+            std = standardize_table(table, pool, StandardizeConfig("robust", cfg.tau))
+            state = price_pool(pool, std, weights, MarketConfig(beta=cfg.beta))
+            for j, k in enumerate(ks):
+                chosen = greedy_select(state, pool, SelectionConfig(budget_tokens=k)).selected
+                ratios[s * len(ks) + j].append(float(utilities[chosen].sum() / best[:k].sum()))
+    means = [float(np.mean(r)) for r in ratios]
+    return [RecoveryResult(p.sigma, p.k, m, 1.0 - m, r) for p, m, r in zip(points, means, ratios)]
 
 
 @dataclass

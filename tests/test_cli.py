@@ -860,6 +860,21 @@ def test_simulate_recovery_names_the_grid_k_out_of_range(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_recovery_refuses_noise_beyond_the_float_range(tmp_path):
+    # sigma * N(0, 1) overflows to +-inf; the signal table refuses it
+    # without numpy's overflow warning
+    argv = ["simulate", "recovery", "--n", "200", "--k-grid", "20", "--trials", "5",
+            "--sigma-grid", "1e308", "--out", "recovery.csv"]
+    src = str(Path(market_select.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "market_select.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: signal column 's0' has non-finite values\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flags, config",
     [
@@ -913,16 +928,14 @@ def test_importing_the_cli_does_not_load_scipy():
 # each, so a change to the lazy table in __init__ shows here.
 EXPORTS = {
     "errors": ["ConfigError", "MarketSelectError", "ValidationError"],
-    "market": ["MarketConfig", "MarketState", "Weights", "aggregate_shares", "lmsr_cost",
-               "lmsr_prices", "price_pool", "topic_prices"],
+    "market": ["MarketConfig", "MarketState", "Weights", "aggregate_shares", "price_pool"],
     "pipeline": ["RunConfig", "execute", "explain", "run_pipeline"],
     "pool": ["Pool", "load_pool", "topic_sizes", "write_pool"],
     "selection": ["SelectionConfig", "SelectionReport", "balance_score", "balanced_select",
                   "coverage_report", "greedy_select", "score_rho"],
     "signals": ["DiversityParams", "KnnParams", "SignalTable", "build_signal_table",
                 "diversity_centroid", "diversity_combined", "rarity_knn"],
-    "standardize": ["StandardizeConfig", "StandardizedTable", "rank_normalize",
-                    "standardize_column", "standardize_table"],
+    "standardize": ["StandardizeConfig", "StandardizedTable", "standardize_table"],
     "tune": ["DevFeedback", "TuneConfig", "eg_update", "signal_reward", "tune_weights"],
     "verify": ["CorruptionSweepConfig", "RecoverySimConfig", "recovery_grid",
                "simulate_recovery", "sweep_corruption", "sweep_hyperparams"],

@@ -5,9 +5,10 @@ two ingested signals. It is written out of id order and has a blank line,
 an unknown key, an integer signal value, an id with a quote, a non-ASCII
 topic, a three-row topic (k clamp), a one-row topic (singleton fallback),
 a topic whose ``s1`` is constant, and ties in tokens, signals and
-embeddings. Every command in COMMANDS and EXPLAINS runs on it, and each
-output file and each ``explain`` stdout must equal the file of the same
-name under ``tests/golden/expected/``.
+embeddings. Every command in COMMANDS and EXPLAINS runs on it, except
+``simulate recovery``, which draws its own rows, and each output file and
+each ``explain`` stdout must equal the file of the same name under
+``tests/golden/expected/``.
 
 The expected files are a record of the program's output, not a
 specification; rewrite them only for a change that is meant to alter the
@@ -66,6 +67,9 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("corruption", ["simulate", "corruption", *SIGNALS_INGESTED, "--target-signal", "nll",
                     "--eps-grid", "0,0.5", "--beta-grid", "0.5,2",
                     "--out", "corruption.csv"], ["corruption.csv"]),
+    ("recovery", ["simulate", "recovery", "--n", "200", "--sigma-grid", "0,0.5,2",
+                  "--k-grid", "1,20,200", "--family", "logistic", "--trials", "5",
+                  "--seed", "0", "--out", "recovery.csv"], ["recovery.csv"]),
 ]
 
 # (run directory, example id): ids selected, passed over and never reached

@@ -363,3 +363,28 @@ def test_a_tiny_liquidity_that_still_prices_gives_the_limit_without_a_warning():
         assert topic_cost(np.array([0.0, -1.0]), pool, MarketConfig(beta=1e-320)) == (
             0.0, {"t": 0.0})
     assert p.tolist() == [1.0, 0.0]
+
+
+BETAS = [1e-3, 0.5, 2.0, 1e6]
+
+
+@pytest.mark.parametrize("beta", BETAS)
+@pytest.mark.parametrize("n", [1, 2, 37, 5000])
+def test_the_flat_market_is_price_pool_on_one_topic(n, beta):
+    # the flat functions are the shipped market's one-topic case, bit for bit
+    pool = make_pool(*[make_record(f"e{i:04d}") for i in range(n)])
+    q = np.random.default_rng(n).normal(scale=3.0, size=n)
+    state = price_pool(pool, table_of(a=q), Weights({"a": 1.0}), MarketConfig(beta=beta))
+    assert state.prices.tobytes() == lmsr_prices(q, beta).tobytes()
+    assert state.cost == lmsr_cost(q, beta)
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_the_topic_views_are_price_pool(beta):
+    pool = random_pool(np.random.default_rng(8), 500, n_topics=5)
+    assert len(pool.topics) == 5
+    q = np.random.default_rng(9).normal(scale=3.0, size=pool.n)
+    cfg = MarketConfig(beta=beta)
+    state = price_pool(pool, table_of(a=q), Weights({"a": 1.0}), cfg)
+    assert topic_prices(q, pool, cfg).tobytes() == state.prices.tobytes()
+    assert topic_cost(q, pool, cfg)[0] == state.cost

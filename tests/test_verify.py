@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from market_select.verify import (
 )
 
 from conftest import random_pool
+from recovery_flat import flat_recovery_ratios
 from recovery_oracle import expected_shortfall
 
 
@@ -117,6 +121,47 @@ def test_recovery_config_validation():
         RecoverySimConfig(n=10, k=1, monotone_family="cubic")
     with pytest.raises(ConfigError):
         RecoverySimConfig(n=10, k=1, trials=0)
+    # with tau <= 0 every standardized value would clip to one constant
+    for tau in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="tau must be positive"):
+            RecoverySimConfig(n=200, k=20, trials=3, seed=1, tau=tau)
+
+
+@pytest.mark.parametrize(
+    "n, m, family, beta, ks",
+    [
+        (9000, 3, "linear", 2.0, [1, 10, 1285, 8193, 9000]),
+        (9000, 5, "logistic", 0.05, [1, 8500, 9000]),
+        (37, 1, "logistic", 2.0, [1, 5, 37]),
+    ],
+)
+def test_recovery_matches_the_flat_market_reference(n, m, family, beta, ks):
+    # one topic of unit-length rows makes the shipped stages the flat
+    # market's top-k, ties and utility sums included
+    cfg = RecoverySimConfig(n=n, m=m, k=ks[0], monotone_family=family, trials=2, seed=3,
+                            beta=beta)
+    results = recovery_grid(cfg, sigmas=[0.0, 0.5, 2.0], ks=ks)
+    assert [(r.sigma, r.k) for r in results] == [(s, k) for s in (0.0, 0.5, 2.0) for k in ks]
+    for result in results:
+        point = replace(cfg, sigma=result.sigma, k=result.k)
+        assert result.ratios == flat_recovery_ratios(point)
+    assert simulate_recovery(point).ratios == results[-1].ratios
+
+
+def test_recovery_refuses_a_liquidity_the_market_cannot_price():
+    cfg = RecoverySimConfig(n=200, k=20, trials=3, seed=1, beta=1e-320)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="liquidity 1e-320 cannot price"):
+            simulate_recovery(cfg)
+
+
+def test_recovery_refuses_noise_beyond_the_float_range():
+    cfg = RecoverySimConfig(n=200, k=20, trials=5, sigma=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite values"):
+            simulate_recovery(cfg)
 
 
 def clipped_table(rng, pool, names=("s1", "s2"), tau=2.5) -> StandardizedTable:
