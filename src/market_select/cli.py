@@ -43,11 +43,11 @@ from .pipeline import (
     SELECTED_FILE,
     RunConfig,
     dump_json,
-    dump_json_line,
     encode_text,
     explain,
     fmt_float,
     format_price_rows,
+    format_signal_rows,
     prepare,
     read_float_map,
     read_json_file,
@@ -302,17 +302,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 def _cmd_signals(args: argparse.Namespace) -> int:
     pool, table, std = prepare(_build_run_config(args), _threads_of(args))
     out = Path(args.out)
-    write_atomic([(out, encode_text(out, "".join(
-        dump_json_line(
-            {
-                "id": rid,
-                "topic": pool.topic_names[pool.topic_codes[i]],
-                "signals": {name: float(col[i]) for name, col in table.columns.items()},
-                "standardized": {name: float(col[i]) for name, col in std.columns.items()},
-            }
-        )
-        for i, rid in enumerate(pool.ids)
-    )))])
+    write_atomic([(out, format_signal_rows(pool, table, std))])
     print(f"wrote {pool.n} rows to {out}")
     return 0
 
@@ -367,15 +357,7 @@ def _cmd_simulate_recovery(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     results = recovery_grid(cfg, sigmas=sigmas, ks=ks)
-    rows = [
-        {
-            "sigma": r.sigma,
-            "k": r.k,
-            "mean_ratio": r.mean_ratio,
-            "empirical_epsilon": r.empirical_epsilon,
-        }
-        for r in results
-    ]
+    rows = [vars(r) for r in results]
     _write_csv(args.out, ["sigma", "k", "mean_ratio", "empirical_epsilon"], rows)
     print(f"wrote {len(rows)} grid points to {args.out}")
     return 0

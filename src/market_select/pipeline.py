@@ -8,8 +8,11 @@ price with the weights that RunConfig resolved before the pool was read.
 
 A run is fully described by its RunConfig; the written report embeds the
 resolved config, so identical configs reproduce byte-identical artifacts
-regardless of thread count. Output files are written to temporaries and
-renamed into place only on success.
+regardless of thread count. report.json is dump_json's text with the
+selected ids spliced in (splice_selected), selected.txt holds
+Pool.id_lines, and prices.jsonl and the ``signals`` dump come from
+format_rows, by way of format_price_rows and format_signal_rows.
+write_atomic renames every file into place only once all are written.
 """
 
 from __future__ import annotations
@@ -465,24 +468,42 @@ def json_id_texts(pool: Pool) -> Texts:
     return Texts(data, starts, lengths)
 
 
-def format_price_rows(pool: Pool, state: MarketState) -> bytes:
-    """prices.jsonl: one {"id", "p", "q", "topic"} object per example, in id
-    order, byte-identical to dump_json_line of each row.
+def format_rows(pool: Pool, middle: list[bytes | np.ndarray]) -> bytes:
+    """One {"id": ..., <middle>, "topic": ...} object per example, in id
+    order, as json.dumps writes it with sorted keys and the floats of
+    format_float. ``middle`` holds fixed texts and float64 columns.
 
-    The rows are built from the columns, a slice at a time: the ids' JSON
-    text (json_id_texts), the texts of p and q (float_rows) and the topics'
-    JSON text, with the fixed text around them, each as a matrix of padded
-    rows, joined by join_rows.
+    The rows are built a slice at a time, each part as a matrix of padded
+    rows: the ids' JSON text (json_id_texts), the fixed texts, the texts of
+    each column (float_rows) and the topics' JSON text, joined by join_rows.
     """
     ids = json_id_texts(pool)
     tails = Texts.of([f', "topic": {encode_basestring(t)}}}\n'.encode("utf-8")
                       for t in pool.topic_names])
     codes = pool.topic_codes
-    widths = ids.lengths + tails.lengths[codes] + 16 + 7 + 2 * FLOAT_WIDTH
+    fixed = sum(len(part) if isinstance(part, bytes) else FLOAT_WIDTH for part in middle)
     return b"".join(
-        join_rows([b'{"id": "', ids.rows(s), b'", "p": ', float_rows(state.prices[s]),
-                   b', "q": ', float_rows(state.shares[s]), tails.rows(codes[s])])
-        for s in padded_slices(widths))
+        join_rows([b'{"id": "', ids.rows(s), b'", ', *(
+            part if isinstance(part, bytes) else float_rows(part[s]) for part in middle),
+            tails.rows(codes[s])])
+        for s in padded_slices(ids.lengths + tails.lengths[codes] + 11 + fixed))
+
+
+def format_price_rows(pool: Pool, state: MarketState) -> bytes:
+    """prices.jsonl and the ``price`` dump: {"id", "p", "q", "topic"} rows."""
+    return format_rows(pool, [b'"p": ', state.prices, b', "q": ', state.shares])
+
+
+def format_signal_rows(pool: Pool, table: SignalTable, std: StandardizedTable) -> bytes:
+    """The ``signals`` dump: {"id", "signals", "standardized", "topic"} rows,
+    with the raw and the standardized values each keyed by column name."""
+    middle: list[bytes | np.ndarray] = []
+    for key, columns in (("signals", table.columns), ("standardized", std.columns)):
+        sep = f'{"}, " if middle else ""}"{key}": {{'
+        for name in sorted(columns):
+            middle += [f"{sep}{encode_basestring(name)}: ".encode("utf-8"), columns[name]]
+            sep = ", "
+    return format_rows(pool, [*middle, b"}"])
 
 
 # 10^k for k = 0..108, each the float nearest it (an int converts rounded)
@@ -731,7 +752,3 @@ def dump_json(obj: Any) -> str:
     return json.dumps(
         round_floats(obj), sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False
     ) + "\n"
-
-
-def dump_json_line(obj: Any) -> str:
-    return json.dumps(round_floats(obj), sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"

@@ -32,6 +32,7 @@ the kNN rarity, is cached under a name that the pool's bytes are part of.
 
 from __future__ import annotations
 
+import bisect
 import io
 import json
 import math
@@ -166,15 +167,12 @@ class Pool:
         """The first id without a label, for error messages."""
         return None if self.has_labels else self.id_of(np.argmax(self.label_codes < 0))
 
-    @cached_property
-    def _pos(self) -> dict[str, int]:
-        return {rid: i for i, rid in enumerate(self.ids)}
-
     def index_of(self, example_id: str) -> int:
-        try:
-            return self._pos[example_id]
-        except KeyError:
-            raise ValidationError(f"unknown example id {example_id!r}") from None
+        """The row of ``example_id``, found by bisecting the sorted ids."""
+        row = bisect.bisect_left(self.ids, example_id)
+        if row == self.n or self.ids[row] != example_id:
+            raise ValidationError(f"unknown example id {example_id!r}")
+        return row
 
     def labels(self) -> list[str]:
         """Sorted distinct labels; requires every record to carry one."""

@@ -250,7 +250,7 @@ class _Scanner:
                 more = []
                 rest = fits[take + 1 :]
                 for j, length in zip(rest.tolist(), block[rest].tolist()):
-                    if count + take + len(more) >= cap:
+                    if count + take + len(more) >= cap or budget - tokens < shortest:
                         break
                     if tokens + length <= budget:
                         more.append(j)

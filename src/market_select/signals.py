@@ -619,7 +619,7 @@ def build_signal_table(
             missing = np.flatnonzero(np.isnan(values))
             if missing.size:
                 raise ValidationError(
-                    f"ingested signal {spec.name!r} missing on record {pool.ids[missing[0]]!r}"
+                    f"ingested signal {spec.name!r} missing on record {pool.id_of(missing[0])!r}"
                 )
             columns[spec.name] = values.copy()
         elif spec.kind == "rarity":

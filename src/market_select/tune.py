@@ -108,13 +108,14 @@ def signal_reward(
     np.corrcoef call that scipy's spearmanr makes, so rewards equal
     spearmanr's bit for bit.
     """
-    covered = sorted(set(feedback.utilities) & set(pool.ids))
+    utilities = feedback.utilities
+    covered = [(i, utilities[rid]) for i, rid in enumerate(pool.ids) if rid in utilities]
     if len(covered) < MIN_COVERED_IDS:
         raise ValidationError(
             f"need at least {MIN_COVERED_IDS} covered ids, got {len(covered)}"
         )
-    idx = np.array([pool.index_of(rid) for rid in covered], dtype=np.intp)
-    utils = np.array([feedback.utilities[rid] for rid in covered], dtype=np.float64)
+    idx = np.array([i for i, _ in covered], dtype=np.intp)
+    utils = np.array([u for _, u in covered], dtype=np.float64)
     constant_utils = bool((utils[0] == utils).all())
     util_ranks = average_ranks(utils)
     rewards: dict[str, float] = {}

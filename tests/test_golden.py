@@ -25,6 +25,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import market_select
 from market_select.cli import main
 
@@ -114,6 +117,36 @@ def test_outputs_match_golden_bytes(tmp_path):
     assert sorted(outputs) == sorted(p.name for p in EXPECTED.iterdir())
     for name, data in outputs.items():
         assert data == (EXPECTED / name).read_bytes(), name
+
+
+# NumPy picks a SIMD kernel per CPU at run time; where its baseline is
+# X86_V2, NPY_ENABLE_CPU_FEATURES=X86_V2 turns every later target off
+X86_V2_BASELINE = "X86_V2" in getattr(np.__config__, "CONFIG", {}).get(
+    "SIMD Extensions", {}).get("baseline", [])
+
+
+@pytest.mark.skipif(not X86_V2_BASELINE, reason="NumPy's baseline is not X86_V2")
+def test_outputs_match_golden_bytes_with_only_the_x86_v2_kernels(tmp_path):
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from test_golden import run_golden\n"
+        "out = Path(sys.argv[1])\n"
+        "(out / 'run').mkdir()\n"
+        "for name, data in run_golden(out / 'run').items():\n"
+        "    (out / name).write_bytes(data)\n"
+    )
+    src = str(Path(market_select.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_ENABLE_CPU_FEATURES": "X86_V2"}
+    env["PYTHONPATH"] = os.pathsep.join([src, str(Path(__file__).resolve().parent),
+                                         os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    written = sorted(p.name for p in tmp_path.iterdir() if p.is_file())
+    assert written == sorted(p.name for p in EXPECTED.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (EXPECTED / name).read_bytes(), name
 
 
 def test_warnings_from_outside_the_package_reach_stderr_not_the_report(tmp_path):

@@ -26,6 +26,7 @@ from market_select.pipeline import (
     float_rows,
     format_float,
     format_price_rows,
+    format_signal_rows,
     plain_g_text,
     round_floats,
     run_pipeline,
@@ -33,6 +34,8 @@ from market_select.pipeline import (
     write_atomic,
 )
 from market_select.pool import Pool
+from market_select.signals import SignalTable
+from market_select.standardize import StandardizedTable
 
 from conftest import write_pool_jsonl
 
@@ -121,17 +124,46 @@ def odd_pool(n: int) -> Pool:
                           for rid, topic in zip(ids, topics))
 
 
-@pytest.mark.parametrize("slice_bytes", [1, 7, 4096])
-def test_price_rows_equal_the_row_by_row_text(monkeypatch, slice_bytes):
+def signal_reference(pool: Pool, table: SignalTable, std: StandardizedTable) -> str:
+    """The signals dump written row by row: json.dumps of each row's rounded
+    floats, with sorted keys."""
+    return "".join(json.dumps(round_floats({
+        "id": rid, "topic": pool.topic_names[t],
+        "signals": {name: col[i] for name, col in table.columns.items()},
+        "standardized": {name: col[i] for name, col in std.columns.items()},
+    }), sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
+        for i, (rid, t) in enumerate(zip(pool.ids, pool.topic_codes.tolist())))
+
+
+# signal names with non-ASCII word characters, dots and dashes, out of sorted order
+SIGNAL_NAMES = ["zé.b", "a.b", "aΩ_1", "a-b"]
+
+
+@pytest.mark.parametrize("shape, slice_bytes", [
+    pytest.param(shape, slice_bytes, id=str(slice_bytes) if shape == "prices" else
+                 f"{shape}-{slice_bytes}")
+    for shape in ("prices", "signals") for slice_bytes in (1, 7, 4096)])
+def test_price_rows_equal_the_row_by_row_text(monkeypatch, shape, slice_bytes):
     monkeypatch.setattr(pool_module, "SLICE_BYTES", slice_bytes)
     rng = np.random.default_rng(5)
     values = writer_values()
     if slice_bytes < 100:  # a slice of one row each: every 20th value
         values = values[::20]
     pool = odd_pool(values.size)
+
+    def column() -> np.ndarray:
+        # runs of certified values, runs with one other value and runs of others
+        return np.where(rng.random(values.size) < 0.7, rng.random(values.size) * 1e-3,
+                        rng.permutation(values))
+
+    if shape == "signals":
+        table = SignalTable({name: column() for name in SIGNAL_NAMES})
+        std = StandardizedTable({name: column() for name in SIGNAL_NAMES[::-1]})
+        data = format_signal_rows(pool, table, std)
+        assert data == signal_reference(pool, table, std).encode("utf-8")
+        return
     shares = rng.permutation(values)
-    # runs of certified values, runs with one other value and runs of others
-    prices = np.where(rng.random(values.size) < 0.7, rng.random(values.size) * 1e-3, values)
+    prices = column()
     state = MarketState(shares=shares, prices=prices, cost=0.0)
     data = format_price_rows(pool, state)
     assert data == reference_rows(pool.ids, pool.topic_names, pool.topic_codes, shares,

@@ -543,12 +543,14 @@ def pass_lengths(rng, kind, n):
         return 2**62 - rng.integers(0, 5, n)
     if kind == "wide":  # half of them 1 token, the rest up to a million
         return np.where(rng.random(n) < 0.5, 1, rng.integers(1, 10**6, n))
+    if kind == "unit":  # every length 1, as in a recovery simulation
+        return np.ones(n, dtype=np.int64)
     # each rejection is followed by a 1-token admission: the room shrinks by one per pair
     return np.array([[1, 400 - j] for j in range((n + 1) // 2)], dtype=np.int64).ravel()[:n]
 
 
 @pytest.mark.parametrize("blocks", [(1, 1), (2, 8), (1024, 4096)])
-@pytest.mark.parametrize("kind", ["small", "near 2**62", "wide", "alternating"])
+@pytest.mark.parametrize("kind", ["small", "near 2**62", "wide", "unit", "alternating"])
 def test_block_scan_matches_a_visit_by_visit_pass(monkeypatch, blocks, kind):
     monkeypatch.setattr(selection, "FIRST_BLOCK", blocks[0])
     monkeypatch.setattr(selection, "LAST_BLOCK", blocks[1])
