@@ -12,7 +12,8 @@ regardless of thread count. report.json is dump_json's text with the
 selected ids spliced in (splice_selected), selected.txt holds
 Pool.id_lines, and prices.jsonl and the ``signals`` dump come from
 format_rows, by way of format_price_rows and format_signal_rows.
-write_atomic renames every file into place only once all are written.
+write_atomic renames every file into place only once all are written,
+report.json last.
 """
 
 from __future__ import annotations
@@ -306,7 +307,9 @@ def _own_warning(w: warnings.WarningMessage) -> bool:
 
 
 def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
-    """Run the full pipeline in memory and assemble the report dict."""
+    """Run the full pipeline in memory and assemble the report dict: what
+    report.json holds but the selected ids, which are the pool rows
+    ``selection.selected`` (run_pipeline writes them)."""
     if cfg.budget_tokens is None and cfg.retention_rate is None:
         raise ConfigError("either budget_tokens or retention_rate is required")
     captured: list[str] = []
@@ -352,7 +355,7 @@ def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
         "market_cost": state.cost,
     }
     diagnostics.update(selection.diagnostics)
-    report = {"config": echo, **selection.to_dict(pool), "diagnostics": diagnostics}
+    report = {"config": echo, **selection.summary(), "diagnostics": diagnostics}
     return PipelineResult(
         pool=pool,
         table=table,
@@ -372,8 +375,9 @@ def run_pipeline(
     """Execute and write report.json, prices.jsonl, and selected.txt.
 
     All computation happens before any file is touched; outputs go to
-    temporaries first and are renamed in, so a failing run leaves no
-    partial artifacts behind.
+    temporaries first and are renamed in, report.json last, so a failing
+    or killed run leaves the old run, or no report.json, never a report
+    beside another run's selection.
     """
     result = execute(cfg, threads=threads)
     if with_coverage:
@@ -411,6 +415,12 @@ def write_atomic(files: list[tuple[Path, bytes]]) -> None:
     into place only once all of them are written, and on any failure
     every temporary is removed. A target that is a directory is refused
     before anything is written.
+
+    Of several files, the first marks the set: its old copy is removed
+    before any rename, and it is renamed last. A process killed part way
+    leaves the old set, or a set without its first file, never a first
+    file beside files of another set (report.json, which ``explain``
+    needs, is run_pipeline's first).
     """
     for path, _ in files:
         if path.is_dir():
@@ -422,7 +432,10 @@ def write_atomic(files: list[tuple[Path, bytes]]) -> None:
             tmp = path.with_suffix(path.suffix + ".tmp")
             staged.append((tmp, path))
             tmp.write_bytes(data)
-        for tmp, path in staged:
+        first, *rest = staged
+        if rest:
+            first[1].unlink(missing_ok=True)
+        for tmp, path in [*rest, first]:
             os.replace(tmp, path)
     except BaseException:
         for tmp, _ in staged:

@@ -98,8 +98,12 @@ class SelectionReport:
         """Serializable outcome, with the selected ids of ``pool`` in report
         order; excludes diagnostics, rho and the scan phases, so a balanced
         run with floor 0 serializes identically to greedy."""
+        ids = pool.id_lines(self.selected).decode("utf-8").split("\n")[:-1]
+        return {"selected": ids, **self.summary()}
+
+    def summary(self) -> dict[str, object]:
+        """to_dict less the selected ids."""
         return {
-            "selected": pool.id_lines(self.selected).decode("utf-8").split("\n")[:-1],
             "tokens_used": self.tokens_used,
             "per_topic": self.per_topic,
             "per_label": self.per_label,
@@ -113,24 +117,57 @@ def score_rho(state: MarketState, pool: Pool, gamma: float) -> np.ndarray:
     if gamma < 0:
         raise ConfigError(f"gamma must be >= 0, got {gamma}")
     lengths = pool.token_lengths.astype(np.float64)
-    # l >= 1, so log is safe and l^gamma cannot underflow to zero
-    return state.prices / np.exp(gamma * np.log(lengths))
+    # l >= 1, so log is safe and l^gamma cannot underflow to zero; where it
+    # overflows to inf, rho is 0 and the scan takes those rows last, by id
+    with np.errstate(over="ignore"):
+        return state.prices / np.exp(gamma * np.log(lengths))
 
 
-def _scan_order(rho: np.ndarray) -> np.ndarray:
-    """Indices in descending rho, ties broken by ascending index (= id)."""
-    return np.argsort(-rho, kind="stable")
+def scan_order(state: MarketState, pool: Pool, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """rho (score_rho) and the pool indices in descending rho, ties broken
+    by ascending index (= id): the order every scan pass over these prices
+    takes."""
+    rho = score_rho(state, pool, gamma)
+    return rho, _descending(rho)
+
+
+def _descending(x: np.ndarray) -> np.ndarray:
+    """The indices of ``x`` (no NaN) in descending value, equal values in
+    ascending index, as ``np.argsort(-x, kind="stable")``.
+
+    NumPy's default sort (a SIMD quicksort where the CPU has one) orders
+    the keys but leaves equal ones in no fixed order. Where keys tie, the
+    order is sorted once more as the distinct integers run * n + index,
+    run counting the distinct keys before, so the result does not depend
+    on which sort kernel ran.
+    """
+    keys = -x
+    order = np.argsort(keys)
+    ranked = keys[order]
+    new = ranked[1:] != ranked[:-1]  # -0.0 == 0.0: a tie, as in the stable sort
+    if not new.all():
+        run = np.concatenate(([0], np.cumsum(new)))
+        order = np.sort(run * x.size + order) % x.size
+    return order
+
+
+def greedy_pass(
+    pool: Pool, order: np.ndarray, budget: int, limit: int | None = None
+) -> tuple[np.ndarray, _Scanner]:
+    """One greedy pass over ``order`` under ``budget`` tokens, admitting
+    each candidate that still fits, up to ``limit`` admissions: the pool
+    indices admitted, in visit order, and the scanner that ran the pass
+    (its token count and its one ScanPhase)."""
+    scan = _Scanner(pool, budget)
+    return scan.run("scan", order, limit)[0], scan
 
 
 def greedy_select(state: MarketState, pool: Pool, cfg: SelectionConfig) -> SelectionReport:
     """One pass over the descending-score order, admitting what fits."""
-    rho = score_rho(state, pool, cfg.gamma)
-    order = _scan_order(rho)
-    scan = _Scanner(pool, cfg.budget_tokens)
-    picked, visited = scan.run("scan", order, cfg.max_examples)
-    return _build_report(
-        picked, scan.tokens, visited - len(picked), state, pool, rho, order, scan.phases
-    )
+    rho, order = scan_order(state, pool, cfg.gamma)
+    picked, scan = greedy_pass(pool, order, cfg.budget_tokens, cfg.max_examples)
+    skipped = scan.phases[0].visited.size - picked.size
+    return _build_report(picked, scan.tokens, skipped, state, pool, rho, order, scan.phases)
 
 
 def balanced_select(state: MarketState, pool: Pool, cfg: SelectionConfig) -> SelectionReport:
@@ -143,13 +180,12 @@ def balanced_select(state: MarketState, pool: Pool, cfg: SelectionConfig) -> Sel
             "balanced selection requires labels on every record; "
             f"{pool.first_unlabelled!r} has none"
         )
-    rho = score_rho(state, pool, cfg.gamma)
-    order = _scan_order(rho)
+    rho, order = scan_order(state, pool, cfg.gamma)
     floor = cfg.label_floor
     labels = pool.labels()
     if floor is None:
         # auto: half the per-label share of an unconstrained greedy pick
-        greedy_picked, _ = _Scanner(pool, cfg.budget_tokens).run("auto", order, cfg.max_examples)
+        greedy_picked = greedy_pass(pool, order, cfg.budget_tokens, cfg.max_examples)[0]
         floor = math.ceil(0.5 * len(greedy_picked) / len(labels))
 
     cap = cfg.max_examples
@@ -315,13 +351,22 @@ def _build_report(
     in_set[selected_idx] = True
     ordered = order[in_set[order]]
 
+    # the selected rows grouped by topic, each topic's in ascending index
+    # (the sort of codes of the narrowest type is a stable radix sort), so
+    # a segment's price sum adds the same values in the same order as a
+    # sum over the topic's own rows
+    rows = np.flatnonzero(in_set)
+    codes = pool.topic_codes[rows]
+    rows = rows[np.argsort(codes.astype(np.min_scalar_type(len(pool.topic_names))),
+                           kind="stable")]
+    ends = np.cumsum(np.bincount(codes, minlength=len(pool.topic_names))).tolist()
     per_topic: dict[str, dict[str, float]] = {}
-    for topic, idx in pool.topics.items():
-        mask = in_set[idx]
+    for topic, start, end in zip(pool.topic_names, [0, *ends], ends):
+        segment = rows[start:end]
         per_topic[topic] = {
-            "count": int(mask.sum()),
-            "tokens": token_sum(pool.token_lengths[idx][mask]),
-            "price_mass": float(state.prices[idx][mask].sum()),
+            "count": end - start,
+            "tokens": token_sum(pool.token_lengths[segment]),
+            "price_mass": float(state.prices[segment].sum()),
         }
 
     per_label: dict[str, int] | None = None

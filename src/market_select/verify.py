@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, ValidationError, require_finite
 from .market import DEFAULT_BETA, MarketConfig, MarketState, Weights, price_pool
 from .pool import Pool, token_sum
-from .selection import DEFAULT_GAMMA, SelectionConfig, greedy_select
+from .selection import DEFAULT_GAMMA, SelectionConfig, greedy_pass, scan_order
 from .signals import SignalTable
 from .standardize import DEFAULT_TAU, StandardizeConfig, StandardizedTable, standardize_table
 
@@ -98,8 +98,8 @@ def recovery_grid(
     cfg: RecoverySimConfig, sigmas: list[float], ks: list[int]
 ) -> list[RecoveryResult]:
     """simulate_recovery over the (sigma, k) grid, sigma-major. Each trial
-    draws once, each (sigma, trial) is standardized and priced once, and
-    every k selects from those prices."""
+    draws once, each (sigma, trial) is standardized, priced and put in scan
+    order once, and every k takes one greedy pass over that order."""
     if not sigmas or not ks:
         raise ConfigError("sigma and k grids must be nonempty")
     # every grid point is validated (each k against n) before any runs
@@ -128,8 +128,9 @@ def recovery_grid(
             table.validate()
             std = standardize_table(table, pool, StandardizeConfig("robust", cfg.tau))
             state = price_pool(pool, std, weights, MarketConfig(beta=cfg.beta))
+            order = scan_order(state, pool, DEFAULT_GAMMA)[1]
             for j, k in enumerate(ks):
-                chosen = greedy_select(state, pool, SelectionConfig(budget_tokens=k)).selected
+                chosen = greedy_pass(pool, order, k)[0]
                 ratios[s * len(ks) + j].append(float(utilities[chosen].sum() / best[:k].sum()))
     means = [float(np.mean(r)) for r in ratios]
     return [RecoveryResult(p.sigma, p.k, m, 1.0 - m, r) for p, m, r in zip(points, means, ratios)]
@@ -223,9 +224,11 @@ def sweep_hyperparams(
     DEFAULT_GAMMA) by Jaccard overlap."""
     if not beta_grid or not gamma_grid:
         raise ConfigError("beta and gamma grids must be nonempty")
+    for gamma in gamma_grid:  # the selection's own checks, before anything is priced
+        SelectionConfig(budget_tokens, gamma=gamma)
 
     def _select(state: MarketState, gamma: float) -> np.ndarray:
-        return greedy_select(state, pool, SelectionConfig(budget_tokens, gamma=gamma)).selected
+        return greedy_pass(pool, scan_order(state, pool, gamma)[1], budget_tokens)[0]
 
     def _price(beta: float) -> MarketState:
         return price_pool(pool, table, weights, MarketConfig(beta=beta))

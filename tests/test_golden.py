@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -30,6 +31,7 @@ import pytest
 
 import market_select
 from market_select.cli import main
+from market_select.pool import Pool, write_pool
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED = GOLDEN / "expected"
@@ -147,6 +149,67 @@ def test_outputs_match_golden_bytes_with_only_the_x86_v2_kernels(tmp_path):
     assert written == sorted(p.name for p in EXPECTED.iterdir())
     for name in written:
         assert (tmp_path / name).read_bytes() == (EXPECTED / name).read_bytes(), name
+
+
+# Runs a greedy and a balanced select of the pool argv[1] into argv[2]/greedy
+# and argv[2]/balanced, and checks the scan order of its default prices
+# against the stable sort, under whatever sort kernel NumPy picked
+GENERATED_RUNS = """
+import sys
+import numpy as np
+from market_select.cli import main
+from market_select.market import price_pool
+from market_select.pipeline import RunConfig, prepare
+from market_select.selection import scan_order
+pool = ["--pool", sys.argv[1], "--signals", "nll,coarse,tails"]
+for mode, budget in (("greedy", "400000"), ("balanced", "150000")):
+    out = f"{sys.argv[2]}/{mode}"
+    assert main(["select", *pool, "--mode", mode, "--budget-tokens", budget, "--out-dir", out]) == 0
+cfg = RunConfig(pool=sys.argv[1], signals="nll,coarse,tails")
+pool, _, std = prepare(cfg)
+rho, order = scan_order(price_pool(pool, std, cfg.resolved_weights, cfg.market_config), pool, 1.6)
+assert np.array_equal(order, np.argsort(-rho, kind="stable"))
+"""
+
+
+@pytest.mark.skipif(not X86_V2_BASELINE, reason="NumPy's baseline is not X86_V2")
+@pytest.mark.parametrize("signals", ["continuous", "rounded"])
+def test_a_generated_pool_selects_the_same_bytes_with_only_the_x86_v2_kernels(tmp_path, signals):
+    n = 20_000
+    rng = np.random.default_rng(41)
+    tokens = rng.choice([8, 16, 32, 64, 100], n)
+    nll, coarse, tails = rng.normal(size=n), rng.integers(0, 4, n), rng.standard_cauchy(n)
+    if signals == "rounded":  # thousands of rho ties, which the scan takes by id
+        nll, tails = np.round(nll, 1), np.round(tails, 1)
+    write_pool(Pool.from_rows(
+        {"id": f"x{i:06d}", "topic": f"t{i % 37 % 11}", "tokens": int(tokens[i]),
+         "label": f"l{coarse[i] + i % 3}",
+         "signals": {"nll": float(nll[i]), "coarse": float(coarse[i]), "tails": float(tails[i])}}
+        for i in range(n)), tmp_path / "pool.jsonl")
+    src = str(Path(market_select.__file__).resolve().parents[1])
+    runs = {}
+    for name, features in (("default", None), ("x86_v2", "X86_V2")):
+        # each run parses the pool itself, in a cache of its own
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / f"cache-{name}")}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        if features:
+            env["NPY_ENABLE_CPU_FEATURES"] = features
+        proc = subprocess.run([sys.executable, "-c", GENERATED_RUNS, str(tmp_path / "pool.jsonl"),
+                               str(tmp_path / name)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs[name] = {f"{mode}/{file}": (tmp_path / name / mode / file).read_bytes()
+                      for mode in ("greedy", "balanced")
+                      for file in ("report.json", "prices.jsonl", "selected.txt")}
+    for mode in ("greedy", "balanced"):
+        assert 1_000 < len(json.loads(runs["default"][f"{mode}/report.json"])["selected"]) < n
+        assert runs["x86_v2"][f"{mode}/prices.jsonl"] == runs["default"][f"{mode}/prices.jsonl"]
+    if signals == "rounded" and runs["x86_v2"] != runs["default"]:
+        # Raw prices differ by an ulp between the two kernels' exp, which
+        # the 9-digit prices.jsonl hides but the scan does not: rows of
+        # different topics whose rho ties under one kernel and differs by
+        # an ulp under the other swap places (ROADMAP item 11).
+        pytest.xfail("the scan order follows ulp-level price differences between SIMD kernels")
+    assert runs["x86_v2"] == runs["default"]
 
 
 def test_warnings_from_outside_the_package_reach_stderr_not_the_report(tmp_path):

@@ -1,20 +1,25 @@
 """The artifact writers against their row-by-row references, a zero-budget
-topic through the whole run, the atomic writer's cleanup and explain's
-stale-dump warning."""
+topic through the whole run, the atomic writer's cleanup and rename order,
+and explain's stale-dump warning."""
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import market_select
 from market_select import pipeline
 from market_select import pool as pool_module
 from market_select.cli import main
@@ -221,10 +226,12 @@ def test_a_run_writes_each_artifact_as_its_reference_on_a_miss_and_a_hit(tmp_pat
     pool, selection = hit.pool, hit.selection
     ids = [pool.ids[i] for i in selection.selected.tolist()]
     assert 0 < len(ids) < pool.n and set(ODD_IDS) <= set(pool.ids)
-    assert hit.report["selected"] == selection.to_dict(pool)["selected"] == ids
+    # the in-memory report holds no id list; report.json gets the ids spliced in
+    assert "selected" not in hit.report and selection.to_dict(pool)["selected"] == ids
     assert written["selected.txt"] == ("\n".join(ids) + "\n").encode("utf-8")
-    assert written["report.json"] == (json.dumps(round_floats(hit.report), sort_keys=True,
-                                                 indent=2, ensure_ascii=False) + "\n").encode()
+    assert written["report.json"] == (json.dumps(round_floats({**hit.report, "selected": ids}),
+                                                 sort_keys=True, indent=2, ensure_ascii=False)
+                                      + "\n").encode()
     assert written["prices.jsonl"] == reference_rows(
         pool.ids, pool.topic_names, pool.topic_codes, hit.state.shares,
         hit.state.prices).encode("utf-8")
@@ -311,6 +318,61 @@ def test_a_failed_write_removes_every_temporary_and_keeps_every_target(tmp_path,
     assert first.read_text(encoding="utf-8") == "old"
     assert not second.exists()
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+# Runs the CLI with argv[3:], killing itself with SIGKILL at the
+# (argv[2] + 1)-th unlink or rename of a file in the directory argv[1]
+KILL_AT_STEP = """
+import os, pathlib, signal, sys
+from market_select.cli import main
+run, steps = pathlib.Path(sys.argv[1]), int(sys.argv[2])
+def counted(fn):
+    def step(*args, **kwargs):
+        global steps
+        if pathlib.Path(args[-1]).parent == run:  # unlink(path) and replace(tmp, path)
+            if steps == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            steps -= 1
+        return fn(*args, **kwargs)
+    return step
+os.replace = counted(os.replace)
+pathlib.Path.unlink = counted(pathlib.Path.unlink)
+sys.exit(main(sys.argv[3:]))
+"""
+RUN_FILES = ("report.json", "prices.jsonl", "selected.txt")
+
+
+@pytest.mark.parametrize("step", [0, 1, 2, 3])
+def test_a_select_killed_at_any_rename_leaves_the_old_run_or_no_report(tmp_path, step):
+    shutil.copyfile(GOLDEN / "pool.jsonl", tmp_path / "pool.jsonl")
+    run = tmp_path / "run"
+    argv = ["select", "--pool", str(tmp_path / "pool.jsonl"), "--signals", "nll,s1"]
+
+    def select(out: Path, budget: str) -> dict[str, bytes]:
+        with redirect_stdout(io.StringIO()):
+            assert main([*argv, "--budget-tokens", budget, "--out-dir", str(out)]) == 0
+        return {name: (out / name).read_bytes() for name in RUN_FILES}
+
+    old, new = select(run, "200"), select(tmp_path / "new", "400")
+    src = str(Path(market_select.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # step 0 is the old report's removal, steps 1-3 the renames of prices.jsonl,
+    # selected.txt and report.json
+    proc = subprocess.run([sys.executable, "-c", KILL_AT_STEP, str(run), str(step), *argv,
+                           "--budget-tokens", "400", "--out-dir", str(run)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    if step == 0:
+        assert {name: (run / name).read_bytes() for name in RUN_FILES} == old
+    else:
+        assert not (run / "report.json").exists()
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(["explain", "--run-dir", str(run), "g005"]) == 2
+        assert err.getvalue().startswith(f"error: no report.json in {run}")
+    assert list(run.glob("*.tmp"))  # the kill left its temporaries
+    assert select(run, "400") == new
+    assert list(run.glob("*.tmp")) == []
 
 
 def test_explain_warns_when_the_stored_prices_are_stale(tmp_path):

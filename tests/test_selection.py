@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist as scipy_cdist
 
 from market_select import selection
@@ -15,9 +19,11 @@ from market_select.selection import (
     covering_radius,
     example_events,
     greedy_select,
+    scan_order,
     score_rho,
 )
-from market_select.standardize import StandardizedTable
+from market_select.pool import token_sum
+from market_select.standardize import DEFAULT_TAU, StandardizedTable
 
 from conftest import make_pool, make_record, random_pool
 
@@ -576,3 +582,67 @@ def test_block_scan_matches_a_visit_by_visit_pass(monkeypatch, blocks, kind):
             record = scan.phases[-1]
             assert record.visited.tolist() == candidates[:visited].tolist()
             assert record.visited[record.admitted].tolist() == want
+
+
+# values that tie in a real scan: zeros of both signs, rho 0 from an
+# l**gamma that overflows, prices that clipped shares make common to many
+# rows, and the extremes of the float range
+TIES = [0.0, -0.0, 0.25, 1.0 / 3.0, 5e-324, 1e-300, 1.0, np.inf, -np.inf]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(st.lists(st.one_of(st.sampled_from(TIES), st.floats(allow_nan=False)), max_size=300))
+def test_the_scan_order_is_the_stable_descending_argsort(values):
+    x = np.array(values, dtype=np.float64)
+    assert np.array_equal(selection._descending(x), np.argsort(-x, kind="stable"))
+
+
+@pytest.mark.parametrize("kind", ["distinct", "all equal", "few values", "ties and zeros"])
+def test_the_scan_order_of_a_large_array_is_the_stable_descending_argsort(kind):
+    rng = np.random.default_rng([31, len(kind)])
+    n = 200_003
+    x = {"distinct": rng.random(n), "all equal": np.full(n, 0.5),
+         "few values": rng.integers(0, 7, n) / 7.0,
+         "ties and zeros": rng.choice([0.0, -0.0, 1e-300, 0.25, 2.0], n)}[kind]
+    assert np.array_equal(selection._descending(x), np.argsort(-x, kind="stable"))
+
+
+def test_scan_order_on_clipped_shares_and_overflowing_lengths():
+    rng = np.random.default_rng(32)
+    pool = random_pool(rng, 3_000, n_topics=3, max_tokens=10**6)
+    # every standardized value at the clip bound: prices tie within a topic
+    z = np.where(rng.random(pool.n) < 0.5, DEFAULT_TAU, -DEFAULT_TAU)
+    state = price_pool(pool, StandardizedTable({"s1": z}), Weights({"s1": 1.0}), MarketConfig())
+    for gamma in (0.0, 1.6, 60.0):  # l**60 overflows to inf from l = 138 on: rho 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow warns of nothing
+            rho, order = scan_order(state, pool, gamma)
+        assert np.array_equal(rho, score_rho(state, pool, gamma))
+        assert np.array_equal(order, np.argsort(-rho, kind="stable"))
+    assert np.count_nonzero(rho == 0.0) > pool.n // 2
+
+
+def loop_per_topic(pool, prices, selected) -> dict:
+    """_build_report's per-topic totals, one topic at a time."""
+    in_set = np.zeros(pool.n, dtype=bool)
+    in_set[selected] = True
+    return {topic: {"count": int(in_set[idx].sum()),
+                    "tokens": token_sum(pool.token_lengths[idx][in_set[idx]]),
+                    "price_mass": float(prices[idx][in_set[idx]].sum())}
+            for topic, idx in pool.topics.items()}
+
+
+@pytest.mark.parametrize("n, n_topics", [(1, 1), (7, 7), (40, 3), (600, 300), (5_000, 4)])
+def test_per_topic_totals_equal_the_per_topic_loop(n, n_topics):
+    rng = np.random.default_rng([33, n])
+    pool = random_pool(rng, n, n_topics=n_topics, max_tokens=10**6)
+    # prices over many magnitudes, so that another order of addition shows
+    prices = rng.lognormal(0.0, 8.0, n)
+    state = state_with_prices(prices)
+    rho, order = scan_order(state, pool, 1.6)
+    for selected in (order[:0], order[:1], rng.permutation(n)[: n // 3], order):
+        report = selection._build_report(selected, 0, 0, state, pool, rho, order, [])
+        want = loop_per_topic(pool, prices, selected)
+        assert report.per_topic == want
+        for topic, totals in want.items():  # the masses' bits, -0.0 included
+            assert report.per_topic[topic]["price_mass"].hex() == totals["price_mass"].hex()

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from market_select import verify
+from market_select import selection, verify
 from market_select.errors import ConfigError, ValidationError
 from market_select.market import Weights
 from market_select.standardize import StandardizedTable
@@ -22,6 +22,22 @@ from market_select.verify import (
 from conftest import random_pool
 from recovery_flat import flat_recovery_ratios
 from recovery_oracle import expected_shortfall
+
+
+def count_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Count the calls verify makes to each named function; building a
+    SelectionReport fails the test."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(verify, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(verify, name, counted)
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("a SelectionReport was built")
+    monkeypatch.setattr(selection, "_build_report", no_report)
+    return calls
 
 
 def test_recovery_noiseless_is_exact():
@@ -146,6 +162,16 @@ def test_recovery_matches_the_flat_market_reference(n, m, family, beta, ks):
         point = replace(cfg, sigma=result.sigma, k=result.k)
         assert result.ratios == flat_recovery_ratios(point)
     assert simulate_recovery(point).ratios == results[-1].ratios
+
+
+def test_recovery_orders_each_sigma_and_trial_once(monkeypatch):
+    # README's grid: 3 sigmas x 50 trials are priced and ordered once
+    # each, and each of the 3 ks takes one greedy pass over that order
+    calls = count_calls(monkeypatch, "price_pool", "scan_order", "greedy_pass")
+    cfg = RecoverySimConfig(n=2000, trials=50, seed=0)
+    results = recovery_grid(cfg, sigmas=[0.0, 0.5, 1.0], ks=[10, 50, 200])
+    assert calls == {"price_pool": 150, "scan_order": 150, "greedy_pass": 450}
+    assert [len(r.ratios) for r in results] == [50] * 9
 
 
 def test_recovery_refuses_a_liquidity_the_market_cannot_price():
@@ -279,16 +305,11 @@ def test_sweep_prices_and_selects_the_defaults_once(monkeypatch, betas, gammas, 
     rng = np.random.default_rng(24)
     pool = random_pool(rng, 40, n_topics=2, max_tokens=20)
     table = clipped_table(rng, pool)
-    calls = {"price_pool": 0, "greedy_select": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(verify, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(verify, name, counted)
+    calls = count_calls(monkeypatch, "price_pool", "scan_order", "greedy_pass")
     rows = sweep_hyperparams(pool, table, Weights({"s1": 0.5, "s2": 0.5}), budget_tokens=100,
                              beta_grid=betas, gamma_grid=gammas)
     assert [(row["beta"], row["gamma"]) for row in rows] == [(b, g) for b in betas for g in gammas]
-    assert calls == {"price_pool": pricings, "greedy_select": selections}
+    assert calls == {"price_pool": pricings, "scan_order": selections, "greedy_pass": selections}
 
 
 def test_sweep_gamma_zero_is_raw_price_ranking():
