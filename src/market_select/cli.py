@@ -51,6 +51,7 @@ from .pipeline import (
     prepare,
     read_float_map,
     read_json_file,
+    round_floats,
     run_pipeline,
     write_atomic,
 )
@@ -333,7 +334,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "trajectory": result.trajectory,
     }
-    write_atomic([(out, encode_text(out, dump_json(payload)))])
+    write_atomic([(out, encode_text(out, dump_json(round_floats(payload))))])
     rounded = {name: fmt_float(value) for name, value in result.weights.w.items()}
     print(f"tuned weights over {args.rounds} rounds: {json.dumps(rounded)}")
     print(f"wrote {out}")
@@ -448,8 +449,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             )
     if not info["scan_events"]:
         print("  never reached by the scan (selection cap hit earlier)")
-    if not info["price_dump_consistent"]:
-        print("warning: stored price dump disagrees with recomputation; artifacts may be stale")
     return 0
 
 

@@ -132,12 +132,15 @@ def aggregate_shares(table: StandardizedTable, weights: Weights) -> np.ndarray:
     """q_i = sum_m w_m * standardized signal m at i.
 
     Every weighted name must exist as a table column; columns without a
-    weight are simply not traded.
+    weight are simply not traded. The terms add up in column order, not
+    in the weights' order, so the weights that report.json echoes sorted
+    by name give ``explain`` the run's shares bit for bit.
     """
     weights.require_columns(table.columns)
     q = np.zeros(table.n, dtype=np.float64)
-    for name, w in weights.w.items():
-        q += w * table.columns[name]
+    for name, col in table.columns.items():
+        if name in weights.w:
+            q += weights.w[name] * col
     return q
 
 

@@ -7,8 +7,8 @@ pool, builds the signals and standardizes them. ``execute`` (behind
 price with the weights that RunConfig resolved before the pool was read.
 
 A run is fully described by its RunConfig; the written report embeds the
-resolved config, so identical configs reproduce byte-identical artifacts
-regardless of thread count. report.json is dump_json's text with the
+resolved config exactly, and identical configs reproduce byte-identical
+artifacts regardless of thread count. report.json is dump_json's text with the
 selected ids spliced in (splice_selected), selected.txt holds
 Pool.id_lines, and prices.jsonl and the ``signals`` dump come from
 format_rows, by way of format_price_rows and format_signal_rows.
@@ -20,24 +20,22 @@ from __future__ import annotations
 
 import errno
 import json
-import math
 import os
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, ValidationError, require_finite
 from .market import DEFAULT_BETA, MarketConfig, MarketState, Weights, price_pool
 from .pool import (
     NEWLINE,
     PAD,
     Pool,
     Texts,
-    decode_json_line,
     join_rows,
     load_pool,
     padded_slices,
@@ -220,28 +218,6 @@ def read_json_file(path: str | Path, what: str) -> Any:
         raise ConfigError(f"{what} file {path} is not valid UTF-8: {exc.reason}") from None
 
 
-def read_json_lines(path: str | Path, what: str) -> Iterator[tuple[int, Any]]:
-    """(line number, JSON value) for each non-blank line of a JSON Lines
-    file; ``what`` names the file's role in the error messages."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{what} file not found: {path}")
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    value = decode_json_line(line)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(
-                        f"{what} file {path} line {lineno}: invalid JSON ({exc.msg})"
-                    ) from None
-                yield lineno, value
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} file {path} is not valid UTF-8: {exc.reason}") from None
-
-
 def read_float_map(path: str | Path, what: str) -> dict[str, float]:
     """A settings file holding a JSON object of name -> number."""
     return float_map(read_json_file(path, what), f"{what} file {Path(path)}")
@@ -293,8 +269,10 @@ def prepare(
 ) -> tuple[Pool, SignalTable, StandardizedTable]:
     """Load the pool, build the configured signals and standardize them
     within topics; ``threads`` caps the workers of the pool parse and of
-    the kNN."""
+    the kNN. A pool without examples is refused."""
     pool = load_pool(cfg.pool, threads)
+    if not pool.n:
+        raise ValidationError(f"pool file {Path(cfg.pool)} holds no examples")
     table = build_signal_table(pool, cfg.specs, threads=threads)
     std = standardize_table(table, pool, cfg.std_config)
     return pool, table, std
@@ -389,7 +367,9 @@ def run_pipeline(
 
     out_dir = Path(out_dir)
     pool, selected = result.pool, result.selection.selected
-    report = encode_text(out_dir / REPORT_FILE, dump_json({**result.report, "selected": []}))
+    # the config echo keeps its floats exact, so that explain rebuilds the run from it
+    rounded = {**round_floats(result.report), "config": result.report["config"], "selected": []}
+    report = encode_text(out_dir / REPORT_FILE, dump_json(rounded))
     write_atomic([
         (out_dir / REPORT_FILE, splice_selected(report, pool, selected)),
         (out_dir / PRICES_FILE, format_price_rows(pool, result.state)),
@@ -661,17 +641,17 @@ def explain(
     """Break one example's run down: raw and standardized signals, share,
     price, score, and what happened to it during the selection scan.
 
-    Recomputes the (deterministic) pipeline from the config embedded in
-    the run's report, with ``threads`` as in ``execute``, and
-    cross-checks against the stored price dump.
+    Recomputes the (deterministic) pipeline from the exact config echo of
+    the run's report, from ``pool_path`` in place of its pool if given,
+    with ``threads`` as in ``execute``. That is the run, so unless it
+    writes the bytes of the run's prices.jsonl and selected.txt, the run
+    (stale or torn, or its pool changed since) is refused.
     """
     run_dir = Path(run_dir)
     report_path = run_dir / REPORT_FILE
-    prices_path = run_dir / PRICES_FILE
-    if not report_path.exists():
-        raise ConfigError(f"no {REPORT_FILE} in {run_dir}")
-    if not prices_path.exists():
-        raise ConfigError(f"no {PRICES_FILE} in {run_dir}")
+    for name in (REPORT_FILE, PRICES_FILE, SELECTED_FILE):
+        if not (run_dir / name).exists():
+            raise ConfigError(f"no {name} in {run_dir}")
     stored = read_json_file(report_path, "report")
     if not isinstance(stored, dict) or not isinstance(stored.get("config"), dict):
         raise ConfigError(f"{report_path} holds no run config")
@@ -685,23 +665,14 @@ def explain(
         raise ConfigError(f"{report_path}: {exc}") from None
     result = execute(cfg, threads=threads)
     pool = result.pool
+    for name, data in ((PRICES_FILE, format_price_rows(pool, result.state)),
+                       (SELECTED_FILE, pool.id_lines(result.selection.selected))):
+        if (run_dir / name).read_bytes() != data:
+            raise ValidationError(f"{run_dir / name} differs from the run that {report_path} "
+                                  "describes (stale or torn files, or a changed pool); "
+                                  "run select again")
     idx = pool.index_of(example_id)
     label = int(pool.label_codes[idx])
-
-    dumped = None
-    for lineno, row in read_json_lines(prices_path, "prices"):
-        where = f"{prices_path} line {lineno}"
-        if not isinstance(row, dict):
-            raise ConfigError(f"{where}: expected a JSON object")
-        if row.get("id") == example_id:
-            if not all(type(row.get(key)) in (int, float) for key in ("p", "q")):
-                raise ConfigError(f"{where}: 'p' and 'q' must be numbers")
-            dumped = row
-            break
-    consistent = dumped is not None and (
-        math.isclose(dumped["q"], result.state.shares[idx], rel_tol=1e-6, abs_tol=1e-9)
-        and math.isclose(dumped["p"], result.state.prices[idx], rel_tol=1e-6, abs_tol=1e-9)
-    )
 
     events = example_events(result.selection, pool, idx)
     for ev in events:
@@ -722,7 +693,6 @@ def explain(
         "selected": rank is not None,
         "rank": rank,
         "scan_events": events,
-        "price_dump_consistent": bool(consistent),
     }
 
 
@@ -761,7 +731,7 @@ def round_floats(obj: Any) -> Any:
 
 
 def dump_json(obj: Any) -> str:
-    """``obj`` as indented JSON text, floats rounded by fmt_float."""
-    return json.dumps(
-        round_floats(obj), sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False
-    ) + "\n"
+    """``obj`` as indented JSON text, a float as its repr (round_floats
+    rounds them first) and a NumPy scalar as its Python value."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False,
+                      default=np.generic.item) + "\n"

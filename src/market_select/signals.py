@@ -456,8 +456,11 @@ def diversity_centroid(pool: Pool) -> np.ndarray:
     emb = _require_embeddings(pool, "div_cent")
     out = np.empty(pool.n, dtype=np.float64)
     for idx in pool.topics.values():
+        # np.linalg.norm(rows - mean, axis=1)'s steps, in place on the gathered copy
         rows = emb[idx]
-        out[idx] = np.linalg.norm(rows - rows.mean(axis=0), axis=1)
+        rows -= rows.mean(axis=0)
+        rows *= rows
+        out[idx] = np.sqrt(rows.sum(axis=1))
     return out
 
 

@@ -9,17 +9,17 @@ signals.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError, require_finite
 from .market import Weights
-from .pipeline import read_json_lines
-from .pool import Pool
+from .pool import Pool, decode_json_line
 from .standardize import StandardizedTable, average_ranks
 
 MIN_COVERED_IDS = 3
@@ -50,13 +50,34 @@ class DevFeedback:
                 raise ValidationError(f"utility for {rid!r} is not finite")
 
 
+def read_json_lines(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """(line number, JSON value) for each non-blank line of a dev feedback file."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"dev feedback file not found: {path}")
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    value = decode_json_line(line)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(
+                        f"dev feedback file {path} line {lineno}: invalid JSON ({exc.msg})"
+                    ) from None
+                yield lineno, value
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"dev feedback file {path} is not valid UTF-8: {exc.reason}") from None
+
+
 def load_dev_feedback(path: str | Path) -> DevFeedback:
     """Read JSONL of {"id": ..., "utility": ...} rows."""
     def where(lineno: int) -> str:  # built only for an error
         return f"dev feedback file {Path(path)} line {lineno}"
 
     utilities: dict[str, float] = {}
-    for lineno, obj in read_json_lines(path, "dev feedback"):
+    for lineno, obj in read_json_lines(path):
         if not isinstance(obj, dict) or "id" not in obj or "utility" not in obj:
             raise ConfigError(f"{where(lineno)}: expected keys 'id' and 'utility'")
         utility = obj["utility"]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import market_select
-from market_select import pipeline
+from market_select import cli, pipeline
 from market_select import pool as pool_module
 from market_select.cli import main
 from market_select.errors import ConfigError
@@ -770,25 +770,95 @@ def test_run_config_round_trip_through_echo(pool_file, tmp_path):
         budget_tokens=100,
     )
     result = run_pipeline(cfg, out_dir=tmp_path / "run")
-    echo = dict(result.report["config"])
+    echo = read_json(tmp_path / "run" / "report.json")["config"]
     echo.pop("max_examples")
     rebuilt = RunConfig.from_dict(echo)
     second = execute(rebuilt)
     assert np.array_equal(second.selection.selected, result.selection.selected)
 
 
+def _hex(value):
+    """``value`` with each float as its float.hex text, to compare bits."""
+    if isinstance(value, dict):
+        return {key: _hex(v) for key, v in value.items()}
+    return value.hex() if isinstance(value, float) else value
+
+
+# configs whose floats 9 significant digits cannot hold: weights of 1/3,
+# a 15-digit gamma, nine topic budgets of 0.10000000049 and a tenth at the
+# rest, and a 17-digit per-topic liquidity
+ECHO_CASES = {
+    "thirds": ["--signals", "nll,s1,div_cent"],
+    "gamma": ["--signals", "nll,s1", "--gamma", "1.23456789012345"],
+    "alpha": ["--signals", "nll", "--alpha", "ALPHA"],
+    "beta": ["--signals", "nll", "--beta-per-topic", "BETA"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ECHO_CASES))
+def test_report_json_echoes_a_config_that_rebuilds_the_run_bit_for_bit(tmp_path, capsys,
+                                                                        monkeypatch, case):
+    rng = np.random.default_rng(17)
+    topics = [f"t{k}" for k in range(10)]
+    write_pool_jsonl(tmp_path / "pool.jsonl", [
+        {"id": f"e{i:02d}", "topic": topics[i % 10], "tokens": int(rng.integers(1, 20)),
+         "embedding": rng.normal(size=2).tolist(),
+         "signals": {"nll": float(rng.normal()), "s1": float(rng.normal())}}
+        for i in range(40)])
+    alpha = {t: 0.10000000049 for t in topics[:9]}
+    alpha["t9"] = 1.0 - sum(alpha.values())
+    (tmp_path / "alpha.json").write_text(json.dumps(alpha), encoding="utf-8")
+    beta = {t: 1.2345678901234567 + k for k, t in enumerate(topics)}
+    (tmp_path / "beta.json").write_text(json.dumps(beta), encoding="utf-8")
+    files = {"ALPHA": str(tmp_path / "alpha.json"), "BETA": str(tmp_path / "beta.json")}
+    runs = []  # (config, result) of the run
+
+    def run_and_keep(cfg, **kwargs):
+        runs.append((cfg, run_pipeline(cfg, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cli, "run_pipeline", run_and_keep)
+    run = tmp_path / "run"
+    assert main(["select", "--pool", str(tmp_path / "pool.jsonl"), "--budget-tokens", "150",
+                 "--out-dir", str(run), *(files.get(a, a) for a in ECHO_CASES[case])]) == 0
+    echo = json.loads((run / "report.json").read_bytes())["config"]
+    echo.pop("max_examples")
+    rebuilt = RunConfig.from_dict(echo)
+
+    def bits(cfg: RunConfig) -> dict:
+        return _hex({"weights": cfg.resolved_weights.w, "gamma": cfg.gamma, "tau": cfg.tau,
+                     "beta": cfg.beta, "alpha": cfg.alpha})
+
+    (cfg, result), = runs
+    assert bits(rebuilt) == bits(cfg)
+    # the weights come back sorted by name, and the shares are summed in
+    # the columns' order all the same
+    again = execute(rebuilt)
+    for got, want in ((again.state.shares, result.state.shares),
+                      (again.state.prices, result.state.prices),
+                      (again.selection.rho, result.selection.rho)):
+        assert got.tobytes() == want.tobytes()
+    rid = (run / "selected.txt").read_text(encoding="utf-8").split("\n")[0]
+    capsys.readouterr()
+    assert main(["explain", "--run-dir", str(run), rid]) == 0
+    assert capsys.readouterr().out.startswith(f"id: {rid}\n")
+
+
 def test_explain_api_consistency(pool_file, tmp_path):
     out = tmp_path / "run"
-    run_pipeline(
+    result = run_pipeline(
         RunConfig(pool=str(pool_file), signals=["nll"], budget_tokens=80),
         out_dir=out,
     )
     report = read_json(out / "report.json")
     info = explain(out, report["selected"][0])
     assert info["selected"] is True
-    assert info["price_dump_consistent"] is True
     assert info["rank"] == 1
     assert "nll" in info["raw_signals"]
+    # the run's own values, not a recomputation's within a tolerance
+    idx = result.pool.index_of(info["id"])
+    assert (info["share"], info["price"], info["score"]) == (
+        result.state.shares[idx], result.state.prices[idx], result.selection.rho[idx])
 
 
 def test_pipeline_matches_manual_module_composition(tmp_path):
@@ -1183,6 +1253,33 @@ def test_a_pool_or_dev_feedback_file_that_is_not_utf8_is_exit_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty-file", "blank-lines"])
+@pytest.mark.parametrize("argv", [
+    ["select", "--budget-tokens", "60", "--out-dir", "OUT"],
+    ["signals", "--out", "OUT"],
+    ["price", "--out", "OUT"],
+    ["tune", "--dev-feedback", "DEV", "--out", "OUT"],
+    ["sweep", "--budget-tokens", "60", "--out", "OUT"],
+    ["simulate", "corruption", "--target-signal", "nll", "--out", "OUT"],
+    ["explain", "--run-dir", "RUN", "ex000"],
+], ids=lambda argv: argv[1] if argv[0] == "simulate" else argv[0])
+def test_a_pool_without_examples_is_refused_by_every_pool_command(pool_file, tmp_path, capsys,
+                                                                   argv, text):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(text, encoding="utf-8")
+    run, out = tmp_path / "run", tmp_path / "out"
+    assert main(["select", "--pool", str(pool_file), "--signals", "nll", "--budget-tokens", "60",
+                 "--out-dir", str(run)]) == 0
+    capsys.readouterr()
+    subs = {"OUT": str(out), "RUN": str(run), "DEV": str(GOLDEN_POOL.parent / "dev.jsonl")}
+    argv = [subs.get(a, a) for a in argv] + ["--pool", str(empty)]
+    if argv[0] != "explain":
+        argv += ["--signals", "nll"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: pool file {empty} holds no examples\n")
+    assert not out.exists()
+
+
 INGESTED = ["--pool", str(GOLDEN_POOL), "--signals", "nll,s1"]
 
 
@@ -1304,10 +1401,11 @@ def test_invalid_json_in_dev_feedback_or_prices_names_the_file_and_line(
     prices = run / "prices.jsonl"
     prices.write_text("\n{oops}\n" + prices.read_text(encoding="utf-8"), encoding="utf-8")
     capsys.readouterr()
-    assert main(["explain", "--run-dir", str(run), rid]) == 2
+    # explain does not parse prices.jsonl: it compares the bytes it would write
+    assert main(["explain", "--run-dir", str(run), rid]) == 1
     assert capsys.readouterr().err == (
-        f"error: prices file {prices} line 2: invalid JSON "
-        "(Expecting property name enclosed in double quotes)\n"
+        f"error: {prices} differs from the run that {run / 'report.json'} describes "
+        "(stale or torn files, or a changed pool); run select again\n"
     )
 
 
@@ -1499,7 +1597,8 @@ def test_token_sums_past_int64_are_exact(tmp_path, capsys):
         assert [row["tokens_used"] for row in csv.DictReader(fh)] == [str(2**63)]
 
 
-@pytest.mark.parametrize("name, what", [("report.json", "report"), ("prices.jsonl", "prices")])
+# a prices.jsonl that is not UTF-8 is refused as one that differs (test_pipeline)
+@pytest.mark.parametrize("name, what", [("report.json", "report")])
 def test_explain_on_a_run_file_that_is_not_utf8_is_exit_2(pool_file, tmp_path, capsys, name,
                                                            what):
     run = tmp_path / "run"
@@ -1537,28 +1636,31 @@ def _corrupt_config(run: Path, **changes: object) -> str:
     return "report.json"
 
 
+# a malformed report is a configuration error (2); a prices.jsonl that is
+# not the run's, malformed or not, is refused as one that differs (1)
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, code",
     [
-        pytest.param(lambda run, rid: _corrupt_report(run, '{"x": 1}'), id="report-no-config"),
-        pytest.param(lambda run, rid: _corrupt_report(run, "[1]"), id="report-not-object"),
-        pytest.param(lambda run, rid: _corrupt_config(run, mystery=1), id="config-unknown-key"),
-        pytest.param(lambda run, rid: _corrupt_config(run, tau="x"), id="config-tau-string"),
-        pytest.param(lambda run, rid: _corrupt_prices(run, rid, None), id="prices-line-not-object"),
-        pytest.param(lambda run, rid: _corrupt_prices(run, rid, "0.5"), id="prices-p-string"),
+        pytest.param(lambda run, rid: _corrupt_report(run, '{"x": 1}'), 2, id="report-no-config"),
+        pytest.param(lambda run, rid: _corrupt_report(run, "[1]"), 2, id="report-not-object"),
+        pytest.param(lambda run, rid: _corrupt_config(run, mystery=1), 2,
+                     id="config-unknown-key"),
+        pytest.param(lambda run, rid: _corrupt_config(run, tau="x"), 2, id="config-tau-string"),
+        pytest.param(lambda run, rid: _corrupt_prices(run, rid, None), 1,
+                     id="prices-line-not-object"),
+        pytest.param(lambda run, rid: _corrupt_prices(run, rid, "0.5"), 1, id="prices-p-string"),
     ],
 )
-def test_explain_rejects_a_malformed_run(pool_file, tmp_path, capsys, corrupt):
+def test_explain_rejects_a_malformed_run(pool_file, tmp_path, capsys, corrupt, code):
     run = tmp_path / "run"
     assert main(["select", "--pool", str(pool_file), "--signals", "nll",
                  "--budget-tokens", "60", "--out-dir", str(run)]) == 0
     rid = read_json(run / "report.json")["selected"][0]
     name = corrupt(run, rid)
     capsys.readouterr()
-    code = main(["explain", "--run-dir", str(run), rid])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and name in err
+    assert main(["explain", "--run-dir", str(run), rid]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and name in err and err.count("\n") == 1
 
 
 UNKNOWN_KEY_WARNING = "line 10: ignoring unknown keys ['note']"

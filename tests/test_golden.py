@@ -60,6 +60,11 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
       "--label-floor", "4", "--retention-rate", "0.3", "--budget-tokens", "150",
       "--gamma", "0.8", "--out-dir", "tight"],
      ["tight/report.json", "tight/prices.jsonl", "tight/selected.txt"]),
+    # weights of 1/3, which report.json echoes exactly and explain reads back
+    ("thirds",
+     ["select", "--pool", "pool.jsonl", "--signals", "nll,s1,div_cent", "--budget-tokens", "400",
+      "--out-dir", "thirds"],
+     ["thirds/report.json", "thirds/prices.jsonl", "thirds/selected.txt"]),
     ("price", ["price", *SIGNALS_INGESTED, "--beta", "0.7", "--out", "price.jsonl"],
      ["price.jsonl"]),
     ("signals", ["signals", *SIGNALS_ALL, "--standardize", "rank+robust",
@@ -83,6 +88,7 @@ EXPLAINS: list[tuple[str, str]] = [
     ("balanced", "g014"), ("balanced", "g002"), ("balanced", "g000"),
     ("capped", "g020"), ("capped", "g027"),
     ("tight", "g029"), ("tight", "g022"),
+    ("thirds", "g017"),
 ]
 
 

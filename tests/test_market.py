@@ -63,6 +63,17 @@ def test_aggregate_ignores_unweighted_columns():
     assert np.allclose(q, [1.0, 2.0])
 
 
+def test_aggregate_adds_the_columns_in_their_order_whatever_the_weights_order():
+    rng = np.random.default_rng(3)
+    table = table_of(**{name: rng.normal(size=1_000) for name in ("z", "b", "unused", "a")})
+    weights = {"z": 1 / 3, "b": 1 / 3, "a": 1 / 3}
+    want = (weights["z"] * table.columns["z"] + weights["b"] * table.columns["b"]
+            + weights["a"] * table.columns["a"])
+    for order in (["z", "b", "a"], ["a", "b", "z"], ["b", "a", "z"]):
+        got = aggregate_shares(table, Weights({name: weights[name] for name in order}))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_aggregate_unknown_weight_name():
     table = table_of(a=[1.0])
     with pytest.raises(ValidationError, match="'ghost'"):

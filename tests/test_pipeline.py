@@ -1,6 +1,6 @@
 """The artifact writers against their row-by-row references, a zero-budget
 topic through the whole run, the atomic writer's cleanup and rename order,
-and explain's stale-dump warning."""
+and explain's check that it reproduces the run's files."""
 
 from __future__ import annotations
 
@@ -191,7 +191,7 @@ def test_the_report_splices_the_selected_ids_with_the_bytes_of_json_dumps(count)
     for obj in (report_of(ids), {"selected": ids}, {**report_of(ids), "zz": "after"}):
         text = dump_json({**obj, "selected": []}).encode("utf-8")
         assert splice_selected(text, pool, selected) == (json.dumps(
-            round_floats(obj), sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+            obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 def test_id_lines_hold_the_ids_of_the_rows_in_their_order(monkeypatch):
@@ -229,12 +229,23 @@ def test_a_run_writes_each_artifact_as_its_reference_on_a_miss_and_a_hit(tmp_pat
     # the in-memory report holds no id list; report.json gets the ids spliced in
     assert "selected" not in hit.report and selection.to_dict(pool)["selected"] == ids
     assert written["selected.txt"] == ("\n".join(ids) + "\n").encode("utf-8")
-    assert written["report.json"] == (json.dumps(round_floats({**hit.report, "selected": ids}),
-                                                 sort_keys=True, indent=2, ensure_ascii=False)
-                                      + "\n").encode()
+    # every float rounded but the config echo's
+    report = {**round_floats(hit.report), "config": hit.report["config"], "selected": ids}
+    assert written["report.json"] == (json.dumps(report, sort_keys=True, indent=2,
+                                                 ensure_ascii=False) + "\n").encode()
     assert written["prices.jsonl"] == reference_rows(
         pool.ids, pool.topic_names, pool.topic_codes, hit.state.shares,
         hit.state.prices).encode("utf-8")
+
+
+def test_a_config_of_numpy_scalars_is_echoed_as_python_numbers(tmp_path):
+    shutil.copyfile(GOLDEN / "pool.jsonl", tmp_path / "pool.jsonl")
+    cfg = RunConfig(pool=str(tmp_path / "pool.jsonl"), signals="nll,s1",
+                    budget_tokens=np.int64(400), seed=np.int64(3), gamma=np.float32(1.5))
+    run_pipeline(cfg, tmp_path / "run")
+    echo = json.loads((tmp_path / "run" / "report.json").read_bytes())["config"]
+    assert (echo["budget_tokens"], echo["seed"], echo["gamma"]) == (400, 3, 1.5)
+    assert pipeline.explain(tmp_path / "run", "g005")["id"] == "g005"
 
 
 def test_a_one_megabyte_id_among_short_ones_writes_in_bounded_memory():
@@ -375,27 +386,97 @@ def test_a_select_killed_at_any_rename_leaves_the_old_run_or_no_report(tmp_path,
     assert list(run.glob("*.tmp")) == []
 
 
-def test_explain_warns_when_the_stored_prices_are_stale(tmp_path):
-    shutil.copyfile(GOLDEN / "pool.jsonl", tmp_path / "pool.jsonl")
-    run = tmp_path / "run"
-    argv = ["select", "--pool", str(tmp_path / "pool.jsonl"), "--signals", "nll,s1",
-            "--budget-tokens", "400", "--out-dir", str(run)]
+def golden_select(tmp_path: Path, out: str, budget: str = "400", *extra: str) -> Path:
+    """A select into tmp_path/out of the golden pool, copied to tmp_path,
+    over three signals: weights of 1/3, which 9 digits cannot hold, and a
+    kNN column, which the cache keeps."""
+    pool = tmp_path / "pool.jsonl"
+    if not pool.exists():
+        shutil.copyfile(GOLDEN / "pool.jsonl", pool)
     with redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
-    warning = "warning: stored price dump disagrees with recomputation; artifacts may be stale"
+        assert main(["select", "--pool", str(pool), "--signals", "nll,s1,rarity:k=3",
+                     "--budget-tokens", budget, "--out-dir", str(tmp_path / out), *extra]) == 0
+    return tmp_path / out
 
-    def explain_out() -> list[str]:
-        out = io.StringIO()
-        with redirect_stdout(out):
-            assert main(["explain", "--run-dir", str(run), "g005"]) == 0
-        return out.getvalue().splitlines()
 
-    assert warning not in explain_out()
-    prices = run / "prices.jsonl"
-    rows = [json.loads(line) for line in prices.read_text(encoding="utf-8").splitlines()]
-    for row in rows:
-        if row["id"] == "g005":
-            row["p"] *= 1.01
-    prices.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    lines = explain_out()
-    assert lines[-1] == warning
+def explain_g005(run: Path, *extra: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["explain", "--run-dir", str(run), *extra, "g005"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _edit_price(run: Path) -> str:
+    path = run / "prices.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith(b'{"id": "g005", '))
+    edited = json.loads(lines[row])
+    edited["p"] *= 1.01
+    lines[row] = json.dumps(edited).encode("utf-8") + b"\n"
+    path.write_bytes(b"".join(lines))
+    return "prices.jsonl"
+
+
+def _tear(run: Path) -> str:
+    other = golden_select(run.parent, "other", "200")
+    assert (other / "selected.txt").read_bytes() != (run / "selected.txt").read_bytes()
+    shutil.copyfile(other / "selected.txt", run / "selected.txt")
+    return "selected.txt"
+
+
+def _edit_pool_signal(run: Path) -> str:
+    pool = run.parent / "pool.jsonl"
+    lines = pool.read_text(encoding="utf-8").split("\n")
+    assert lines[0].startswith('{"id": "g005", ') and '"nll": 0.784894,' in lines[0]
+    lines[0] = lines[0].replace('"nll": 0.784894,', '"nll": 1.784894,')
+    pool.write_text("\n".join(lines), encoding="utf-8")
+    return "prices.jsonl"
+
+
+def _append_non_utf8(run: Path) -> str:
+    with (run / "prices.jsonl").open("ab") as fh:
+        fh.write(b"\xff")
+    return "prices.jsonl"
+
+
+@pytest.mark.parametrize("edit", [_edit_price, _tear, _edit_pool_signal, _append_non_utf8],
+                         ids=["price", "torn", "pool-signal", "prices-not-utf8"])
+def test_explain_refuses_a_run_whose_files_it_does_not_reproduce(tmp_path, edit):
+    run = golden_select(tmp_path, "run")
+    assert explain_g005(run)[0] == 0
+    name = edit(run)
+    code, out, err = explain_g005(run)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {run / name} differs from the run that {run / 'report.json'} "
+                   "describes (stale or torn files, or a changed pool); run select again\n")
+
+
+@pytest.mark.parametrize("name", RUN_FILES)
+def test_explain_refuses_a_run_without_one_of_its_files(tmp_path, name):
+    run = golden_select(tmp_path, "run")
+    (run / name).unlink()
+    assert explain_g005(run) == (2, "", f"error: no {name} in {run}\n")
+
+
+@pytest.mark.parametrize("case", ["moved-pool", "threads-1", "threads-2", "cold-cache",
+                                  "warm-cache"])
+def test_explain_accepts_the_run_it_reproduces(tmp_path, monkeypatch, pool_cache, case):
+    threads = {"threads-1": "1", "threads-2": "2"}.get(case)
+    run = golden_select(tmp_path, "run", "400", *(["--threads", threads] if threads else []))
+    if threads:  # explain takes the other count, from the variable
+        monkeypatch.setenv("MARKET_SELECT_THREADS", "2" if threads == "1" else "1")
+    code, want, err = explain_g005(run)
+    assert (code, err) == (0, "") and want.startswith("id: g005\n")
+    extra: list[str] = []
+    if case == "moved-pool":
+        moved = tmp_path / "elsewhere" / "moved.jsonl"
+        moved.parent.mkdir()
+        (tmp_path / "pool.jsonl").rename(moved)
+        extra = ["--pool", str(moved)]
+    elif case == "cold-cache":
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cold"))
+    assert explain_g005(run, *extra) == (0, want, "")
+    if case == "cold-cache":  # the pool and its kNN column were computed again
+        assert len(list((tmp_path / "cold" / "market-select" / "pools").iterdir())) == 2
+    else:  # select's entries served every load
+        assert len(list(pool_cache.iterdir())) == 2

@@ -596,6 +596,24 @@ def test_centroid_two_dimensional():
     assert np.allclose(got, [np.sqrt(2.0), np.sqrt(2.0), 2.0])
 
 
+@pytest.mark.parametrize("dim, scale", [(1, 1.0), (3, 1.0), (16, 1.0), (4, 1e150), (1, 1e150)])
+def test_centroid_equals_the_norm_of_the_centred_rows_bit_for_bit(dim, scale):
+    # singleton topics, a two-row topic and larger ones, each checked
+    # against np.linalg.norm of its centred rows
+    rng = np.random.default_rng(dim)
+    sizes = [1, 1, 2, 7, 60]
+    pool = make_pool(*(make_record(f"e{t}-{i:02d}", topic=f"t{t}",
+                                   embedding=scale * (1.0 + rng.normal(size=dim)))
+                       for t, size in enumerate(sizes) for i in range(size)))
+    emb = pool.embedding_matrix()
+    want = np.empty(pool.n)
+    for idx in pool.topics.values():
+        want[idx] = np.linalg.norm(emb[idx] - emb[idx].mean(axis=0), axis=1)
+    assert np.isfinite(want).all()
+    assert np.array_equal(diversity_centroid(pool), want)
+    assert np.array_equal(pool.embedding_matrix(), emb)
+
+
 def test_combined_identity_cases():
     cent = np.array([1.0, 2.0])
     rare = np.array([3.0, 4.0])
