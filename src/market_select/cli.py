@@ -9,8 +9,11 @@ flags; explicit flags win over the file. Every command that reads a pool
 builds one RunConfig from its flags, which parses and checks every
 setting, and builds its other configs, before pipeline.prepare reads the
 pool; so the shared flags mean the same everywhere, and a bad setting
-fails before a bad pool. MARKET_SELECT_THREADS serves as a fallback for
---threads, and the number of usable CPUs as the default of both.
+fails before a bad pool. `select` records the warning texts of the pool
+and its signals in its report; the other commands but `explain` print each
+as a `warning:` line on stderr. Python's filters rule any other warning.
+MARKET_SELECT_THREADS serves as a fallback for --threads, and the number
+of usable CPUs as the default of both.
 OPENBLAS_THREAD_TIMEOUT defaults to 4 in a CLI process (see below).
 """
 
@@ -56,8 +59,10 @@ from .pipeline import (
     write_atomic,
 )
 from .market import DEFAULT_BETA, price_pool
+from .pool import Pool
 from .selection import DEFAULT_GAMMA
-from .standardize import DEFAULT_TAU
+from .signals import SignalTable
+from .standardize import DEFAULT_TAU, StandardizedTable
 
 PRESETS: dict[str, dict[str, Any]] = {
     # diversity-leaning variant: longer-form diverse picks
@@ -259,6 +264,18 @@ def _threads_of(args: argparse.Namespace) -> int:
     return threads
 
 
+def _prepare(
+    cfg: RunConfig, args: argparse.Namespace
+) -> tuple[Pool, SignalTable, StandardizedTable]:
+    """pipeline.prepare at the command's thread count, with each warning
+    text of the pool and of the signal table printed as a ``warning:``
+    line on stderr (``select`` records them in its report instead)."""
+    pool, table, std = prepare(cfg, _threads_of(args))
+    for text in [*pool.warnings, *table.warnings]:
+        print(f"warning: {text}", file=sys.stderr)
+    return pool, table, std
+
+
 def _write_csv(path: str, fieldnames: list[str], rows: list[dict[str, Any]]) -> None:
     import csv
 
@@ -301,19 +318,19 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_signals(args: argparse.Namespace) -> int:
-    pool, table, std = prepare(_build_run_config(args), _threads_of(args))
+    pool, table, std = _prepare(_build_run_config(args), args)
     out = Path(args.out)
-    write_atomic([(out, format_signal_rows(pool, table, std))])
+    write_atomic([(out, b"".join(format_signal_rows(pool, table, std)))])
     print(f"wrote {pool.n} rows to {out}")
     return 0
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
-    pool, _, std = prepare(cfg, _threads_of(args))
+    pool, _, std = _prepare(cfg, args)
     state = price_pool(pool, std, cfg.resolved_weights, cfg.market_config)
     out = Path(args.out)
-    write_atomic([(out, format_price_rows(pool, state))])
+    write_atomic([(out, b"".join(format_price_rows(pool, state)))])
     print(f"wrote prices for {pool.n} examples to {out}")
     return 0
 
@@ -323,7 +340,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
     cfg = _build_run_config(args)
     tune_cfg = TuneConfig(eta=args.eta, rounds=args.rounds)
-    pool, _, std = prepare(cfg, _threads_of(args))
+    pool, _, std = _prepare(cfg, args)
     feedback = load_dev_feedback(args.dev_feedback)
     result = tune_weights(std, feedback, pool, tune_cfg)
     out = Path(args.out)
@@ -376,7 +393,7 @@ def _cmd_simulate_corruption(args: argparse.Namespace) -> int:
     )
     check_target_signal(args.target_signal, [spec.name for spec in cfg.specs],
                         cfg.resolved_weights)
-    pool, _, std = prepare(cfg, _threads_of(args))
+    pool, _, std = _prepare(cfg, args)
     rows = sweep_corruption(pool, std, cfg.resolved_weights, sweep_cfg)
     _write_csv(
         args.out,
@@ -398,7 +415,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         replace(cfg, beta=beta)
     for gamma in gammas:
         replace(cfg, gamma=gamma)
-    pool, _, std = prepare(cfg, _threads_of(args))
+    pool, _, std = _prepare(cfg, args)
     rows = sweep_hyperparams(pool, std, cfg.resolved_weights, budget_tokens=cfg.budget_tokens,
                              beta_grid=betas, gamma_grid=gammas)
     _write_csv(

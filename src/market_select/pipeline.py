@@ -10,8 +10,8 @@ A run is fully described by its RunConfig; the written report embeds the
 resolved config exactly, and identical configs reproduce byte-identical
 artifacts regardless of thread count. report.json is dump_json's text with the
 selected ids spliced in (splice_selected), selected.txt holds
-Pool.id_lines, and prices.jsonl and the ``signals`` dump come from
-format_rows, by way of format_price_rows and format_signal_rows.
+Pool.id_lines, and prices.jsonl and the ``signals`` dump are the slices
+of format_rows, by way of format_price_rows and format_signal_rows.
 write_atomic renames every file into place only once all are written,
 report.json last.
 """
@@ -21,11 +21,10 @@ from __future__ import annotations
 import errno
 import json
 import os
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -278,39 +277,26 @@ def prepare(
     return pool, table, std
 
 
-def _own_warning(w: warnings.WarningMessage) -> bool:
-    """Whether a warning is one the package raises itself for the report:
-    a plain UserWarning attributed to a line of the package."""
-    return w.category is UserWarning and os.path.dirname(w.filename) == os.path.dirname(__file__)
-
-
 def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
     """Run the full pipeline in memory and assemble the report dict: what
     report.json holds but the selected ids, which are the pool rows
-    ``selection.selected`` (run_pipeline writes them)."""
+    ``selection.selected`` (run_pipeline writes them). The report's
+    ``diagnostics.warnings`` are the pool's and then the signal table's."""
     if cfg.budget_tokens is None and cfg.retention_rate is None:
         raise ConfigError("either budget_tokens or retention_rate is required")
-    captured: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pool, table, std = prepare(cfg, threads)
-        state = price_pool(pool, std, cfg.resolved_weights, cfg.market_config)
+    pool, table, std = prepare(cfg, threads)
+    state = price_pool(pool, std, cfg.resolved_weights, cfg.market_config)
 
-        budget = cfg.budget_tokens
-        if budget is None:
-            budget = token_sum(pool.token_lengths)
-        max_examples = None
-        if cfg.retention_rate is not None:
-            max_examples = int(round(cfg.retention_rate * pool.n))
+    budget = cfg.budget_tokens
+    if budget is None:
+        budget = token_sum(pool.token_lengths)
+    max_examples = None
+    if cfg.retention_rate is not None:
+        max_examples = int(round(cfg.retention_rate * pool.n))
 
-        sel_cfg = replace(cfg.selection_config, budget_tokens=budget, max_examples=max_examples)
-        select = balanced_select if sel_cfg.mode == "balanced" else greedy_select
-        selection = select(state, pool, sel_cfg)
-    for w in caught:
-        if _own_warning(w):
-            captured.append(str(w.message))
-        else:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    sel_cfg = replace(cfg.selection_config, budget_tokens=budget, max_examples=max_examples)
+    select = balanced_select if sel_cfg.mode == "balanced" else greedy_select
+    selection = select(state, pool, sel_cfg)
 
     fallbacks = [
         f"{signal}/{topic}: scale source {st.scale_source}"
@@ -328,7 +314,7 @@ def execute(cfg: RunConfig, threads: int = 1) -> PipelineResult:
     }
     diagnostics: dict[str, Any] = {
         "n_records": pool.n,
-        "warnings": captured,
+        "warnings": [*pool.warnings, *table.warnings],
         "standardization_fallbacks": fallbacks,
         "market_cost": state.cost,
     }
@@ -372,7 +358,7 @@ def run_pipeline(
     report = encode_text(out_dir / REPORT_FILE, dump_json(rounded))
     write_atomic([
         (out_dir / REPORT_FILE, splice_selected(report, pool, selected)),
-        (out_dir / PRICES_FILE, format_price_rows(pool, result.state)),
+        (out_dir / PRICES_FILE, b"".join(format_price_rows(pool, result.state))),
         (out_dir / SELECTED_FILE, pool.id_lines(selected)),
     ])
     return result
@@ -461,33 +447,36 @@ def json_id_texts(pool: Pool) -> Texts:
     return Texts(data, starts, lengths)
 
 
-def format_rows(pool: Pool, middle: list[bytes | np.ndarray]) -> bytes:
+def format_rows(pool: Pool, middle: list[bytes | np.ndarray]) -> Iterator[np.ndarray]:
     """One {"id": ..., <middle>, "topic": ...} object per example, in id
     order, as json.dumps writes it with sorted keys and the floats of
     format_float. ``middle`` holds fixed texts and float64 columns.
 
-    The rows are built a slice at a time, each part as a matrix of padded
-    rows: the ids' JSON text (json_id_texts), the fixed texts, the texts of
-    each column (float_rows) and the topics' JSON text, joined by join_rows.
+    The rows are built and yielded a slice at a time, as uint8 arrays, each
+    part as a matrix of padded rows: the ids' JSON text (json_id_texts),
+    the fixed texts, the texts of each column (float_rows) and the topics'
+    JSON text, joined by join_rows. A writer joins the slices; ``explain``
+    compares them with a file one at a time.
     """
     ids = json_id_texts(pool)
     tails = Texts.of([f', "topic": {encode_basestring(t)}}}\n'.encode("utf-8")
                       for t in pool.topic_names])
     codes = pool.topic_codes
     fixed = sum(len(part) if isinstance(part, bytes) else FLOAT_WIDTH for part in middle)
-    return b"".join(
-        join_rows([b'{"id": "', ids.rows(s), b'", ', *(
+    for s in padded_slices(ids.lengths + tails.lengths[codes] + 11 + fixed):
+        yield join_rows([b'{"id": "', ids.rows(s), b'", ', *(
             part if isinstance(part, bytes) else float_rows(part[s]) for part in middle),
             tails.rows(codes[s])])
-        for s in padded_slices(ids.lengths + tails.lengths[codes] + 11 + fixed))
 
 
-def format_price_rows(pool: Pool, state: MarketState) -> bytes:
+def format_price_rows(pool: Pool, state: MarketState) -> Iterator[np.ndarray]:
     """prices.jsonl and the ``price`` dump: {"id", "p", "q", "topic"} rows."""
     return format_rows(pool, [b'"p": ', state.prices, b', "q": ', state.shares])
 
 
-def format_signal_rows(pool: Pool, table: SignalTable, std: StandardizedTable) -> bytes:
+def format_signal_rows(
+    pool: Pool, table: SignalTable, std: StandardizedTable
+) -> Iterator[np.ndarray]:
     """The ``signals`` dump: {"id", "signals", "standardized", "topic"} rows,
     with the raw and the standardized values each keyed by column name."""
     middle: list[bytes | np.ndarray] = []
@@ -645,7 +634,8 @@ def explain(
     the run's report, from ``pool_path`` in place of its pool if given,
     with ``threads`` as in ``execute``. That is the run, so unless it
     writes the bytes of the run's prices.jsonl and selected.txt, the run
-    (stale or torn, or its pool changed since) is refused.
+    (stale or torn, or its pool changed since) is refused. The file is
+    compared a slice of format_rows at a time, so neither is held whole.
     """
     run_dir = Path(run_dir)
     report_path = run_dir / REPORT_FILE
@@ -665,12 +655,13 @@ def explain(
         raise ConfigError(f"{report_path}: {exc}") from None
     result = execute(cfg, threads=threads)
     pool = result.pool
-    for name, data in ((PRICES_FILE, format_price_rows(pool, result.state)),
-                       (SELECTED_FILE, pool.id_lines(result.selection.selected))):
-        if (run_dir / name).read_bytes() != data:
-            raise ValidationError(f"{run_dir / name} differs from the run that {report_path} "
-                                  "describes (stale or torn files, or a changed pool); "
-                                  "run select again")
+    for name, slices in ((PRICES_FILE, format_price_rows(pool, result.state)),
+                         (SELECTED_FILE, [pool.id_lines(result.selection.selected)])):
+        with open(run_dir / name, "rb") as stored:
+            if not all(stored.read(len(part)) == bytes(part) for part in slices) or stored.read(1):
+                raise ValidationError(f"{run_dir / name} differs from the run that {report_path} "
+                                      "describes (stale or torn files, or a changed pool); "
+                                      "run select again")
     idx = pool.index_of(example_id)
     label = int(pool.label_codes[idx])
 

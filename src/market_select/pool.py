@@ -9,8 +9,9 @@ columns; nothing mutates them after load.
 A pool is built from rows. A row is a JSON object with keys ``id``
 (string), ``topic`` (string), ``tokens`` (positive int), and optional
 ``label`` (string), ``embedding`` (list of numbers), ``signals``
-(object name -> number). Unknown keys are ignored with a warning. An
-id, topic or label must encode as UTF-8, and an id holds no line break.
+(object name -> number). Unknown keys are ignored (``Pool.warnings``
+names them). An id, topic or label must encode as UTF-8, and an id
+holds no line break.
 ``load_pool`` reads the rows from a UTF-8 JSONL file, one per line;
 ``Pool.from_rows`` takes them from code. Both check each row with the
 same checker, so both accept and reject the same rows with the same
@@ -81,6 +82,9 @@ class Pool:
     from (see ``load_pool``), or None: for a pool built in code, or one
     whose file may have changed while it loaded.
 
+    ``warnings`` holds, in row order, ``line 10: ignoring unknown keys
+    ['note']`` for each row with unknown keys (``row 10`` from code).
+
     The constructor takes columns that are already sorted and checked;
     build a pool with ``load_pool`` or ``Pool.from_rows``.
     """
@@ -96,8 +100,10 @@ class Pool:
         embeddings: np.ndarray | None,
         signals: dict[str, np.ndarray],
         key: str | None = None,
+        warnings: Sequence[str] = (),
     ) -> None:
         self.key = key
+        self.warnings = list(warnings)
         self.id_text = id_text
         self.n = len(topic_codes)
         self.topic_codes = topic_codes
@@ -123,17 +129,12 @@ class Pool:
     def from_rows(cls, rows: Iterable[object]) -> "Pool":
         """A pool from rows given in code, each the JSON object a pool
         file line holds. Rows are checked as ``load_pool`` checks lines,
-        with the same errors and warnings, numbered ``row 1``, ``row 2``..."""
+        with the same errors and warning texts, numbered ``row 1``, ``row 2``..."""
         columns = _Columns("row")
         for n, row in enumerate(rows, start=1):
             if not columns.add(row, n):
                 break
-        texts: list[str] = []
-        try:
-            return cls(**_merge([columns.seal()], texts))
-        finally:
-            for text in texts:
-                warnings.warn(text, stacklevel=2)
+        return cls(**_merge([columns.seal()]))
 
     def __len__(self) -> int:
         return self.n
@@ -442,17 +443,16 @@ _NUMBER_TYPES = frozenset((float, int))
 EMB_BLOCK = 1 << 16
 
 
-def _merge(parts: list[_Columns], texts: list[str]) -> dict[str, object]:
+def _merge(parts: list[_Columns]) -> dict[str, object]:
     """The keyword arguments of Pool(): the rows of every range, in id
-    order, once the checks that span rows or ranges have passed.
+    order, and their warning texts, once the checks that span rows or
+    ranges have passed.
 
     The ranges are walked in line order, with each range's numbers
     shifted by the lines of the ranges before it. The first error in
     line order wins: a rejected row, a duplicate id, or an embedding
     whose dimension differs from the first embedding's (a row's
-    duplicate id comes before its dimension). The unknown-key warning
-    texts of the lines up to that error are appended to ``texts`` first,
-    in line order, for the caller to emit.
+    duplicate id comes before its dimension), and it is raised alone.
     """
     unit = parts[0].unit
     offsets: list[int] = []
@@ -500,11 +500,6 @@ def _merge(parts: list[_Columns], texts: list[str]) -> dict[str, object]:
                 error = (n, ValidationError, message)
                 break
 
-    for part, o in zip(parts, offsets):
-        for n, keys in part.warnings:
-            if error is not None and o + n > error[0]:
-                break
-            texts.append(f"{unit} {o + n}: ignoring unknown keys {keys}")
     if error is not None:
         n, kind, message = error
         raise kind(f"{unit} {n}: {message}")
@@ -562,6 +557,8 @@ def _merge(parts: list[_Columns], texts: list[str]) -> dict[str, object]:
         label_names=label_names,
         embeddings=embeddings,
         signals=signals,
+        warnings=[f"{unit} {o + n}: ignoring unknown keys {keys}"
+                  for part, o in zip(parts, offsets) for n, keys in part.warnings],
     )
 
 
@@ -599,8 +596,9 @@ def load_pool(path: str | Path, workers: int = 1) -> Pool:
     as text-mode files read them: universal newlines, blank lines
     skipped. Every row goes through the row checker that
     ``Pool.from_rows`` uses too, and ``_merge`` settles, in line order,
-    what spans rows and ranges; so the pool, the warnings and the error
-    do not depend on ``workers``.
+    what spans rows and ranges; so the pool, its warning texts and the
+    error do not depend on ``workers``. A refused file raises its error
+    alone, whatever warning texts its earlier lines would give.
 
     Errors name the offending line; duplicate ids and ragged embedding
     dimensions name both lines involved. A file that is not valid UTF-8
@@ -608,8 +606,7 @@ def load_pool(path: str | Path, workers: int = 1) -> Pool:
 
     A regular file is first looked up in the cache under the name of
     this module's source and its bytes (``cache.entry``). On a hit the
-    columns come from the entry and the warnings the first load gave are
-    replayed, with the same text and location; a missing, damaged or
+    columns and the warning texts come from the entry; a missing, damaged or
     wrong entry is a miss, which parses the file as above and stores a
     pool that passes its checks, unless the file's ``_identity`` changed
     meanwhile. The cache never changes a result.
@@ -641,28 +638,22 @@ def load_pool(path: str | Path, workers: int = 1) -> Pool:
     elif index is not None:
         entry = cache.entry(cache.POOL, Path(__file__), path)
         hit = None if entry is None else cache.read(entry, _decode)
-    texts: list[str] = []
-    try:
-        if hit is not None:
-            columns, texts = hit
-        else:
-            parts = fork_map(_parse_range, [(path, *r) for r in _ranges(path, workers)])
-            for part in parts:
-                if part.bad_utf8 is not None:
-                    raise ConfigError(f"pool file {path} is not valid UTF-8: {part.bad_utf8}")
-            columns = _merge(parts, texts)
-        if index is not None and entry is not None:  # the bytes were hashed
-            unchanged = _identity(path) == identity
-            if hit is None:
-                if unchanged:
-                    _write_entry(entry, columns, texts)
-                else:
-                    entry = None
-            if unchanged and identity[-1] <= now - SETTLE_NS:
-                cache.link(index, entry)
-    finally:
-        for text in texts:
-            warnings.warn(text, stacklevel=2)
+    columns = hit
+    if hit is None:
+        parts = fork_map(_parse_range, [(path, *r) for r in _ranges(path, workers)])
+        for part in parts:
+            if part.bad_utf8 is not None:
+                raise ConfigError(f"pool file {path} is not valid UTF-8: {part.bad_utf8}")
+        columns = _merge(parts)
+    if index is not None and entry is not None:  # the bytes were hashed
+        unchanged = _identity(path) == identity
+        if hit is None:
+            if unchanged:
+                _write_entry(entry, columns)
+            else:
+                entry = None
+        if unchanged and identity[-1] <= now - SETTLE_NS:
+            cache.link(index, entry)
     return Pool(**columns, key=None if entry is None else entry.stem)
 
 
@@ -682,9 +673,9 @@ def _identity(path: Path) -> tuple[int, ...] | None:
 _CODES = {"topic_codes": np.intp, "token_lengths": np.int64, "label_codes": np.intp}
 
 
-def _decode(arrays: dict[str, np.ndarray]) -> tuple[dict[str, object], list[str]]:
-    """The keyword arguments of Pool() and the warning texts of a pool's cache
-    entry; raises on a field missing or of the wrong type, dtype, length or range."""
+def _decode(arrays: dict[str, np.ndarray]) -> dict[str, object]:
+    """The keyword arguments of Pool() of a pool's cache entry, its warning
+    texts among them; raises on a field missing or of the wrong type, dtype, length or range."""
     header = json.loads(arrays["header"].tobytes())
     topics, labels, names, texts = (header[field]
                                     for field in ("topics", "labels", "signals", "warnings"))
@@ -709,15 +700,15 @@ def _decode(arrays: dict[str, np.ndarray]) -> tuple[dict[str, object], list[str]
         raise ValueError("not the pool's number of ids")
     str(id_text, "utf-8")  # raises unless the ids are UTF-8 text
     return dict(id_text=id_text, topic_names=topics, label_names=labels, embeddings=emb,
-                signals=dict(zip(names, arrays["signals"])),
-                **{name: arrays[name] for name in _CODES}), texts
+                signals=dict(zip(names, arrays["signals"])), warnings=texts,
+                **{name: arrays[name] for name in _CODES})
 
 
-def _write_entry(entry: Path, columns: dict[str, object], texts: list[str]) -> None:
+def _write_entry(entry: Path, columns: dict[str, object]) -> None:
     """Cache a pool file's checked columns and warning texts in ``entry``."""
     signals, emb = columns["signals"], columns["embeddings"]
     header = {"topics": columns["topic_names"], "labels": columns["label_names"],
-              "signals": list(signals), "warnings": texts}
+              "signals": list(signals), "warnings": columns["warnings"]}
     arrays = {name: columns[name] for name in _CODES}
     arrays["header"] = np.frombuffer(json.dumps(header).encode("ascii"), dtype=np.uint8)
     arrays["signals"] = np.array([*signals.values()], np.float64).reshape(

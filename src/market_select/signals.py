@@ -18,9 +18,8 @@ import ctypes
 import functools
 import re
 import threading
-import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -51,10 +50,12 @@ class SignalTable:
     """Column store of raw per-example signal values.
 
     Every column has one value per pool record (ascending-id order) and
-    all values are finite.
+    all values are finite. ``warnings`` holds the texts of the topics too
+    small for a rarity column's k (see ``rarity_warnings``).
     """
 
     columns: dict[str, np.ndarray]
+    warnings: list[str] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -365,12 +366,12 @@ def rarity_knn(
     Each topic gets an ExactNeighborIndex, so every distance averaged is
     the square root of an exact_sq_distances value, equal to scipy's. k is
     clamped to (topic size - 1) for topics too small to supply k
-    neighbors, with a warning; a singleton topic gets rarity 0 because it
-    has no neighbors at all. The work is split into row-chunk items across
-    all topics, which up to ``threads`` workers share, at most one per
-    usable CPU and one per item; results are placed
-    by position and warnings issued in sorted-topic order, so output is
-    identical for any thread count. While more than one worker runs,
+    neighbors; a singleton topic gets rarity 0 because it has no neighbors
+    at all (``rarity_warnings`` gives the texts that report both). The
+    work is split into row-chunk items across all topics, which up to
+    ``threads`` workers share, at most one per usable CPU and one per
+    item; results are placed by position, so output is identical for any
+    thread count. While more than one worker runs,
     numpy's bundled OpenBLAS is capped at one thread, so each worker's
     matrix products run on its own core instead of starting more BLAS
     threads; the old count is restored afterwards. A single worker
@@ -380,29 +381,15 @@ def rarity_knn(
 
     The column depends only on the pool's bytes, this module's source, the
     numpy version and k, so a pool loaded from a file (one with a ``key``)
-    keeps it in a cache entry named by those inputs (see ``cache``): after
-    the warnings, and before any index is built, an entry of one finite
+    keeps it in a cache entry named by those inputs (see ``cache``): before
+    any index is built, an entry of one finite
     value >= 0 per row is returned as it is, and a computed column is stored
     only when a work item ran. The column is exact and the same for any
     thread count, so a hit returns the bits a computation would.
     """
     params = params or KnnParams()
     emb = _require_embeddings(pool, "rarity")
-    topics: list[np.ndarray] = []
-    for topic, idx in pool.topics.items():
-        if idx.size == 1:
-            warnings.warn(
-                f"topic {topic!r} has a single example; rarity set to 0",
-                stacklevel=2,
-            )
-            continue
-        if idx.size - 1 < params.k:
-            warnings.warn(
-                f"topic {topic!r} has {idx.size} examples; clamping k from "
-                f"{params.k} to {idx.size - 1}",
-                stacklevel=2,
-            )
-        topics.append(idx)
+    topics = [idx for idx in pool.topics.values() if idx.size > 1]
 
     entry = None if pool.key is None else cache.entry(
         cache.COLUMN, pool.key.encode(), Path(__file__), np.__version__.encode(),
@@ -440,6 +427,16 @@ def rarity_knn(
     if entry is not None and work:
         cache.write(entry, {"rarity": out})
     return out
+
+
+def rarity_warnings(pool: Pool, k: int) -> Iterator[str]:
+    """The texts of the topics that ``rarity_knn`` gives rarity 0 (a single
+    example) or a clamped k (fewer than k + 1 examples), in sorted-topic order."""
+    for topic, idx in pool.topics.items():
+        if idx.size == 1:
+            yield f"topic {topic!r} has a single example; rarity set to 0"
+        elif idx.size - 1 < k:
+            yield f"topic {topic!r} has {idx.size} examples; clamping k from {k} to {idx.size - 1}"
 
 
 def _rarity_column(arrays: dict[str, np.ndarray], n: int) -> np.ndarray:
@@ -598,7 +595,8 @@ def build_signal_table(
 
     Ingested signals must be present on every record; geometric signals
     need embeddings on every record. Rarity columns shared between
-    ``rarity`` and ``div`` specs with the same k are computed once.
+    ``rarity`` and ``div`` specs with the same k are computed once; the
+    table's ``warnings`` are the ``rarity_warnings`` of each k in turn.
     """
     specs = parse_signal_specs(requested)
     rarity_cache: dict[int, np.ndarray] = {}
@@ -635,6 +633,6 @@ def build_signal_table(
         else:  # pragma: no cover - parse_signal_spec restricts kinds
             raise ConfigError(f"unknown signal kind {spec.kind!r}")
 
-    table = SignalTable(columns=columns)
+    table = SignalTable(columns, [text for k in rarity_cache for text in rarity_warnings(pool, k)])
     table.validate()
     return table

@@ -7,7 +7,6 @@ import os
 import sys
 import time
 import traceback
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +53,8 @@ def _load_and_check(paths, want, order: int) -> None:
 def test_four_processes_share_one_directory_under_eviction(tmp_path, monkeypatch, pool_cache):
     monkeypatch.setattr(pool_module, "SETTLE_NS", 0)  # every load indexes its file
     paths = _pool_files(tmp_path, 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pools = [load_pool(path) for path in paths]
-        want = [(pool, rarity_knn(pool, KnnParams(k=K))) for pool in pools]
+    pools = [load_pool(path) for path in paths]
+    want = [(pool, rarity_knn(pool, KnnParams(k=K))) for pool in pools]
     sizes = sorted(entry.stat().st_size for entry in pool_cache.iterdir())
     assert len(sizes) == 9  # three pool entries, three column entries and three indexes
     assert len(list(pool_cache.glob(f"*{cache_module.INDEX}"))) == 3
@@ -74,9 +71,7 @@ def test_four_processes_share_one_directory_under_eviction(tmp_path, monkeypatch
             if pid == 0:
                 code = 1
                 try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        _load_and_check(paths, want, order)
+                    _load_and_check(paths, want, order)
                     code = 0
                 except BaseException:
                     traceback.print_exc()

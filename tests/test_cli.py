@@ -25,6 +25,7 @@ from market_select.pipeline import RunConfig, execute, explain, format_float, ru
 from conftest import write_pool_jsonl
 
 GOLDEN_POOL = Path(__file__).resolve().parent / "golden" / "pool.jsonl"
+UNKNOWN_KEY_WARNING = "line 10: ignoring unknown keys ['note']"
 
 
 @pytest.fixture
@@ -1303,8 +1304,11 @@ def test_a_liquidity_the_float_range_cannot_price_is_exit_1(tmp_path, capsys, ar
         code = main(argv)
     err = capsys.readouterr().err
     assert code == 1
-    assert re.fullmatch(rf"error: liquidity {re.escape(repr(beta))} cannot price topic '[^']+': "
-                        r"its prices or the market cost leave the float range\n", err), err
+    # select records the pool's warning in its report; the others print it first
+    warning = "" if argv[0] == "select" else re.escape(f"warning: {UNKNOWN_KEY_WARNING}\n")
+    assert re.fullmatch(rf"{warning}error: liquidity {re.escape(repr(beta))} cannot price "
+                        r"topic '[^']+': its prices or the market cost leave the float range\n",
+                        err), err
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not out.exists()
     assert list(tmp_path.rglob("*.tmp")) == []
@@ -1663,35 +1667,91 @@ def test_explain_rejects_a_malformed_run(pool_file, tmp_path, capsys, corrupt, c
     assert out == "" and err.startswith("error:") and name in err and err.count("\n") == 1
 
 
-UNKNOWN_KEY_WARNING = "line 10: ignoring unknown keys ['note']"
+# every command that reads a pool, its outputs under OUT
+POOL_COMMANDS = [
+    pytest.param(["signals", "--out", "OUT"], id="signals"),
+    pytest.param(["price", "--out", "OUT"], id="price"),
+    pytest.param(["tune", "--dev-feedback", "DEV", "--rounds", "2", "--out", "OUT"], id="tune"),
+    pytest.param(["sweep", "--budget-tokens", "300", "--out", "OUT"], id="sweep"),
+    pytest.param(["simulate", "corruption", "--target-signal", "nll", "--out", "OUT"],
+                 id="corruption"),
+    pytest.param(["select", "--budget-tokens", "400", "--out-dir", "OUT"], id="select"),
+]
+# the golden pool's warning texts over nll,s1,rarity:k=3
+RARITY_WARNINGS = [UNKNOWN_KEY_WARNING,
+                   "topic 'gamma' has 3 examples; clamping k from 3 to 2",
+                   "topic 'solo' has a single example; rarity set to 0"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        pytest.param(["signals", "--out", "OUT"], id="signals"),
-        pytest.param(["price", "--out", "OUT"], id="price"),
-        pytest.param(["tune", "--dev-feedback", "DEV", "--rounds", "2", "--out", "OUT"],
-                     id="tune"),
-        pytest.param(["sweep", "--budget-tokens", "300", "--out", "OUT"], id="sweep"),
-        pytest.param(["simulate", "corruption", "--target-signal", "nll", "--out", "OUT"],
-                     id="corruption"),
-        pytest.param(["select", "--budget-tokens", "400", "--out-dir", "OUT"], id="select"),
-    ],
-)
-def test_pool_warnings_are_printed_once_or_recorded_by_select(tmp_path, argv):
-    subs = {"OUT": str(tmp_path / "out"), "DEV": str(GOLDEN_POOL.parent / "dev.jsonl")}
-    argv = [subs.get(a, a) for a in argv] + ["--pool", str(GOLDEN_POOL), "--signals", "nll,s1"]
+def pool_command(argv: list[str], out: Path, pool: Path, signals: str) -> list[str]:
+    subs = {"OUT": str(out), "DEV": str(GOLDEN_POOL.parent / "dev.jsonl")}
+    return [subs.get(a, a) for a in argv] + ["--pool", str(pool), "--signals", signals]
+
+
+def run_cli_process(argv: list[str], **env: str) -> subprocess.CompletedProcess:
+    """The CLI in a child process, under the test's PYTHONWARNINGS or none."""
     src = str(Path(market_select.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-m", "market_select.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    child_env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    child_env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-m", "market_select.cli", *argv],
+                          capture_output=True, text=True, env={**child_env, **env})
+
+
+@pytest.mark.parametrize("argv", POOL_COMMANDS)
+def test_pool_warnings_are_printed_once_or_recorded_by_select(tmp_path, argv):
+    proc = run_cli_process(pool_command(argv, tmp_path / "out", GOLDEN_POOL, "nll,s1"))
     assert proc.returncode == 0, proc.stderr
     if argv[0] == "select":
         assert proc.stderr == ""
         report = read_json(tmp_path / "out" / "report.json")
         assert report["diagnostics"]["warnings"] == [UNKNOWN_KEY_WARNING]
     else:
-        assert proc.stderr.count(UNKNOWN_KEY_WARNING) == 1
-        assert proc.stderr.count("Warning:") == 1
+        assert proc.stderr == f"warning: {UNKNOWN_KEY_WARNING}\n"
+
+
+@pytest.mark.parametrize("argv", POOL_COMMANDS)
+def test_warnings_turned_into_errors_change_no_exit_code_line_or_byte(tmp_path, argv):
+    # the package's warning texts are no Python warnings, so PYTHONWARNINGS=error
+    # moves no exit code, stderr line or byte; the second run is a cache hit
+    runs = {}
+    for setting in ("", "error"):
+        out = tmp_path / (setting or "default")
+        proc = run_cli_process(pool_command(argv, out / "out", GOLDEN_POOL, "nll,s1,rarity:k=3"),
+                               **({"PYTHONWARNINGS": setting} if setting else {}))
+        assert proc.returncode == 0, proc.stderr
+        if argv[0] == "select":
+            assert proc.stderr == ""
+            report = read_json(out / "out" / "report.json")
+            assert report["diagnostics"]["warnings"] == RARITY_WARNINGS
+        else:
+            assert proc.stderr == "".join(f"warning: {text}\n" for text in RARITY_WARNINGS)
+        files = {f.relative_to(out): f.read_bytes() for f in out.rglob("*") if f.is_file()}
+        runs[setting] = (proc.stdout.replace(str(out), "DIR"), files)
+    assert runs["error"] == runs[""]
+
+
+@pytest.mark.parametrize("argv", POOL_COMMANDS)
+def test_a_refused_pool_prints_its_error_alone(tmp_path, argv):
+    # line 10 holds an unknown key; the error comes on a later line
+    pool = tmp_path / "pool.jsonl"
+    data = GOLDEN_POOL.read_bytes()
+    pool.write_bytes(data + b'{"id": "late", "topic": "t", "tokens": 0}\n')
+    line = data.count(b"\n") + 1
+    proc = run_cli_process(pool_command(argv, tmp_path / "out", pool, "nll,s1"))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: line {line}: 'tokens' must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", POOL_COMMANDS[:-1])
+def test_the_warning_lines_are_the_same_cold_warm_and_at_any_thread_count(
+        tmp_path, tmp_path_factory, capsys, monkeypatch, argv):
+    monkeypatch.setattr(pool_module, "RANGE_FLOOR", 1)  # two ranges at --threads 2
+    monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 2)
+    expected = "".join(f"warning: {text}\n" for text in RARITY_WARNINGS)
+    for order in (("1", "2"), ("2", "1")):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        for threads in order:  # cold, then warm
+            command = pool_command(argv, tmp_path / "out", GOLDEN_POOL, "nll,s1,rarity:k=3")
+            assert main([*command, "--threads", threads]) == 0
+            assert capsys.readouterr().err == expected, (order, threads)

@@ -222,7 +222,7 @@ def test_warnings_from_outside_the_package_reach_stderr_not_the_report(tmp_path)
     # A stage that raises a ResourceWarning and a DeprecationWarning, the
     # second attributed to the package's own line as numpy's would be:
     # report.json keeps only the pool's unknown-key warning, and both
-    # foreign warnings are printed.
+    # foreign warnings are printed, as Python's filters (here "always") say.
     shutil.copyfile(GOLDEN / "pool.jsonl", tmp_path / "pool.jsonl")
     name, argv, files = COMMANDS[0]
     code = (
@@ -238,7 +238,7 @@ def test_warnings_from_outside_the_package_reach_stderr_not_the_report(tmp_path)
         "sys.exit(main(sys.argv[1:]))\n"
     )
     src = str(Path(market_select.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env = {**os.environ, "PYTHONWARNINGS": "always"}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True)

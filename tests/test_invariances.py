@@ -50,7 +50,6 @@ def scale_nll(row: dict, f) -> dict:
     return {**row, "signals": {**row["signals"], "nll": f(row["signals"]["nll"])}}
 
 
-@pytest.mark.filterwarnings("ignore:line 10. ignoring unknown keys")
 def test_scaling_a_signal_or_the_embeddings_or_ranking_a_signal_changes_no_artifact(tmp_path):
     rows = golden_rows()
     nll = [row["signals"]["nll"] for row in rows]
@@ -71,7 +70,6 @@ def test_scaling_a_signal_or_the_embeddings_or_ranking_a_signal_changes_no_artif
             assert got == base, (method, name)
 
 
-@pytest.mark.filterwarnings("ignore:line 10. ignoring unknown keys")
 def test_dropping_a_zero_budget_topic_moves_no_other_price(tmp_path):
     rows = golden_rows()
     alpha = tmp_path / "alpha.json"

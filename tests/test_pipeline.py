@@ -164,13 +164,13 @@ def test_price_rows_equal_the_row_by_row_text(monkeypatch, shape, slice_bytes):
     if shape == "signals":
         table = SignalTable({name: column() for name in SIGNAL_NAMES})
         std = StandardizedTable({name: column() for name in SIGNAL_NAMES[::-1]})
-        data = format_signal_rows(pool, table, std)
+        data = b"".join(format_signal_rows(pool, table, std))
         assert data == signal_reference(pool, table, std).encode("utf-8")
         return
     shares = rng.permutation(values)
     prices = column()
     state = MarketState(shares=shares, prices=prices, cost=0.0)
-    data = format_price_rows(pool, state)
+    data = b"".join(format_price_rows(pool, state))
     assert data == reference_rows(pool.ids, pool.topic_names, pool.topic_codes, shares,
                                   prices).encode("utf-8")
     assert [json.loads(line)["p"] for line in data.decode("utf-8").split("\n")[:-1]] == [
@@ -258,7 +258,7 @@ def test_a_one_megabyte_id_among_short_ones_writes_in_bounded_memory():
     everything = np.arange(n)
     tracemalloc.start()
     try:
-        prices = format_price_rows(pool, state)
+        prices = b"".join(format_price_rows(pool, state))
         selected = pool.id_lines(everything)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -439,9 +439,25 @@ def _append_non_utf8(run: Path) -> str:
     return "prices.jsonl"
 
 
-@pytest.mark.parametrize("edit", [_edit_price, _tear, _edit_pool_signal, _append_non_utf8],
-                         ids=["price", "torn", "pool-signal", "prices-not-utf8"])
-def test_explain_refuses_a_run_whose_files_it_does_not_reproduce(tmp_path, edit):
+def _append_line(run: Path) -> str:
+    path = run / "prices.jsonl"
+    data = path.read_bytes()
+    path.write_bytes(data + data.splitlines(keepends=True)[-1])
+    return "prices.jsonl"
+
+
+def _cut_byte(run: Path) -> str:
+    path = run / "prices.jsonl"
+    path.write_bytes(path.read_bytes()[:-1])
+    return "prices.jsonl"
+
+
+@pytest.mark.parametrize("edit", [_edit_price, _tear, _edit_pool_signal, _append_non_utf8,
+                                  _append_line, _cut_byte],
+                         ids=["price", "torn", "pool-signal", "prices-not-utf8",
+                              "prices-extra-line", "prices-one-byte-short"])
+def test_explain_refuses_a_run_whose_files_it_does_not_reproduce(tmp_path, monkeypatch, edit):
+    monkeypatch.setattr(pool_module, "SLICE_BYTES", 256)  # prices.jsonl in several slices
     run = golden_select(tmp_path, "run")
     assert explain_g005(run)[0] == 0
     name = edit(run)

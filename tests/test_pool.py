@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,10 +102,14 @@ def test_load_pool_missing_file(tmp_path):
 
 def test_load_pool_warns_on_unknown_keys(tmp_path):
     path = tmp_path / "pool.jsonl"
-    write_pool_jsonl(path, [{"id": "a", "topic": "t", "tokens": 1, "mystery": 3}])
-    with pytest.warns(UserWarning, match="mystery"):
-        pool = load_pool(path)
-    assert pool.n == 1
+    rows = [{"id": "b", "topic": "t", "tokens": 1, "mystery": 3, "aside": 0},
+            {"id": "a", "topic": "t", "tokens": 1, "note": 1}]
+    write_pool_jsonl(path, rows)
+    pool = load_pool(path)
+    assert pool.n == 2
+    assert pool.warnings == ["line 1: ignoring unknown keys ['aside', 'mystery']",
+                             "line 2: ignoring unknown keys ['note']"]
+    assert Pool.from_rows(rows).warnings == [w.replace("line", "row") for w in pool.warnings]
 
 
 def test_records_sorted_by_id_and_topic_partition(tmp_path):
@@ -164,9 +167,7 @@ def test_round_trip(tmp_path):
 
 
 def test_write_pool_of_the_golden_pool_keeps_its_bytes(tmp_path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the golden pool holds an unknown key
-        pool = load_pool(GOLDEN_POOL)
+    pool = load_pool(GOLDEN_POOL)
     out = tmp_path / "pool.jsonl"
     write_pool(pool, out)
     # the sha256 of the bytes that the row-by-row writer gave before write_pool was atomic
@@ -358,14 +359,12 @@ def pool_rows(draw):
 
 
 def _outcome(build):
-    """(pool, None, warning texts) or (None, error, warning texts)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            pool, error = build(), None
-        except MarketSelectError as exc:
-            pool, error = None, exc
-    return pool, error, [str(w.message) for w in caught]
+    """(pool, None, its warning texts) or (None, error, [])."""
+    try:
+        pool = build()
+    except MarketSelectError as exc:
+        return None, exc, []
+    return pool, None, pool.warnings
 
 
 @settings(max_examples=500, deadline=None, derandomize=True,

@@ -1,6 +1,6 @@
 """``load_pool`` over several byte ranges: the caller parses the first, forked
 workers the others, and one merge settles what spans ranges. The result,
-the warnings and the error must not depend on the number of workers.
+its warning texts and the error must not depend on the number of workers.
 
 The range floor is patched down to a byte and the usable CPUs up to three,
 so that even a small file is parsed in up to three ranges."""
@@ -144,22 +144,20 @@ def test_no_worker_outlives_a_load(tmp_path, monkeypatch, many_ranges, forks):
     good.write_bytes(GOLDEN_POOL.read_bytes())
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "a", "topic": "t", "tokens": 0}\n' + GOLDEN_POOL.read_text("utf-8"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    load_pool(good, 3)
+    with pytest.raises(MarketSelectError, match="line 1"):
+        load_pool(bad, 3)
+    # the caller's own range fails while the workers still run
+    parent, real_parse = os.getpid(), pool_module._parse_range
+
+    def parse(path, start, end):
+        if start == 0 and os.getpid() == parent:
+            raise RuntimeError("interrupted")
+        return real_parse(path, start, end)
+
+    monkeypatch.setattr(pool_module, "_parse_range", parse)
+    with pytest.raises(RuntimeError, match="interrupted"):
         load_pool(good, 3)
-        with pytest.raises(MarketSelectError, match="line 1"):
-            load_pool(bad, 3)
-        # the caller's own range fails while the workers still run
-        parent, real_parse = os.getpid(), pool_module._parse_range
-
-        def parse(path, start, end):
-            if start == 0 and os.getpid() == parent:
-                raise RuntimeError("interrupted")
-            return real_parse(path, start, end)
-
-        monkeypatch.setattr(pool_module, "_parse_range", parse)
-        with pytest.raises(RuntimeError, match="interrupted"):
-            load_pool(good, 3)
     assert len(forks) == 6
     for pid in forks:
         with pytest.raises(ChildProcessError):

@@ -12,7 +12,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 import zipfile
 from pathlib import Path
 
@@ -78,9 +77,7 @@ def select(pool_file: Path, out: Path, threads: int) -> dict[str, bytes]:
 
 
 def rarity(path: Path, k: int = K) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return rarity_knn(load_pool(path), KnnParams(k=k))
+    return rarity_knn(load_pool(path), KnnParams(k=k))
 
 
 @pytest.mark.parametrize("miss_threads, hit_threads", [(2, 1), (1, 2)])
@@ -258,12 +255,10 @@ def test_a_pool_built_in_code_never_reads_or_writes_an_entry(monkeypatch, pool_c
     monkeypatch.setattr(cache_module, "read", lambda *a: calls.append(a))
     monkeypatch.setattr(cache_module, "write", lambda *a: calls.append(a))
     rows = [json.loads(line) for line in pool_file.read_text().splitlines()]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pool = Pool.from_rows(rows)
-        assert pool.key is None
-        knn_items.clear()
-        rarity_knn(pool, KnnParams(k=K))
+    pool = Pool.from_rows(rows)
+    assert pool.key is None
+    knn_items.clear()
+    rarity_knn(pool, KnnParams(k=K))
     assert knn_items.count(-1) == 2
     assert calls == []
     assert len(column_entries(pool_cache)) == 1

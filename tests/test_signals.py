@@ -104,16 +104,36 @@ def test_rarity_is_per_topic():
 
 def test_rarity_clamps_k_with_warning():
     pool = embedded_pool([[0.0], [2.0]])
-    with pytest.warns(UserWarning, match="clamping"):
-        rare = rarity_knn(pool, KnnParams(k=10))
+    table = build_signal_table(pool, ["rarity:k=10"])
+    assert table.warnings == ["topic 't' has 2 examples; clamping k from 10 to 1"]
+    rare = rarity_knn(pool, KnnParams(k=10))
+    assert np.array_equal(table.columns["rarity"], rare)
     assert np.allclose(rare, [2.0, 2.0])
 
 
 def test_rarity_singleton_topic_warns_and_zeroes():
     pool = embedded_pool([[0.0], [1.0], [5.0]], topics=["a", "a", "b"])
-    with pytest.warns(UserWarning, match="single example"):
-        rare = rarity_knn(pool, KnnParams(k=1))
+    table = build_signal_table(pool, ["rarity:k=1"])
+    assert table.warnings == ["topic 'b' has a single example; rarity set to 0"]
+    rare = rarity_knn(pool, KnnParams(k=1))
+    assert np.array_equal(table.columns["rarity"], rare)
     assert rare[2] == 0.0
+
+
+def test_the_table_warns_once_per_distinct_k_in_sorted_topic_order():
+    pool = embedded_pool([[0.0], [1.0], [5.0], [6.0], [7.0], [9.0]],
+                         topics=["c", "b", "b", "a", "a", "a"])
+    table = build_signal_table(pool, ["rarity:k=3", "div:k=2"])
+    assert table.warnings == [
+        "topic 'a' has 3 examples; clamping k from 3 to 2",
+        "topic 'b' has 2 examples; clamping k from 3 to 1",
+        "topic 'c' has a single example; rarity set to 0",
+        "topic 'b' has 2 examples; clamping k from 2 to 1",
+        "topic 'c' has a single example; rarity set to 0",
+    ]
+    shared = build_signal_table(pool, ["rarity:k=2", "div:k=2"]).warnings
+    assert shared == table.warnings[3:]
+    assert build_signal_table(pool, ["div_cent"]).warnings == []
 
 
 def test_rarity_requires_embeddings():
